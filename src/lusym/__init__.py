@@ -23,8 +23,6 @@ from .errors import DimensionError, InputError, InternalError
 from .exactlinalg import (
     IntMatrix,
     SmithDecomposition,
-    lattice_member,
-    rational_kernel,
     rational_rank,
     smith_normal_form,
 )
@@ -51,7 +49,6 @@ from .normalizer import (
     NormalizerDescription,
     balance_defect_polynomials,
     compute_normalizer,
-    phase_condition_filter,
     support_stabilizer_masks,
 )
 from .states import (
@@ -119,12 +116,9 @@ __all__ = [
     "groups_equal",
     "is_maximal_diagonal_group",
     "is_sl_type",
-    "lattice_member",
     "monomial_from_circuit",
-    "phase_condition_filter",
     "polytope_classification",
     "qubit_action_profile",
-    "rational_kernel",
     "rational_rank",
     "reduced_density_matrix",
     "single_sl_generator_check",

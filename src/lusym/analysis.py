@@ -4,6 +4,7 @@ stratum comparison between supports.
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -27,8 +28,8 @@ from .states import PhaseVector, PureState, Support, apply_phase_element
 from .symmetry import (
     DiagonalSymmetryGroup,
     QubitActionProfile,
-    group_contains,
-    qubit_action_profile,
+    _annihilated_by,
+    build_weight_matrix,
     solve_symmetry_group,
 )
 
@@ -62,9 +63,16 @@ class SymmetryVerification:
     checks: tuple[GeneratorCheck, ...]
 
 
+def _worst(deviations: list[float]) -> float:
+    # max() keeps a NaN only when it comes first, so test for one explicitly
+    if any(math.isnan(d) for d in deviations):
+        return math.nan
+    return max(deviations, default=0.0)
+
+
 def _deviation(a: PureState, b: PureState) -> float:
-    labels = set(a.amplitudes) | set(b.amplitudes)
-    return max(abs(a.amplitude(lab) - b.amplitude(lab)) for lab in labels)
+    labels = sorted(set(a.amplitudes) | set(b.amplitudes))
+    return _worst([abs(a.amplitude(lab) - b.amplitude(lab)) for lab in labels])
 
 
 def verify_symmetry(
@@ -95,7 +103,7 @@ def verify_symmetry(
                     total[i] += coeff * x
             point = PhaseVector(tuple(f % 1 for f in total[:-1]), total[-1] % 1)
             checks.append(GeneratorCheck("torus", s, _deviation(psi, apply_phase_element(point, psi))))
-    max_dev = max((c.deviation for c in checks), default=0.0)
+    max_dev = _worst([c.deviation for c in checks])
     return SymmetryVerification(
         passed=max_dev <= tol,
         max_deviation=max_dev,
@@ -145,7 +153,6 @@ def analyze(
         )
     support = psi.support()
     group = solve_symmetry_group(support)
-    profile = qubit_action_profile(support, group)
     catalog = enumerate_circuits(support)
 
     monomials = tuple(monomial_from_circuit(c) for c in catalog.circuits)
@@ -159,7 +166,7 @@ def analyze(
     values = tuple(evaluate(m, psi) for m in monomials)
     polytopes = tuple(polytope_classification(c) for c in catalog.circuits)
     sl_report = single_sl_generator_check(catalog)
-    norm_desc = compute_normalizer(support)
+    norm_desc = compute_normalizer(support, group)
     defects = tuple(balance_defect_polynomials(support))
     defect_values = tuple(d.evaluate(psi) for d in defects)
     verification = verify_symmetry(psi, group, samples=samples, tol=tol, seed=seed)
@@ -171,7 +178,7 @@ def analyze(
         state=psi,
         support=support,
         group=group,
-        profile=profile,
+        profile=norm_desc.profile,
         catalog=catalog,
         monomials=monomials,
         monomial_values=values,
@@ -194,14 +201,15 @@ def compare_strata(support_a: Support, support_b: Support) -> str:
     """Closure order between the symmetry strata of two supports.
 
     A smaller symmetry group means a more generic stratum whose closure
-    contains the strata of larger groups.
+    contains the strata of larger groups. G_a lies in G_b exactly when the sign
+    rows of support b send all of G_a to integers.
     """
     if support_a.n != support_b.n:
         raise DimensionError("supports live on different qubit counts")
     ga = solve_symmetry_group(support_a)
     gb = solve_symmetry_group(support_b)
-    a_in_b = group_contains(gb, ga)
-    b_in_a = group_contains(ga, gb)
+    a_in_b = _annihilated_by(build_weight_matrix(support_b).matrix.row_tuples(), ga)
+    b_in_a = _annihilated_by(build_weight_matrix(support_a).matrix.row_tuples(), gb)
     if a_in_b and b_in_a:
         return STRATA_EQUAL
     if a_in_b:

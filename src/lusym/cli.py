@@ -7,6 +7,7 @@ verification), 3 internal invariant violation.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from pathlib import Path
 
@@ -22,7 +23,7 @@ from .invariants import (
     monomial_from_circuit,
     symmetrize_over_flips,
 )
-from .normalizer import balance_defect_polynomials, compute_normalizer
+from .normalizer import balance_defect_polynomials, compute_normalizer, support_stabilizer_masks
 from .serialize import (
     canonical_dumps,
     catalog_to_dict,
@@ -72,6 +73,32 @@ def _add_source_options(parser: argparse.ArgumentParser, with_support: bool) -> 
         parser.add_argument(
             "--support", metavar="LABELS", help="comma-separated basis labels, e.g. 00,11"
         )
+
+
+def _tolerance(text: str) -> float:
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not a number: {text!r}") from None
+    if not (math.isfinite(value) and value > 0):
+        raise argparse.ArgumentTypeError(f"must be finite and > 0, got {text}")
+    return value
+
+
+def _samples(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
+def _add_check_options(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--tolerance", type=_tolerance, default=DEFAULT_TOL)
+    parser.add_argument("--samples", type=_samples, default=DEFAULT_SAMPLES)
+    parser.add_argument("--seed", type=int, default=0)
 
 
 def _add_format_options(parser: argparse.ArgumentParser) -> None:
@@ -131,7 +158,7 @@ def cmd_circuits(args: argparse.Namespace) -> int:
 def cmd_invariants(args: argparse.Namespace) -> int:
     support, psi = _support_from_args(args)
     catalog = enumerate_circuits(support)
-    desc = compute_normalizer(support)
+    flip_masks = list(support_stabilizer_masks(support).masks)
     blocks = []
     for circuit in catalog.circuits:
         mono = monomial_from_circuit(circuit)
@@ -143,7 +170,7 @@ def cmd_invariants(args: argparse.Namespace) -> int:
         if psi is not None:
             val = evaluate(mono, psi)
             block["value"] = [val.real, val.imag]
-        lifted = symmetrize_over_flips(mono, list(desc.flips.masks))
+        lifted = symmetrize_over_flips(mono, flip_masks)
         if isinstance(lifted, FlipRejection):
             block["flip_sum"] = {"admitted": False, "rejection": flip_rejection_to_dict(lifted)}
         else:
@@ -160,7 +187,7 @@ def cmd_invariants(args: argparse.Namespace) -> int:
             monomial_to_dict(m) for m in abs_square_generators(support)
         ],
         "circuit_monomials": blocks,
-        "flip_masks": list(desc.flips.masks),
+        "flip_masks": flip_masks,
     }
     if psi is not None:
         payload["defects"] = [
@@ -188,7 +215,7 @@ def cmd_invariants(args: argparse.Namespace) -> int:
 
 def cmd_normalizer(args: argparse.Namespace) -> int:
     support, _ = _support_from_args(args)
-    desc = compute_normalizer(support)
+    desc = compute_normalizer(support, solve_symmetry_group(support))
     if args.json:
         payload = dict(normalizer_to_dict(desc), support=list(support.labels), n=support.n)
         sys.stdout.write(canonical_dumps(payload))
@@ -254,9 +281,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("analyze", help="full report for a state")
     _add_source_options(p, with_support=False)
     _add_format_options(p)
-    p.add_argument("--tolerance", type=float, default=DEFAULT_TOL)
-    p.add_argument("--samples", type=int, default=DEFAULT_SAMPLES)
-    p.add_argument("--seed", type=int, default=0)
+    _add_check_options(p)
     p.set_defaults(func=cmd_analyze)
 
     p = sub.add_parser("circuits", help="balanced circuits of a support")
@@ -280,9 +305,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--group", metavar="FILE", help="group JSON file")
     p.add_argument("--from-support", action="store_true",
                    help="solve the group from the state's own support")
-    p.add_argument("--tolerance", type=float, default=DEFAULT_TOL)
-    p.add_argument("--samples", type=int, default=DEFAULT_SAMPLES)
-    p.add_argument("--seed", type=int, default=0)
+    _add_check_options(p)
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("compare", help="closure order of two supports' strata")

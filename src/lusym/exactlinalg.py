@@ -1,9 +1,9 @@
 """Exact integer and rational linear algebra.
 
-Smith normal form with both transformation matrices, rational kernels, and
-integer-lattice membership. Everything runs on Python ints and
-fractions.Fraction; no floating point enters any routine in this module, so
-results are decidable and reproducible bit for bit.
+Smith normal form with both transformation matrices, determinants and rational
+ranks. Everything runs on Python ints and fractions.Fraction; no floating point
+enters any routine in this module, so results are decidable and reproducible
+bit for bit.
 """
 
 from __future__ import annotations
@@ -26,7 +26,6 @@ class IntMatrix:
     def __init__(self, rows: Iterable[Sequence[int]]):
         data = []
         for row in rows:
-            r = []
             for x in row:
                 if not isinstance(x, int):
                     raise InputError(f"matrix entries must be int, got {type(x).__name__}")
@@ -56,16 +55,8 @@ class IntMatrix:
     def cols(self) -> int:
         return len(self._data[0])
 
-    @property
-    def entries(self) -> tuple[int, ...]:
-        """Row-major flat view of all entries."""
-        return tuple(x for row in self._data for x in row)
-
     def row_tuples(self) -> tuple[tuple[int, ...], ...]:
         return self._data
-
-    def row(self, i: int) -> tuple[int, ...]:
-        return self._data[i]
 
     def column(self, j: int) -> tuple[int, ...]:
         return tuple(row[j] for row in self._data)
@@ -274,62 +265,3 @@ def normalize_int_vector(v: Sequence[Rational]) -> tuple[int, ...]:
     if lead < 0:
         ints = [-x for x in ints]
     return tuple(ints)
-
-
-def rational_kernel(a: IntMatrix) -> list[tuple[int, ...]]:
-    """Basis of the rational null space, one vector per free column.
-
-    Each basis vector is scaled to integer entries with gcd 1 and positive
-    first nonzero entry, so the basis is canonical for a given input.
-    """
-    n = a.cols
-    rows = [[Fraction(x) for x in row] for row in a.row_tuples()]
-    pivots: list[int] = []
-    r = 0
-    for c in range(n):
-        pivot = next((i for i in range(r, len(rows)) if rows[i][c]), None)
-        if pivot is None:
-            continue
-        rows[r], rows[pivot] = rows[pivot], rows[r]
-        pv = rows[r][c]
-        rows[r] = [x / pv for x in rows[r]]
-        for i in range(len(rows)):
-            if i != r and rows[i][c]:
-                f = rows[i][c]
-                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
-        pivots.append(c)
-        r += 1
-    pivot_set = set(pivots)
-    basis = []
-    for free in range(n):
-        if free in pivot_set:
-            continue
-        vec = [Fraction(0)] * n
-        vec[free] = Fraction(1)
-        for rr, c in enumerate(pivots):
-            vec[c] = -rows[rr][free]
-        basis.append(normalize_int_vector(vec))
-    return basis
-
-
-def lattice_member(basis: IntMatrix, vector: Sequence[Rational]) -> bool:
-    """Is `vector` an integer combination of the columns of `basis`?
-
-    Decided exactly through the Smith decomposition: with u a v = d and
-    w = u . vector, membership holds iff w_i is divisible by d_i on the
-    diagonal range and w_i = 0 beyond the rank.
-    """
-    if len(vector) != basis.rows:
-        raise DimensionError(f"vector length {len(vector)} does not match {basis.rows} rows")
-    dec = smith_normal_form(basis)
-    w = dec.u.mul_vector([Fraction(x) for x in vector])
-    factors = dec.invariant_factors
-    r = len(factors)
-    for i, x in enumerate(w):
-        if i < r:
-            q = Fraction(x) / factors[i]
-            if q.denominator != 1:
-                return False
-        elif x != 0:
-            return False
-    return True

@@ -1,26 +1,23 @@
-"""Normalizer structure: spin-flip masks stabilizing the support and the
-phase condition they must satisfy, plus per-qubit balance defects.
+"""Normalizer structure: spin-flip masks stabilizing the support, plus
+per-qubit balance defects.
 
 The normalizer of the maximal diagonal group inside the locally diagonalizable
 symmetries is the full diagonal torus extended by a finite group of bit-flip
-masks. A mask survives when flipping it maps the support onto itself and
-conjugation (negating the masked phis) maps the solved group onto itself.
+masks. A mask belongs to it when flipping maps the support onto itself and
+conjugation (negating the masked phis) maps the solved group onto itself. The
+second condition follows from the first: the solved group is the set of x with
+M x integral, M holding one sign row per support label, and conjugating by a
+mask that stabilizes the support only permutes the rows of M. The flips are
+therefore exactly the support-stabilizing masks.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import DimensionError, InternalError
+from .errors import InternalError
 from .states import PureState, Support, label_int, xor_labels
-from .symmetry import (
-    DiagonalSymmetryGroup,
-    QubitActionProfile,
-    _torus_span_contains,
-    group_member,
-    qubit_action_profile,
-    solve_symmetry_group,
-)
+from .symmetry import DiagonalSymmetryGroup, QubitActionProfile, qubit_action_profile
 
 
 @dataclass(frozen=True)
@@ -82,48 +79,13 @@ def support_stabilizer_masks(support: Support) -> FlipGroup:
     return _as_flip_group(kept)
 
 
-def phase_condition_filter(
-    support: Support,
-    group: DiagonalSymmetryGroup,
-    candidates: FlipGroup,
-) -> FlipGroup:
-    """Masks whose conjugation maps the solved group onto itself.
-
-    Conjugating a diagonal element by bit flips at the masked positions
-    negates the corresponding phis and keeps theta. Membership of every
-    conjugated generator is decided exactly (torus span and lattice checks),
-    and since conjugation is an involution, generator containment already
-    forces equality of the groups.
-    """
-    if group.n != support.n:
-        raise DimensionError("support and group qubit counts differ")
-    kept = []
-    for mask in candidates.masks:
-        flips = [i for i, ch in enumerate(mask) if ch == "1"]
-        ok = True
-        for direction in group.torus_basis:
-            conj = list(direction)
-            for i in flips:
-                conj[i] = -conj[i]
-            if not _torus_span_contains(group, tuple(conj)):
-                ok = False
-                break
-        if ok:
-            for gen in group.finite_generators:
-                if not group_member(group, gen.negated_on(mask)):
-                    ok = False
-                    break
-        if ok:
-            kept.append(mask)
-    return _as_flip_group(kept)
-
-
 @dataclass(frozen=True)
 class NormalizerDescription:
     """Diagonal torus times spin-flip group, with the non-triviality flag.
 
     torus is always the full diagonal group, recorded symbolically; flips are
-    the masks that stabilize the support and pass the phase condition.
+    exactly the masks that stabilize the support, since such a mask permutes
+    the sign rows defining the solved group and so conjugates it onto itself.
     assumption_ok is False when the solved group acts only by signs on some
     qubit, in which case the normalizer may be strictly larger than described.
     """
@@ -134,14 +96,12 @@ class NormalizerDescription:
     profile: QubitActionProfile
 
 
-def compute_normalizer(support: Support) -> NormalizerDescription:
-    group = solve_symmetry_group(support)
+def compute_normalizer(support: Support, group: DiagonalSymmetryGroup) -> NormalizerDescription:
+    """Normalizer of `group`, the solved symmetry group of `support`."""
     profile = qubit_action_profile(support, group)
-    candidates = support_stabilizer_masks(support)
-    flips = phase_condition_filter(support, group, candidates)
     return NormalizerDescription(
         torus=DiagonalSymmetryGroup.full_torus(support.n),
-        flips=flips,
+        flips=support_stabilizer_masks(support),
         assumption_ok=not any(profile.trivial),
         profile=profile,
     )

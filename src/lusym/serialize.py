@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from fractions import Fraction
 from typing import Any, Mapping
 
@@ -25,7 +26,7 @@ TOOL_NAME = "lusym"
 
 
 def canonical_dumps(obj: Any) -> str:
-    return json.dumps(obj, sort_keys=True, indent=2, ensure_ascii=True) + "\n"
+    return json.dumps(obj, sort_keys=True, indent=2, ensure_ascii=True, allow_nan=False) + "\n"
 
 
 def _require(condition: bool, message: str) -> None:
@@ -34,6 +35,13 @@ def _require(condition: bool, message: str) -> None:
 
 
 # ---------------------------------------------------------------- states
+
+def _finite(x: int | float) -> bool:
+    try:
+        return math.isfinite(x)
+    except OverflowError:  # an int too large for a float
+        return False
+
 
 def state_to_dict(psi: PureState) -> dict:
     return {
@@ -60,8 +68,8 @@ def state_from_dict(data: Mapping) -> PureState:
         )
         re, im = pair
         _require(
-            isinstance(re, (int, float)) and isinstance(im, (int, float)),
-            f"amplitude for {lab!r} must hold numbers",
+            all(isinstance(x, (int, float)) and _finite(x) for x in pair),
+            f"amplitude for {lab!r} must hold finite numbers",
         )
         _require(len(lab) == n, f"label {lab!r} does not have n={n} bits")
         out[lab] = complex(re, im)

@@ -107,6 +107,8 @@ class PureState:
         clean: dict[str, complex] = {}
         for lab in sorted(items, key=label_int):
             c = complex(items[lab])
+            if not cmath.isfinite(c):
+                raise InputError(f"amplitude for {lab!r} is {c}, not a finite number")
             if abs(c) < AMPLITUDE_FLOOR:
                 raise InputError(
                     f"amplitude for {lab!r} has magnitude {abs(c):.3e}, below the "

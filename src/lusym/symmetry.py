@@ -12,16 +12,10 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Sequence
 
 from .errors import DimensionError, InputError, InternalError
-from .exactlinalg import (
-    IntMatrix,
-    lattice_member,
-    normalize_int_vector,
-    rational_kernel,
-    rational_rank,
-    smith_normal_form,
-)
+from .exactlinalg import IntMatrix, normalize_int_vector, smith_normal_form
 from .states import PhaseVector, Support, weight_vector
 
 HALF = Fraction(1, 2)
@@ -137,81 +131,73 @@ def solve_symmetry_group(support: Support) -> DiagonalSymmetryGroup:
         finite_factors=tuple(finite_factors),
         finite_generators=tuple(finite_generators),
     )
-    _check_solution(wm, group)
+    _check_solution(wm.matrix, group)
     return group
 
 
-def _check_solution(wm: WeightMatrix, group: DiagonalSymmetryGroup) -> None:
-    # torus directions must annihilate every row exactly; finite generators
-    # must move every label by a whole number of turns
-    for vec in group.torus_basis:
-        for row in wm.matrix.row_tuples():
-            if sum(a * b for a, b in zip(row, vec)) != 0:
-                raise InternalError("torus direction fails the phase condition")
-    for gen in group.finite_generators:
-        for label in wm.support.labels:
-            if gen.phase_turn(label).denominator != 1:
-                raise InternalError("finite generator fails the phase condition")
+def _integral(rows: Sequence[Sequence[int]], vec: Sequence[Fraction | int]) -> bool:
+    """Does every integer row send the rational vector to an integer?
+
+    With h = D * vec for D the lcm of vec's denominators, that is row . h = 0 mod D.
+    """
+    d = math.lcm(*(x.denominator for x in vec))
+    h = [int(x * d) for x in vec]
+    return all(sum(a * b for a, b in zip(row, h)) % d == 0 for row in rows)
 
 
-def _annihilator_rows(group: DiagonalSymmetryGroup) -> IntMatrix | None:
-    """Integer rows spanning {c : c . b = 0 for every torus basis vector b}.
+def _annihilated_by(rows: Sequence[Sequence[int]], group: DiagonalSymmetryGroup) -> bool:
+    """Does every integer row send the whole group to integers?
 
-    None means the annihilator is zero (the torus part is everything).
+    Each row must map every torus direction to 0 and every finite generator to
+    a whole number of turns.
+    """
+    return all(
+        sum(a * b for a, b in zip(row, vec)) == 0 for row in rows for vec in group.torus_basis
+    ) and all(_integral(rows, gen.as_tuple()) for gen in group.finite_generators)
+
+
+def _check_solution(matrix: IntMatrix, group: DiagonalSymmetryGroup) -> None:
+    # the solved group must fix every label: each sign row sends it to integers
+    if not _annihilated_by(matrix.row_tuples(), group):
+        raise InternalError("solved group fails the phase condition")
+
+
+def character_rows(group: DiagonalSymmetryGroup) -> tuple[tuple[int, ...], ...]:
+    """Integer rows spanning the lattice of all c with c . x integral on the group.
+
+    The group is the set of x that every such row sends to an integer. The rows
+    are the first n+1 coordinates of the integer left kernel of
+    [[T, D*G], [0, D*I]], where T holds the torus directions as columns and D*G
+    the finite generators scaled by the lcm D of their denominators; the kernel
+    is read off one Smith decomposition.
     """
     n1 = group.n + 1
-    if group.torus_rank == 0:
-        return IntMatrix.identity(n1)
-    if group.torus_rank == n1:
-        return None
-    basis = rational_kernel(IntMatrix(list(group.torus_basis)))
-    return IntMatrix(basis)
+    gens = [gen.as_tuple() for gen in group.finite_generators]
+    k = len(gens)
+    d = math.lcm(*(x.denominator for gen in gens for x in gen))
+    columns = [list(vec) + [0] * k for vec in group.torus_basis]
+    columns += [
+        [int(x * d) for x in gen] + [d if i == j else 0 for i in range(k)]
+        for j, gen in enumerate(gens)
+    ]
+    if not columns:
+        return IntMatrix.identity(n1).row_tuples()
+    dec = smith_normal_form(IntMatrix.from_columns(columns))
+    return tuple(row[:n1] for row in dec.u.row_tuples()[dec.rank :])
 
 
 def group_member(group: DiagonalSymmetryGroup, element: PhaseVector) -> bool:
     """Exact membership of a rational phase element in the group."""
     if element.n != group.n:
         raise DimensionError(f"element on {element.n} qubits, group on {group.n}")
-    ann = _annihilator_rows(group)
-    if ann is None:
-        return True
-    target = ann.mul_vector(element.as_tuple())
-    columns: list[tuple[Fraction, ...]] = []
-    for gen in group.finite_generators:
-        columns.append(ann.mul_vector(gen.as_tuple()))
-    for k in range(group.n + 1):
-        columns.append(tuple(Fraction(x) for x in ann.column(k)))
-    dens = [f.denominator for f in target]
-    for col in columns:
-        dens.extend(f.denominator for f in col)
-    scale = math.lcm(*dens)
-    basis = IntMatrix.from_columns([[int(f * scale) for f in col] for col in columns])
-    return lattice_member(basis, [int(f * scale) for f in target])
-
-
-def _torus_span_contains(group: DiagonalSymmetryGroup, direction: tuple[int, ...]) -> bool:
-    if len(direction) != group.n + 1:
-        raise DimensionError("direction must have n+1 entries")
-    if all(x == 0 for x in direction):
-        return True
-    if group.torus_rank == 0:
-        return False
-    base = IntMatrix(list(group.torus_basis))
-    extended = IntMatrix(list(group.torus_basis) + [list(direction)])
-    return rational_rank(base) == rational_rank(extended)
+    return _integral(character_rows(group), element.as_tuple())
 
 
 def group_contains(h1: DiagonalSymmetryGroup, h2: DiagonalSymmetryGroup) -> bool:
     """Is h2 a subgroup of h1? Decided from the group descriptions alone."""
     if h1.n != h2.n:
         raise DimensionError(f"groups on different qubit counts: {h1.n} vs {h2.n}")
-    for direction in h2.torus_basis:
-        if not _torus_span_contains(h1, direction):
-            return False
-    for gen in h2.finite_generators:
-        if not group_member(h1, gen):
-            return False
-    return True
+    return _annihilated_by(character_rows(h1), h2)
 
 
 def groups_equal(h1: DiagonalSymmetryGroup, h2: DiagonalSymmetryGroup) -> bool:

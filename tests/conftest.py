@@ -1,5 +1,6 @@
-"""Shared helpers for the test suite: seeded random supports and states, a
-brute-force circuit oracle, and a schema validator wired to docs/schema/.
+"""Shared helpers for the test suite: seeded random supports and states, group
+conjugation by bit flips, a brute-force circuit oracle, and a schema validator
+wired to docs/schema/.
 """
 
 import json
@@ -10,7 +11,7 @@ from itertools import combinations
 
 import pytest
 
-from lusym import IntMatrix, PureState, Support, rational_rank
+from lusym import DiagonalSymmetryGroup, IntMatrix, PureState, Support, rational_rank
 
 SCHEMA_DIR = pathlib.Path(__file__).resolve().parent.parent / "docs" / "schema"
 
@@ -36,6 +37,21 @@ def random_state_on(rng: random.Random, support: Support) -> PureState:
         amps[lab] = c
     norm = sum(abs(c) ** 2 for c in amps.values()) ** 0.5
     return PureState.from_amplitudes({k: v / norm for k, v in amps.items()})
+
+
+def conjugate(group: DiagonalSymmetryGroup, mask: str) -> DiagonalSymmetryGroup:
+    """The group conjugated by bit flips at the masked qubits: the masked phis
+    of every torus direction and finite generator change sign."""
+    flip = [ch == "1" for ch in mask] + [False]
+    return DiagonalSymmetryGroup(
+        n=group.n,
+        torus_rank=group.torus_rank,
+        torus_basis=tuple(
+            tuple(-x if f else x for x, f in zip(vec, flip)) for vec in group.torus_basis
+        ),
+        finite_factors=group.finite_factors,
+        finite_generators=tuple(gen.negated_on(mask) for gen in group.finite_generators),
+    )
 
 
 def sign_vector(label: str) -> tuple:

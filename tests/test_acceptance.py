@@ -22,7 +22,7 @@ from lusym import (
     evaluate,
     fixture_names,
     fixture_state,
-    group_member,
+    groups_equal,
     reduced_density_matrix,
     smith_normal_form,
     solve_symmetry_group,
@@ -38,11 +38,12 @@ from lusym.invariants import (
 from lusym.normalizer import balance_defect_polynomials, compute_normalizer
 from lusym.serialize import dump_report
 from lusym.states import xor_labels
-from lusym.symmetry import _torus_span_contains, random_element
+from lusym.symmetry import random_element
 
 from conftest import (
     all_labels,
     brute_force_circuit_members,
+    conjugate,
     random_state_on,
     random_support,
 )
@@ -143,7 +144,7 @@ def test_criterion_4_invariance_of_monomials_and_flip_sums():
         checked_monos += len(monos)
 
         # admitted flip sums are unchanged when the state itself is flipped
-        flips = compute_normalizer(sup).flips
+        flips = compute_normalizer(sup, group).flips
         for m in monos:
             out = symmetrize_over_flips(m, flips.masks)
             if not isinstance(out, InvariantSum):
@@ -184,31 +185,23 @@ def test_criterion_5_bidegree_scaling():
 
 
 def test_criterion_6_normalizer_flips_exact():
+    def flips_of(labels):
+        sup = Support.from_labels(labels)
+        return compute_normalizer(sup, solve_symmetry_group(sup)).flips.masks
+
     # frozen flip groups
     for n in range(2, 7):
-        desc = compute_normalizer(Support.from_labels(["0" * n, "1" * n]))
-        assert desc.flips.masks == ("0" * n, "1" * n)
-    desc = compute_normalizer(
-        Support.from_labels(["1111", "1000", "0100", "0010", "0001"])
-    )
-    assert desc.flips.masks == ("0000",)
-    desc = compute_normalizer(Support.from_labels(["1111", "1100", "0010", "0001"]))
-    assert desc.flips.masks == ("0000", "0011", "1101", "1110")
+        assert flips_of(["0" * n, "1" * n]) == ("0" * n, "1" * n)
+    assert flips_of(["1111", "1000", "0100", "0010", "0001"]) == ("0000",)
+    assert flips_of(["1111", "1100", "0010", "0001"]) == ("0000", "0011", "1101", "1110")
 
     # every kept mask conjugates the solved group onto itself, decided exactly
     rng = random.Random(606)
     for _ in range(40):
         sup = random_support(rng, rng.randint(2, 5), 8)
         group = solve_symmetry_group(sup)
-        for mask in compute_normalizer(sup).flips.masks:
-            flip_at = [i for i, ch in enumerate(mask) if ch == "1"]
-            for direction in group.torus_basis:
-                conj = list(direction)
-                for i in flip_at:
-                    conj[i] = -conj[i]
-                assert _torus_span_contains(group, tuple(conj))
-            for gen in group.finite_generators:
-                assert group_member(group, gen.negated_on(mask))
+        for mask in compute_normalizer(sup, group).flips.masks:
+            assert groups_equal(group, conjugate(group, mask))
 
     print("criterion 6: PASS")
 

@@ -18,6 +18,7 @@ from lusym.analysis import (
     STRATA_B_CLOSURE_CONTAINS_A,
     STRATA_EQUAL,
     STRATA_INCOMPARABLE,
+    _deviation,
 )
 
 from conftest import random_state_on, random_support
@@ -59,6 +60,22 @@ def test_verify_detects_broken_symmetry():
     v = verify_symmetry(psi, group, samples=8, tol=1e-6, seed=0)
     assert not v.passed
     assert v.max_deviation > 1e-4
+
+
+def test_deviation_propagates_nan():
+    # built directly, since from_amplitudes rejects NaN; max() over labels in
+    # set order used to drop the NaN unless it happened to come first
+    labels = [format(x, "03b") for x in range(8)]
+    clean = {lab: complex(1 / math.sqrt(8)) for lab in labels}
+    group = solve_symmetry_group(Support.from_labels(labels))
+    for bad in labels:
+        for order in (labels, labels[::-1]):
+            amps = {lab: complex(math.nan) if lab == bad else clean[lab] for lab in order}
+            psi = PureState(3, amps)
+            assert math.isnan(_deviation(psi, PureState(3, clean)))
+            v = verify_symmetry(psi, group, samples=2, seed=0)
+            assert math.isnan(v.max_deviation)
+            assert not v.passed
 
 
 def test_verify_deterministic_across_runs():

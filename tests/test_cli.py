@@ -1,5 +1,6 @@
 import json
 import math
+import os
 import subprocess
 import sys
 
@@ -142,6 +143,37 @@ def test_unknown_fixture(capsys):
     code, _, err = run_cli(capsys, "analyze", "--fixture", "nope")
     assert code == 2
     assert "bell" in err  # the message lists what is available
+
+
+def test_verify_rejects_nan_state_under_any_hash_seed(tmp_path):
+    # set iteration order once decided whether a NaN amplitude was noticed:
+    # this file passed verification under hash seed 2 and failed under 1
+    state_file = tmp_path / "nan.json"
+    state_file.write_text('{"n": 2, "amplitudes": {"00": [NaN, 0.0], "11": [0.7071067811865476, 0.0]}}')
+    for seed in ("1", "2"):
+        result = subprocess.run(
+            [sys.executable, "-m", "lusym.cli", "verify", "--input", str(state_file), "--from-support"],
+            capture_output=True,
+            text=True,
+            timeout=60,
+            env=dict(os.environ, PYTHONHASHSEED=seed),
+        )
+        assert result.returncode == 2, (seed, result.stdout)
+        assert "finite" in result.stderr
+
+
+@pytest.mark.parametrize("command", ["analyze", "verify"])
+@pytest.mark.parametrize(
+    "flag, value", [("--tolerance", "-1"), ("--tolerance", "nan"), ("--samples", "0"), ("--samples", "-3")]
+)
+def test_check_options_refuse_vacuous_values(capsys, command, flag, value):
+    argv = [command, "--fixture", "bell", flag, value]
+    if command == "verify":
+        argv.append("--from-support")
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert flag in capsys.readouterr().err
 
 
 def test_unnormalized_state_rejected(capsys, tmp_path):

@@ -6,8 +6,6 @@ import pytest
 from lusym import (
     InputError,
     IntMatrix,
-    lattice_member,
-    rational_kernel,
     rational_rank,
     smith_normal_form,
 )
@@ -109,82 +107,3 @@ def test_normalize_int_vector():
     assert normalize_int_vector([6, 4]) == (3, 2)
     with pytest.raises(InputError):
         normalize_int_vector([0, 0])
-
-
-def test_rational_kernel_frozen():
-    assert rational_kernel(IntMatrix([[1, 1]])) == [(1, -1)]
-    assert rational_kernel(IntMatrix([[1, -1, 0], [0, 1, -1]])) == [(1, 1, 1)]
-    assert rational_kernel(IntMatrix([[1, 0], [0, 1]])) == []
-
-
-def test_rational_kernel_random_properties():
-    rng = random.Random(23)
-    for _ in range(120):
-        m = rng.randint(1, 4)
-        n = rng.randint(1, 5)
-        a = IntMatrix([[rng.randint(-5, 5) for _ in range(n)] for _ in range(m)])
-        ker = rational_kernel(a)
-        assert len(ker) == n - rational_rank(a)
-        for v in ker:
-            assert a.mul_vector(v) == tuple([0] * m)
-            # normalization: integer entries, content 1, first nonzero positive
-            nz = [x for x in v if x]
-            assert nz and nz[0] > 0
-        if ker:
-            stacked = IntMatrix(list(ker))
-            assert rational_rank(stacked) == len(ker)
-
-
-def test_lattice_member_frozen():
-    basis = IntMatrix.from_columns([(2, 0), (0, 3)])
-    assert lattice_member(basis, (4, 3))
-    assert not lattice_member(basis, (1, 0))
-    assert lattice_member(basis, (0, 0))
-    assert not lattice_member(basis, (Fraction(1, 2), 0))
-
-
-def _solve_exact(cols, v):
-    """Unique rational solution of sum a_i cols_i = v for independent columns,
-    or None when v is outside their span."""
-    m = len(v)
-    k = len(cols)
-    aug = [[Fraction(cols[j][i]) for j in range(k)] + [Fraction(v[i])] for i in range(m)]
-    row = 0
-    pivots = []
-    for col in range(k):
-        piv = next((r for r in range(row, m) if aug[r][col]), None)
-        if piv is None:
-            return None  # dependent columns, caller filtered these out
-        aug[row], aug[piv] = aug[piv], aug[row]
-        pivots.append(col)
-        for r in range(m):
-            if r != row and aug[r][col]:
-                f = aug[r][col] / aug[row][col]
-                aug[r] = [x - f * y for x, y in zip(aug[r], aug[row])]
-        row += 1
-    for r in range(row, m):
-        if aug[r][k]:
-            return None
-    return [aug[i][k] / aug[i][pivots[i]] for i in range(k)]
-
-
-def test_lattice_member_random_oracle():
-    rng = random.Random(31)
-    trials = 0
-    while trials < 60:
-        k = rng.randint(1, 3)
-        cols = [tuple(rng.randint(-3, 3) for _ in range(3)) for _ in range(k)]
-        if rational_rank(IntMatrix.from_columns(cols).transpose()) < k:
-            continue  # keep only independent columns so the solve is unique
-        trials += 1
-        basis = IntMatrix.from_columns(cols)
-        # constructed members are members
-        coeffs = [rng.randint(-20, 20) for _ in range(k)]
-        v = tuple(sum(c * col[i] for c, col in zip(coeffs, cols)) for i in range(3))
-        assert lattice_member(basis, v)
-        # arbitrary vectors agree with the exact solve
-        for _ in range(25):
-            v = tuple(rng.randint(-6, 6) for _ in range(3))
-            sol = _solve_exact(cols, v)
-            expected = sol is not None and all(x.denominator == 1 for x in sol)
-            assert lattice_member(basis, v) == expected, (cols, v, sol)

@@ -7,19 +7,18 @@ from lusym import (
     Support,
     compute_normalizer,
     fixture_state,
-    group_member,
+    groups_equal,
     reduced_density_matrix,
     solve_symmetry_group,
 )
-from lusym.normalizer import (
-    balance_defect_polynomials,
-    phase_condition_filter,
-    support_stabilizer_masks,
-)
+from lusym.normalizer import balance_defect_polynomials, support_stabilizer_masks
 from lusym.states import xor_labels
-from lusym.symmetry import _torus_span_contains
 
-from conftest import random_state_on, random_support
+from conftest import conjugate, random_state_on, random_support
+
+
+def normalizer_of(sup):
+    return compute_normalizer(sup, solve_symmetry_group(sup))
 
 
 def test_stabilizer_masks_ghz_family():
@@ -66,42 +65,40 @@ def test_stabilizer_masks_xor_closure_random():
 def test_phase_condition_keeps_ghz_flip():
     sup = Support.from_labels(["0000", "1111"])
     group = solve_symmetry_group(sup)
-    kept = phase_condition_filter(sup, group, support_stabilizer_masks(sup))
-    assert kept.masks == ("0000", "1111")
+    assert groups_equal(group, conjugate(group, "1111"))
+    assert compute_normalizer(sup, group).flips.masks == ("0000", "1111")
 
 
 def test_phase_condition_filters_cluster_like_support():
     sup = Support.from_labels(["1111", "1100", "0010", "0001"])
-    fg = compute_normalizer(sup).flips
+    fg = normalizer_of(sup).flips
     assert fg.masks == ("0000", "0011", "1101", "1110")
 
 
 def test_normalizer_ghz_family():
     for n in range(2, 7):
         sup = Support.from_labels(["0" * n, "1" * n])
-        desc = compute_normalizer(sup)
+        desc = normalizer_of(sup)
         assert desc.flips.masks == ("0" * n, "1" * n)
         assert desc.torus.torus_rank == n + 1
         assert desc.assumption_ok
 
 
 def test_normalizer_xstate_trivial_flips():
-    desc = compute_normalizer(
-        Support.from_labels(["1111", "1000", "0100", "0010", "0001"])
-    )
+    desc = normalizer_of(Support.from_labels(["1111", "1000", "0100", "0010", "0001"]))
     assert desc.flips.masks == ("0000",)
     assert desc.assumption_ok
 
 
 def test_normalizer_assumption_flag():
-    desc = compute_normalizer(Support.from_labels(["000", "110", "100", "010"]))
+    desc = normalizer_of(Support.from_labels(["000", "110", "100", "010"]))
     assert not desc.assumption_ok
     assert desc.profile.trivial == (True, True, False)
 
 
 def test_normalizer_full_support():
     labels = [format(x, "03b") for x in range(8)]
-    desc = compute_normalizer(Support.from_labels(labels))
+    desc = normalizer_of(Support.from_labels(labels))
     assert len(desc.flips.masks) == 8
     assert not desc.assumption_ok  # every qubit acts by signs only
 
@@ -111,16 +108,8 @@ def test_kept_masks_conjugate_group_into_itself():
     for _ in range(40):
         sup = random_support(rng, rng.randint(2, 4), 8)
         group = solve_symmetry_group(sup)
-        kept = phase_condition_filter(sup, group, support_stabilizer_masks(sup))
-        for mask in kept.masks:
-            flips = [i for i, ch in enumerate(mask) if ch == "1"]
-            for direction in group.torus_basis:
-                conj = list(direction)
-                for i in flips:
-                    conj[i] = -conj[i]
-                assert _torus_span_contains(group, tuple(conj))
-            for gen in group.finite_generators:
-                assert group_member(group, gen.negated_on(mask))
+        for mask in compute_normalizer(sup, group).flips.masks:
+            assert groups_equal(group, conjugate(group, mask)), (sup.labels, mask)
 
 
 def test_solved_group_passes_all_stabilizer_masks():
@@ -130,22 +119,20 @@ def test_solved_group_passes_all_stabilizer_masks():
     for _ in range(80):
         sup = random_support(rng, rng.randint(2, 4), 8)
         group = solve_symmetry_group(sup)
-        candidates = support_stabilizer_masks(sup)
-        kept = phase_condition_filter(sup, group, candidates)
-        assert kept.masks == candidates.masks, sup.labels
+        for mask in support_stabilizer_masks(sup).masks:
+            assert groups_equal(group, conjugate(group, mask)), (sup.labels, mask)
 
 
 def test_phase_condition_rejects_on_proper_subgroup():
-    # the filter does discriminate once the group is smaller than the full
-    # solution group of the support being stabilized
-    bell_sup = Support.from_labels(["00", "11"])
-    bell = solve_symmetry_group(bell_sup)
+    # conjugation does move a group that is smaller than the full solution
+    # group of the support being stabilized
+    bell = solve_symmetry_group(Support.from_labels(["00", "11"]))
     full = Support.from_labels(["00", "01", "10", "11"])
-    candidates = support_stabilizer_masks(full)
-    assert candidates.masks == ("00", "01", "10", "11")
-    kept = phase_condition_filter(bell_sup, bell, candidates)
+    masks = support_stabilizer_masks(full).masks
+    assert masks == ("00", "01", "10", "11")
+    kept = [m for m in masks if groups_equal(bell, conjugate(bell, m))]
     # flipping one qubit sends the torus direction (1,-1,0) to (1,1,0)
-    assert kept.masks == ("00", "11")
+    assert kept == ["00", "11"]
 
 
 def test_defect_polynomials_bell_and_w():

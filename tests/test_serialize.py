@@ -77,6 +77,23 @@ def test_load_state_diagnostics():
         load_state('{"n": 2, "amplitudes": {"00": [1]}}')
 
 
+@pytest.mark.parametrize(
+    "bad",
+    ["NaN", "Infinity", "-Infinity", "1e999", "1" + "0" * 400],
+    ids=["nan", "inf", "-inf", "float-overflow", "int-overflow"],
+)
+def test_load_state_rejects_non_finite(bad):
+    with pytest.raises(InputError, match="finite"):
+        load_state('{"n": 2, "amplitudes": {"00": [0.6, 0], "11": [0, %s]}}' % bad)
+
+
+def test_canonical_dumps_is_strict_json():
+    with pytest.raises(ValueError):
+        canonical_dumps({"value": float("nan")})
+    with pytest.raises(ValueError):
+        canonical_dumps([float("inf")])
+
+
 def test_fraction_round_trip():
     for f in [F(0), F(1, 2), F(-3, 4), F(22, 7)]:
         assert fraction_from_dict(fraction_to_dict(f)) == f

@@ -57,6 +57,12 @@ def test_pure_state_validation():
         PureState.from_amplitudes({"0x": 1.0})
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, complex(0, math.nan), complex(math.inf, 1)])
+def test_pure_state_rejects_non_finite(bad):
+    with pytest.raises(InputError, match="finite"):
+        PureState.from_amplitudes({"00": 0.6, "11": bad})
+
+
 def test_phase_vector_turns():
     g = PhaseVector.make([Fraction(1, 2), 0], Fraction(1, 2))
     # label 00: both signs +1, so 1/2 + 0 + 1/2 = 1 full turn

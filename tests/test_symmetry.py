@@ -6,6 +6,7 @@ import pytest
 
 from lusym import (
     DiagonalSymmetryGroup,
+    InternalError,
     PhaseVector,
     Support,
     apply_phase_element,
@@ -16,7 +17,9 @@ from lusym import (
     solve_symmetry_group,
 )
 from lusym.exactlinalg import rational_rank
+from lusym.serialize import dump_group, load_group
 from lusym.symmetry import (
+    _check_solution,
     build_weight_matrix,
     is_maximal_diagonal_group,
     random_element,
@@ -88,6 +91,44 @@ def test_solution_is_exact_on_random_supports():
         elt = random_element(g, rng)
         moved = apply_phase_element(elt, psi)
         assert max(abs(moved.amplitude(l) - psi.amplitude(l)) for l in sup.labels) < 1e-9
+
+
+def test_check_solution_rejects_tampered_group():
+    sup = Support.from_labels(["000", "110", "100", "010"])
+    matrix = build_weight_matrix(sup).matrix
+    g = solve_symmetry_group(sup)
+    _check_solution(matrix, g)
+    # phi_1 = 1/3 turn moves label 000 by 1/3: not a symmetry
+    bad_gen = PhaseVector.make([F(1, 3), 0, 0], 0)
+    tampered = dataclasses.replace(g, finite_generators=(bad_gen,) + g.finite_generators[1:])
+    with pytest.raises(InternalError):
+        _check_solution(matrix, tampered)
+    with pytest.raises(InternalError):
+        _check_solution(matrix, dataclasses.replace(g, torus_basis=((1, 0, 0, 0),)))
+
+
+def test_group_member_agrees_with_phase_turns():
+    # membership decided two ways: from the group description alone (also after
+    # a JSON round trip), and by checking that x moves no label of the support
+    rng = random.Random(59)
+    verdicts = []
+    for _ in range(60):
+        sup = random_support(rng, rng.randint(1, 6), 8)
+        g = solve_symmetry_group(sup)
+        reloaded = load_group(dump_group(g))
+        for _ in range(6):
+            if rng.random() < 0.5:
+                x = random_element(g, rng)
+            else:
+                den = rng.choice([2, 3, 4, 6, 8])
+                x = PhaseVector.make(
+                    [F(rng.randrange(den), den) for _ in range(sup.n)], F(rng.randrange(den), den)
+                )
+            expected = all(x.phase_turn(lab).denominator == 1 for lab in sup.labels)
+            assert group_member(g, x) == expected, (sup.labels, x)
+            assert group_member(reloaded, x) == expected, (sup.labels, x)
+            verdicts.append(expected)
+    assert any(verdicts) and not all(verdicts)
 
 
 def test_group_member_bell_frozen():
