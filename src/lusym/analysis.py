@@ -75,6 +75,14 @@ def _deviation(a: PureState, b: PureState) -> float:
     return _worst([abs(a.amplitude(lab) - b.amplitude(lab)) for lab in labels])
 
 
+def require_normalized(psi: PureState, tol: float) -> None:
+    """Raise InputError unless the state has norm 1 within tol."""
+    if not psi.is_normalized(tol):
+        raise InputError(
+            f"state norm is {psi.norm():.12f}, not 1 within {tol:.0e}; normalize it first"
+        )
+
+
 def verify_symmetry(
     psi: PureState,
     group: DiagonalSymmetryGroup,
@@ -146,11 +154,7 @@ def analyze(
     seed: int = 0,
 ) -> AnalysisReport:
     """Full deterministic analysis of a normalized sparse state."""
-    if not psi.is_normalized(tol):
-        raise InputError(
-            f"state norm is {psi.norm():.12f}, not 1 within {tol:.0e}; "
-            "normalize before analysis"
-        )
+    require_normalized(psi, tol)
     support = psi.support()
     group = solve_symmetry_group(support)
     catalog = enumerate_circuits(support)

@@ -5,12 +5,26 @@ A circuit is a minimal linearly dependent subset of those vectors; it carries
 a unique integer relation z with sum_j z_j v_j = 0. Circuits whose relation
 can be chosen strictly positive put the origin inside the convex hull of
 their members and generate scaling-invariant monomials of pure degree.
+
+Circuits are found as the minimal supports of kernel vectors of the n x L
+sign matrix A (columns in support order), written in the systematic
+coordinates of A's reduced row echelon form. With pivot columns P (r of them)
+and free columns F (k = L - r), ker A = {y : y_F = D*c, y_P = Q*c, c in Z^k},
+where D is the lcm of the pivots and Q = -D*R for the echelon block R. The
+rows of this kernel basis form the dual configuration, and duality turns
+circuits into complements of its hyperplanes. If S is a set of k-1 labels
+whose dual rows are independent, the complement of S has r+1 members and
+rank r, so it holds exactly one circuit; the kernel vectors vanishing on S
+form one line, and that line's support is the circuit. Every circuit C
+arises so, with S any basis of the dual rows outside C; hence |C| <= r+1.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import gcd
+from itertools import combinations
+from math import gcd, lcm
+from operator import mul
 
 from .errors import InternalError
 from .states import Support, weight_vector
@@ -51,44 +65,132 @@ def _normalize_relation(coeffs: list[int]) -> tuple[int, ...]:
     return tuple(out)
 
 
+def _eliminate(x: list[int], v: list[int], p: int) -> list[int]:
+    """x with entry p cleared by a fraction-free step against v (v[p] != 0),
+    divided by the gcd of its entries so they stay small."""
+    a, b = v[p], x[p]
+    out = [a * s - b * t for s, t in zip(x, v)]
+    g = gcd(*out)
+    return [s // g for s in out] if g > 1 else out
+
+
+def _systematic_kernel(
+    vectors: list[tuple[int, ...]],
+) -> tuple[list[int], list[int], int, list[list[int]]]:
+    """Pivot columns P, free columns F, D and Q with ker A = {y : y_F = D*c, y_P = Q*c}.
+
+    A has the given vectors as its columns; its fraction-free reduced row
+    echelon form has pivot d_i in column P[i] and R[i][m] = a[i][F[m]] / d_i.
+    """
+    n, L = len(vectors[0]), len(vectors)
+    a = [[vectors[j][i] for j in range(L)] for i in range(n)]
+    pivots: list[int] = []
+    for col in range(L):
+        r = len(pivots)
+        if r == n:
+            break
+        p = next((i for i in range(r, n) if a[i][col]), None)
+        if p is None:
+            continue
+        a[r], a[p] = a[p], a[r]
+        for i in range(n):
+            if i != r and a[i][col]:
+                a[i] = _eliminate(a[i], a[r], col)
+        pivots.append(col)
+    is_pivot = set(pivots)
+    free = [j for j in range(L) if j not in is_pivot]
+    D = lcm(*(a[i][col] for i, col in enumerate(pivots)))
+    Q = [[-a[i][f] * (D // a[i][col]) for f in free] for i, col in enumerate(pivots)]
+    return pivots, free, D, Q
+
+
+def _greedy_bases(rest: list[list[int]], echelon: list, marks: list[list[int]], still: int):
+    """Yield every echelon [(row, pivot), ...] that completes `echelon` by `still`
+    rows of `rest` taken in order as the greedy basis of the hyperplane they span.
+
+    Rows of `rest` and `marks` are reduced against `echelon`; zero rows are
+    dropped from `rest` (they lie in every completion). A row of `rest` that is
+    independent but skipped joins `marks`, and every mark must stay outside the
+    final span; that makes the greedy basis, and so each hyperplane, unique.
+    """
+    if not still:
+        yield echelon
+        return
+    m = len(marks)
+    for q, v in enumerate(rest):
+        if len(rest) - q < still:
+            return
+        p = 0
+        while not v[p]:
+            p += 1
+        a = v[p]
+        # Reduce marks, then the later rows, by v. This is _eliminate inlined,
+        # as the innermost loop of the search, with gcd 0 meaning a zero row.
+        out = []
+        for i, w in enumerate(marks + rest[q + 1 :]):
+            b = w[p]
+            if b:
+                w = [a * s - b * t for s, t in zip(w, v)]
+                g = gcd(*w)
+                if not g:
+                    if i < m:
+                        break  # a mark fell into the span
+                    continue
+                if g > 1:
+                    w = [s // g for s in w]
+            out.append(w)
+        else:
+            yield from _greedy_bases(out[m:], echelon + [(v, p)], out[:m], still - 1)
+        marks = marks + [v]
+        m += 1
+
+
+def _null_vector(echelon: list, t: int) -> list[int]:
+    """Integer spanning vector of the common kernel of t-1 independent echelon rows in Z^t."""
+    pivots = {p for _, p in echelon}
+    c = [0] * t
+    c[next(i for i in range(t) if i not in pivots)] = 1
+    for v, p in reversed(echelon):
+        s = sum(map(mul, v, c))
+        if s % v[p]:
+            c = [x * v[p] for x in c]
+            s *= v[p]
+        c[p] = -s // v[p]
+    return c
+
+
 def enumerate_circuits(support: Support) -> CircuitCatalog:
     """All circuits of the support's sign vectors, in lexicographic member order.
 
-    Depth-first search over independent subsets in index order: every circuit
-    is the unique dependency created when its largest member joins the
-    independent set of its other members, so recursing only on independent
-    subsets finds each circuit at least once. Exact integer elimination with
-    tracked combination coefficients yields the relation directly.
+    Each circuit C is found from one set S of k-1 labels outside it: the
+    greedy basis of the dual rows outside C, taking free columns first and
+    then pivot columns. A free label in S only sets its coordinate of c to
+    zero, so the search picks the live free coordinates T = C & F
+    (1 <= |T| <= r+1) outright and searches only the pivot rows Q[p, T],
+    depth first, for the rest of S. A row skipped while independent must stay
+    outside the final span, which makes S unique: every circuit is reached
+    at exactly one leaf. A full-rank support (k = 0, such as W_n) has no free
+    coordinate and so no circuits. All arithmetic is exact fraction-free
+    integer elimination.
     """
-    vectors = [weight_vector(label) for label in support.labels]
-    L = len(vectors)
+    pivots, free, D, Q = _systematic_kernel([weight_vector(label) for label in support.labels])
+    r, k = len(pivots), len(free)
     found: dict[tuple[int, ...], tuple[int, ...]] = {}
-
-    def reduce(vec: list[int], comb: list[int], echelon) -> tuple[list[int], list[int]]:
-        for evec, ecomb, p in echelon:
-            if vec[p]:
-                a, b = evec[p], vec[p]
-                vec = [a * x - b * y for x, y in zip(vec, evec)]
-                comb = [a * x - b * y for x, y in zip(comb, ecomb)]
-                g = gcd(*vec, *comb)
-                if g > 1:
-                    vec = [x // g for x in vec]
-                    comb = [x // g for x in comb]
-        return vec, comb
-
-    def extend(start: int, echelon) -> None:
-        for j in range(start, L):
-            base_comb = [1 if i == j else 0 for i in range(L)]
-            vec, comb = reduce(list(vectors[j]), base_comb, echelon)
-            if any(vec):
-                pivot = next(i for i, x in enumerate(vec) if x)
-                extend(j + 1, echelon + [(vec, comb, pivot)])
-            else:
-                members = tuple(i for i, c in enumerate(comb) if c)
-                if members not in found:
-                    found[members] = _normalize_relation([comb[i] for i in members])
-
-    extend(0, [])
+    for t in range(1, min(k, r + 1) + 1):
+        # the live labels' own dual rows, unit vectors in c[T]: they start as
+        # marks, so every c_m with m in T stays nonzero
+        units = [[int(m == i) for i in range(t)] for m in range(t)]
+        for live in combinations(range(k), t):
+            QT = [[row[m] for m in live] for row in Q]
+            for echelon in _greedy_bases([row for row in QT if any(row)], [], units, t - 1):
+                c = _null_vector(echelon, t)
+                y = {free[m]: D * x for m, x in zip(live, c)}
+                for i, row in enumerate(QT):
+                    yp = sum(map(mul, row, c))
+                    if yp:
+                        y[pivots[i]] = yp
+                members = tuple(sorted(y))
+                found[members] = _normalize_relation([y[j] for j in members])
 
     circuits = []
     for members in sorted(found):

@@ -11,7 +11,14 @@ import math
 import sys
 from pathlib import Path
 
-from .analysis import DEFAULT_SAMPLES, DEFAULT_TOL, analyze, compare_strata, verify_symmetry
+from .analysis import (
+    DEFAULT_SAMPLES,
+    DEFAULT_TOL,
+    analyze,
+    compare_strata,
+    require_normalized,
+    verify_symmetry,
+)
 from .circuits import enumerate_circuits
 from .errors import InputError, InternalError
 from .fixtures import fixture_names, fixture_state
@@ -233,6 +240,7 @@ def cmd_normalizer(args: argparse.Namespace) -> int:
 
 def cmd_verify(args: argparse.Namespace) -> int:
     psi = _state_from_args(args)
+    require_normalized(psi, args.tolerance)
     if args.group:
         group = load_group(_read_text(args.group))
     elif args.from_support:

@@ -124,7 +124,14 @@ class PureState:
         return complex(self.amplitudes.get(label, 0.0))
 
     def norm(self) -> float:
-        return math.sqrt(sum(abs(c) ** 2 for c in self.amplitudes.values()))
+        try:
+            return math.sqrt(sum(abs(c) ** 2 for c in self.amplitudes.values()))
+        except OverflowError:
+            # A square beyond the float maximum raises; hypot scales instead and
+            # returns inf only when the norm itself overflows. It is not used
+            # throughout because it can differ in the last bit, and the norm
+            # is written into every report.
+            return math.hypot(*(x for c in self.amplitudes.values() for x in (c.real, c.imag)))
 
     def is_normalized(self, tol: float = NORM_TOL) -> bool:
         return abs(self.norm() - 1.0) <= tol

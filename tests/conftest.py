@@ -4,6 +4,7 @@ wired to docs/schema/.
 """
 
 import json
+import os
 import pathlib
 import random
 from functools import lru_cache
@@ -14,6 +15,13 @@ import pytest
 from lusym import DiagonalSymmetryGroup, IntMatrix, PureState, Support, rational_rank
 
 SCHEMA_DIR = pathlib.Path(__file__).resolve().parent.parent / "docs" / "schema"
+SRC_DIR = pathlib.Path(__file__).resolve().parent.parent / "src"
+
+
+def pytest_configure(config):
+    # pyproject's `pythonpath` puts src/ on this process's sys.path only; the
+    # tests that run `python -m lusym.cli` in a subprocess need it too.
+    os.environ["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC_DIR), os.environ.get("PYTHONPATH")]))
 
 
 def all_labels(n):

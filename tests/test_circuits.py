@@ -18,7 +18,7 @@ from lusym.circuits import (
 )
 from lusym.states import weight_vector
 
-from conftest import brute_force_circuit_members, random_support
+from conftest import all_labels, brute_force_circuit_members, random_support
 
 
 def test_bell_circuit():
@@ -54,9 +54,11 @@ def test_five_member_circuit_with_coefficient_two():
 
 
 def test_w_support_has_no_circuits():
-    cat = enumerate_circuits(Support.from_labels(["100", "010", "001"]))
-    assert cat.circuits == ()
-    assert not cat.semistable
+    # full rank: the kernel is zero, so there is nothing to search
+    for n in (3, 12, 16):
+        cat = enumerate_circuits(Support.from_labels(format(1 << i, f"0{n}b") for i in range(n)))
+        assert cat.circuits == ()
+        assert not cat.semistable
 
 
 def test_mixed_sign_circuit():
@@ -81,18 +83,35 @@ def test_two_antipodal_circuits():
         assert c.d_order == 2
 
 
+def coset_support(rng: random.Random, n: int, dim: int) -> Support:
+    """A coset x ^ F of a random dim-dimensional flip subgroup F of GF(2)^n."""
+    span = {0}
+    while len(span) < 2**dim:
+        m = rng.getrandbits(n)
+        span |= {s ^ m for s in span}
+    x = rng.getrandbits(n)
+    return Support.from_labels(format(x ^ s, f"0{n}b") for s in span)
+
+
 def test_matches_brute_force_oracle():
     rng = random.Random(61)
-    for _ in range(200):
-        sup = random_support(rng, rng.randint(1, 4), 8)
+    supports = [random_support(rng, rng.randint(1, 4), 8) for _ in range(200)]
+    # cosets carry many antipodal and parallel sign vectors; all of n=3 does too
+    supports += [coset_support(rng, rng.randint(dim, 6), dim) for dim in (1, 2, 3) for _ in range(15)]
+    supports.append(Support.from_labels(all_labels(3)))
+    for sup in supports:
         got = {frozenset(c.member_labels) for c in enumerate_circuits(sup).circuits}
         assert got == brute_force_circuit_members(sup), sup.labels
 
 
 def test_relations_are_exact_and_normalized():
     rng = random.Random(67)
-    for _ in range(100):
-        sup = random_support(rng, rng.randint(2, 5), 8)
+    supports = [random_support(rng, rng.randint(2, 5), 8) for _ in range(100)]
+    # benchmark-sized shapes, where at least three coordinates of the kernel
+    # are free, so circuits come from both zeroed free coordinates and pivot rows
+    sizes = [(6, 12), (7, 13), (8, 14), (9, 12), (9, 14)]
+    supports += [random_support(rng, n, L, min_labels=L) for n, L in sizes]
+    for sup in supports:
         for c in enumerate_circuits(sup).circuits:
             assert 2 <= len(c.member_labels) <= sup.n + 1
             assert len(c.relation) == len(c.member_labels)

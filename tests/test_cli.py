@@ -184,6 +184,19 @@ def test_unnormalized_state_rejected(capsys, tmp_path):
     assert "norm" in err
 
 
+def test_huge_amplitudes_fail_the_norm_check(capsys, tmp_path):
+    # squaring these amplitudes overflows a float; both commands must still
+    # report the norm as an input error instead of crashing
+    state_file = tmp_path / "huge.json"
+    state_file.write_text('{"amplitudes": {"000": [1.5e308, 0.0], "111": [-1.5e308, 0.0]}, "n": 3}\n')
+    group_file = tmp_path / "group.json"
+    group_file.write_text(dump_group(solve_symmetry_group(Support.from_labels(["000", "011"]))))
+    for argv in (["analyze"], ["verify", "--group", str(group_file)]):
+        code, _, err = run_cli(capsys, *argv, "--input", str(state_file))
+        assert code == 2, argv
+        assert "norm is inf" in err, argv
+
+
 def test_json_output_deterministic(capsys):
     _, out1, _ = run_cli(capsys, "analyze", "--fixture", "xstate", "--json")
     _, out2, _ = run_cli(capsys, "analyze", "--fixture", "xstate", "--json")
