@@ -49,10 +49,12 @@ from .symmetry import solve_symmetry_group
 
 
 def _read_text(path: str) -> str:
-    p = Path(path)
-    if not p.exists():
-        raise InputError(f"no such file: {path}")
-    return p.read_text()
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except OSError as exc:
+        raise InputError(f"cannot read {path}: {exc.strerror or exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise InputError(f"{path} is not UTF-8 text: {exc}") from exc
 
 
 def _state_from_args(args: argparse.Namespace) -> PureState:

@@ -14,8 +14,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping
 
-import numpy as np
-
 from .errors import DimensionError, InputError
 
 # Amplitudes smaller than this are rejected outright: a label either belongs to
@@ -208,9 +206,13 @@ def apply_phase_element(g: PhaseVector, psi: PureState) -> PureState:
     return PureState(psi.n, out)
 
 
-def reduced_density_matrix(psi: PureState, k: int) -> np.ndarray:
-    """Single-qubit reduced density matrix of qubit k (1-based), as a 2x2 array.
+def reduced_density_matrix(
+    psi: PureState, k: int
+) -> tuple[tuple[complex, complex], tuple[complex, complex]]:
+    """Single-qubit reduced density matrix of qubit k (1-based).
 
+    Returned as nested tuples ((rho00, rho01), (rho10, rho11)) of complex, so
+    rho[b1][b2] is the entry for qubit value b1 in the ket and b2 in the bra.
     The state must be normalized; an unnormalized state is reported as an
     error rather than silently renormalized.
     """
@@ -220,7 +222,7 @@ def reduced_density_matrix(psi: PureState, k: int) -> np.ndarray:
         raise InputError(
             f"state norm is {psi.norm():.12f}, not 1 within {NORM_TOL:.0e}; normalize first"
         )
-    rho = np.zeros((2, 2), dtype=complex)
+    rho = [[0j, 0j], [0j, 0j]]
     groups: dict[str, dict[int, complex]] = {}
     for label, c in psi.amplitudes.items():
         rest = label[: k - 1] + label[k:]
@@ -228,5 +230,5 @@ def reduced_density_matrix(psi: PureState, k: int) -> np.ndarray:
     for part in groups.values():
         for b1, c1 in part.items():
             for b2, c2 in part.items():
-                rho[b1, b2] += c1 * c2.conjugate()
-    return rho
+                rho[b1][b2] += c1 * c2.conjugate()
+    return tuple(rho[0]), tuple(rho[1])

@@ -238,7 +238,7 @@ def test_criterion_7_defects_agree_with_reduced_states():
         for poly in balance_defect_polynomials(psi.support()):
             defect = poly.evaluate(psi)
             rho = reduced_density_matrix(psi, poly.qubit)
-            balanced = max(abs(rho[0, 0] - 0.5), abs(rho[1, 1] - 0.5)) <= 5e-11
+            balanced = max(abs(rho[0][0] - 0.5), abs(rho[1][1] - 0.5)) <= 5e-11
             assert (abs(defect) <= 1e-10) == balanced, (psi.support().labels, poly.qubit)
 
     print("criterion 7: PASS")

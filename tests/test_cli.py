@@ -139,6 +139,23 @@ def test_malformed_state_file(capsys, tmp_path):
     assert code == 2
 
 
+def test_input_directory_is_an_input_error(capsys, tmp_path):
+    code, _, err = run_cli(capsys, "analyze", "--input", str(tmp_path), "--json")
+    assert code == 2
+    assert err.startswith("error: cannot read") and str(tmp_path) in err
+    code, _, err = run_cli(capsys, "verify", "--fixture", "bell", "--group", str(tmp_path))
+    assert code == 2
+    assert err.startswith("error: cannot read") and str(tmp_path) in err
+
+
+def test_input_file_not_utf8_is_an_input_error(capsys, tmp_path):
+    bad = tmp_path / "latin1.json"
+    bad.write_bytes(b'{"n": 1, "amplitudes": {"0": [1.0, 0.0]}, "note": "\xe9"}')
+    code, _, err = run_cli(capsys, "analyze", "--input", str(bad), "--json")
+    assert code == 2
+    assert err.startswith(f"error: {bad} is not UTF-8 text")
+
+
 def test_unknown_fixture(capsys):
     code, _, err = run_cli(capsys, "analyze", "--fixture", "nope")
     assert code == 2
@@ -213,3 +230,14 @@ def test_entry_point_subprocess(capsys):
     assert result.returncode == 0
     _, inproc, _ = run_cli(capsys, "analyze", "--fixture", "bell", "--json")
     assert result.stdout == inproc
+
+
+def test_cli_import_leaves_numpy_out():
+    # numpy is installed for the tests, so only this catches a top-level import
+    result = subprocess.run(
+        [sys.executable, "-c", "import lusym.cli, sys; assert 'numpy' not in sys.modules"],
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert result.returncode == 0, result.stderr

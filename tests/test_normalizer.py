@@ -1,6 +1,5 @@
 import random
 
-import numpy as np
 import pytest
 
 from lusym import (
@@ -162,4 +161,4 @@ def test_defect_matches_reduced_density_matrix():
         polys = balance_defect_polynomials(sup)
         for p in polys:
             rho = reduced_density_matrix(psi, p.qubit)
-            assert abs(p.evaluate(psi) - (rho[0, 0].real - rho[1, 1].real)) < 1e-10
+            assert abs(p.evaluate(psi) - (rho[0][0].real - rho[1][1].real)) < 1e-10

@@ -152,11 +152,45 @@ def test_rdm_random_properties():
         sup = random_support(rng, rng.randint(1, 4), 6)
         psi = random_state_on(rng, sup)
         for k in range(1, sup.n + 1):
-            rho = reduced_density_matrix(psi, k)
+            rho = np.array(reduced_density_matrix(psi, k))
             assert abs(np.trace(rho) - 1) < 1e-9
             assert np.allclose(rho, rho.conj().T)
             evals = np.linalg.eigvalsh(rho)
             assert evals.min() > -1e-12
+
+
+def _rdm_numpy_reference(psi, k):
+    """The reduced density matrix accumulated into a numpy array, product by
+    product in the same order as the library."""
+    rho = np.zeros((2, 2), dtype=complex)
+    groups = {}
+    for label, c in psi.amplitudes.items():
+        groups.setdefault(label[: k - 1] + label[k:], {})[int(label[k - 1])] = c
+    for part in groups.values():
+        for b1, c1 in part.items():
+            for b2, c2 in part.items():
+                rho[b1, b2] += c1 * c2.conjugate()
+    return rho
+
+
+def test_rdm_matches_numpy_reference_bit_for_bit():
+    rng = random.Random(29)
+    for _ in range(40):
+        sup = random_support(rng, rng.randint(1, 5), 12)
+        psi = random_state_on(rng, sup)
+        for k in range(1, sup.n + 1):
+            rho = reduced_density_matrix(psi, k)
+            ref = _rdm_numpy_reference(psi, k)
+            assert type(rho) is tuple and len(rho) == 2
+            for b1 in (0, 1):
+                assert type(rho[b1]) is tuple and len(rho[b1]) == 2
+                for b2 in (0, 1):
+                    entry = rho[b1][b2]
+                    assert type(entry) is complex
+                    assert (entry.real.hex(), entry.imag.hex()) == (
+                        float(ref[b1, b2].real).hex(),
+                        float(ref[b1, b2].imag).hex(),
+                    )
 
 
 def test_rdm_rejects_bad_input():
