@@ -3,7 +3,7 @@ multi-qubit pure states, computed exactly."""
 
 from __future__ import annotations
 
-__version__ = "0.1.0"
+__version__ = "0.2.0"
 
 from .analysis import (
     AnalysisReport,
@@ -15,7 +15,6 @@ from .analysis import (
 from .circuits import (
     BalancedCircuit,
     CircuitCatalog,
-    circuits_defining_group,
     enumerate_circuits,
     polytope_classification,
 )
@@ -62,12 +61,9 @@ from .states import (
 from .symmetry import (
     DiagonalSymmetryGroup,
     QubitActionProfile,
-    WeightMatrix,
-    build_weight_matrix,
     group_contains,
     group_member,
     groups_equal,
-    is_maximal_diagonal_group,
     qubit_action_profile,
     solve_symmetry_group,
 )
@@ -95,14 +91,11 @@ __all__ = [
     "SmithDecomposition",
     "Support",
     "SymmetryVerification",
-    "WeightMatrix",
     "abs_square_generators",
     "analyze",
     "apply_phase_element",
     "balance_defect_polynomials",
     "bidegree_scaling_check",
-    "build_weight_matrix",
-    "circuits_defining_group",
     "compare_strata",
     "compute_normalizer",
     "enumerate_circuits",
@@ -114,7 +107,6 @@ __all__ = [
     "group_contains",
     "group_member",
     "groups_equal",
-    "is_maximal_diagonal_group",
     "is_sl_type",
     "monomial_from_circuit",
     "polytope_classification",

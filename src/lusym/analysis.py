@@ -7,9 +7,8 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
-from fractions import Fraction
 
-from .circuits import CircuitCatalog, enumerate_circuits, polytope_classification
+from .circuits import CircuitCatalog, enumerate_circuits
 from .errors import DimensionError, InputError, InternalError
 from .invariants import (
     InvariantMonomial,
@@ -24,13 +23,13 @@ from .normalizer import (
     balance_defect_polynomials,
     compute_normalizer,
 )
-from .states import PhaseVector, PureState, Support, apply_phase_element
+from .states import PureState, Support, apply_phase_element
 from .symmetry import (
     DiagonalSymmetryGroup,
-    QubitActionProfile,
     _annihilated_by,
-    build_weight_matrix,
+    sign_rows,
     solve_symmetry_group,
+    torus_point,
 )
 
 DEFAULT_TOL = 1e-9
@@ -102,14 +101,8 @@ def verify_symmetry(
     for i, gen in enumerate(group.finite_generators):
         checks.append(GeneratorCheck("finite", i, _deviation(psi, apply_phase_element(gen, psi))))
     if group.torus_rank > 0:
-        denom = 2**20
         for s in range(samples):
-            total = [Fraction(0)] * (group.n + 1)
-            for vec in group.torus_basis:
-                coeff = Fraction(rng.randrange(denom), denom)
-                for i, x in enumerate(vec):
-                    total[i] += coeff * x
-            point = PhaseVector(tuple(f % 1 for f in total[:-1]), total[-1] % 1)
+            point = torus_point(group, rng, 2**20)
             checks.append(GeneratorCheck("torus", s, _deviation(psi, apply_phase_element(point, psi))))
     max_dev = _worst([c.deviation for c in checks])
     return SymmetryVerification(
@@ -129,18 +122,14 @@ class AnalysisReport:
     state: PureState
     support: Support
     group: DiagonalSymmetryGroup
-    profile: QubitActionProfile
     catalog: CircuitCatalog
     monomials: tuple[InvariantMonomial, ...]
     monomial_values: tuple[complex, ...]
-    polytopes: tuple[str, ...]
     sl_report: SlGeneratorReport
     normalizer: NormalizerDescription
     defects: tuple[DefectPolynomial, ...]
     defect_values: tuple[float, ...]
     verification: SymmetryVerification
-    semistable: bool
-    theta_continuous: bool
     generic: bool
     larger_symmetry_possible: bool
     tol: float
@@ -168,7 +157,6 @@ def analyze(
                     "continuous global phase must force balanced bidegrees"
                 )
     values = tuple(evaluate(m, psi) for m in monomials)
-    polytopes = tuple(polytope_classification(c) for c in catalog.circuits)
     sl_report = single_sl_generator_check(catalog)
     norm_desc = compute_normalizer(support, group)
     defects = tuple(balance_defect_polynomials(support))
@@ -182,18 +170,14 @@ def analyze(
         state=psi,
         support=support,
         group=group,
-        profile=norm_desc.profile,
         catalog=catalog,
         monomials=monomials,
         monomial_values=values,
-        polytopes=polytopes,
         sl_report=sl_report,
         normalizer=norm_desc,
         defects=defects,
         defect_values=defect_values,
         verification=verification,
-        semistable=catalog.semistable,
-        theta_continuous=group.theta_continuous,
         generic=generic,
         larger_symmetry_possible=any(abs(v) < GENERIC_FLOOR for v in defect_values),
         tol=tol,
@@ -212,8 +196,8 @@ def compare_strata(support_a: Support, support_b: Support) -> str:
         raise DimensionError("supports live on different qubit counts")
     ga = solve_symmetry_group(support_a)
     gb = solve_symmetry_group(support_b)
-    a_in_b = _annihilated_by(build_weight_matrix(support_b).matrix.row_tuples(), ga)
-    b_in_a = _annihilated_by(build_weight_matrix(support_a).matrix.row_tuples(), gb)
+    a_in_b = _annihilated_by(sign_rows(support_b), ga)
+    b_in_a = _annihilated_by(sign_rows(support_a), gb)
     if a_in_b and b_in_a:
         return STRATA_EQUAL
     if a_in_b:

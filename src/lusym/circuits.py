@@ -27,8 +27,8 @@ from math import gcd, lcm
 from operator import mul
 
 from .errors import InternalError
+from .exactlinalg import normalize_int_vector
 from .states import Support, weight_vector
-from .symmetry import DiagonalSymmetryGroup, solve_symmetry_group
 
 ORIGIN_IN_CONVEX_HULL = "origin_in_convex_hull"
 ORIGIN_IN_AFFINE_HULL_ONLY = "origin_in_affine_hull_only"
@@ -54,15 +54,6 @@ class CircuitCatalog:
     support: Support
     circuits: tuple[BalancedCircuit, ...]
     semistable: bool
-
-
-def _normalize_relation(coeffs: list[int]) -> tuple[int, ...]:
-    g = gcd(*coeffs)
-    out = [c // g for c in coeffs]
-    lead = next(c for c in out if c)
-    if lead < 0:
-        out = [-c for c in out]
-    return tuple(out)
 
 
 def _eliminate(x: list[int], v: list[int], p: int) -> list[int]:
@@ -190,7 +181,7 @@ def enumerate_circuits(support: Support) -> CircuitCatalog:
                     if yp:
                         y[pivots[i]] = yp
                 members = tuple(sorted(y))
-                found[members] = _normalize_relation([y[j] for j in members])
+                found[members] = normalize_int_vector([y[j] for j in members])
 
     circuits = []
     for members in sorted(found):
@@ -222,16 +213,3 @@ def polytope_classification(circuit: BalancedCircuit) -> str:
     """
     return ORIGIN_IN_CONVEX_HULL if circuit.positive else ORIGIN_IN_AFFINE_HULL_ONLY
 
-
-def circuits_defining_group(
-    support: Support,
-) -> dict[BalancedCircuit, DiagonalSymmetryGroup]:
-    """Symmetry group solved from each circuit's own members, for circuits
-    with nonzero d_order. Every such group contains the full support's group."""
-    catalog = enumerate_circuits(support)
-    out: dict[BalancedCircuit, DiagonalSymmetryGroup] = {}
-    for circuit in catalog.circuits:
-        if circuit.d_order == 0:
-            continue
-        out[circuit] = solve_symmetry_group(Support.from_labels(circuit.member_labels))
-    return out

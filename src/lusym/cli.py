@@ -19,7 +19,7 @@ from .analysis import (
     require_normalized,
     verify_symmetry,
 )
-from .circuits import enumerate_circuits
+from .circuits import enumerate_circuits, polytope_classification
 from .errors import InputError, InternalError
 from .fixtures import fixture_names, fixture_state
 from .invariants import (
@@ -58,15 +58,13 @@ def _read_text(path: str) -> str:
 
 
 def _state_from_args(args: argparse.Namespace) -> PureState:
-    if getattr(args, "input", None):
+    if args.input is not None:
         return load_state(_read_text(args.input))
-    if getattr(args, "fixture", None):
-        return fixture_state(args.fixture)
-    raise InputError("need --input FILE or --fixture NAME")
+    return fixture_state(args.fixture)
 
 
 def _support_from_args(args: argparse.Namespace) -> tuple[Support, PureState | None]:
-    if getattr(args, "support", None):
+    if args.support is not None:
         labels = [part.strip() for part in args.support.split(",") if part.strip()]
         return Support.from_labels(labels), None
     psi = _state_from_args(args)
@@ -74,12 +72,13 @@ def _support_from_args(args: argparse.Namespace) -> tuple[Support, PureState | N
 
 
 def _add_source_options(parser: argparse.ArgumentParser, with_support: bool) -> None:
-    parser.add_argument("--input", metavar="FILE", help="state JSON file")
-    parser.add_argument(
+    source = parser.add_mutually_exclusive_group(required=True)
+    source.add_argument("--input", metavar="FILE", help="state JSON file")
+    source.add_argument(
         "--fixture", metavar="NAME", help=f"named fixture ({', '.join(fixture_names())})"
     )
     if with_support:
-        parser.add_argument(
+        source.add_argument(
             "--support", metavar="LABELS", help="comma-separated basis labels, e.g. 00,11"
         )
 
@@ -131,12 +130,12 @@ def cmd_analyze(args: argparse.Namespace) -> int:
         print(f"  torus direction {list(vec)}")
     for d, gen in zip(g.finite_factors, g.finite_generators):
         print(f"  finite generator of order {d}: phis {[str(p) for p in gen.phis]}, theta {gen.theta}")
-    trivial = [str(k + 1) for k, t in enumerate(report.profile.trivial) if t]
+    trivial = [str(k + 1) for k, t in enumerate(report.normalizer.profile.trivial) if t]
     print(f"qubits acted on only by signs: {', '.join(trivial) if trivial else 'none'}")
-    print(f"circuits ({len(report.catalog.circuits)}), semistable: {report.semistable}")
-    for c, val, pol in zip(report.catalog.circuits, report.monomial_values, report.polytopes):
+    print(f"circuits ({len(report.catalog.circuits)}), semistable: {report.catalog.semistable}")
+    for c, val in zip(report.catalog.circuits, report.monomial_values):
         print(f"  members {list(c.member_labels)} relation {list(c.relation)} "
-              f"d={c.d_order} {pol} value {val:.6g}")
+              f"d={c.d_order} {polytope_classification(c)} value {val:.6g}")
     print(f"single SL generator: {report.sl_report.holds} ({report.sl_report.reason})")
     print(f"normalizer flips: {', '.join(report.normalizer.flips.masks)} "
           f"(assumption_ok={report.normalizer.assumption_ok})")
@@ -243,12 +242,10 @@ def cmd_normalizer(args: argparse.Namespace) -> int:
 def cmd_verify(args: argparse.Namespace) -> int:
     psi = _state_from_args(args)
     require_normalized(psi, args.tolerance)
-    if args.group:
+    if args.group is not None:
         group = load_group(_read_text(args.group))
-    elif args.from_support:
-        group = solve_symmetry_group(psi.support())
     else:
-        raise InputError("need --group FILE or --from-support")
+        group = solve_symmetry_group(psi.support())
     result = verify_symmetry(psi, group, samples=args.samples, tol=args.tolerance, seed=args.seed)
     if args.json:
         sys.stdout.write(canonical_dumps(verification_to_dict(result)))
@@ -312,9 +309,10 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="check that a group fixes a state")
     _add_source_options(p, with_support=False)
     _add_format_options(p)
-    p.add_argument("--group", metavar="FILE", help="group JSON file")
-    p.add_argument("--from-support", action="store_true",
-                   help="solve the group from the state's own support")
+    group_source = p.add_mutually_exclusive_group(required=True)
+    group_source.add_argument("--group", metavar="FILE", help="group JSON file")
+    group_source.add_argument("--from-support", action="store_true",
+                              help="solve the group from the state's own support")
     _add_check_options(p)
     p.set_defaults(func=cmd_verify)
 

@@ -10,12 +10,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, lcm
-from typing import Iterable, Sequence, Union
+from math import gcd
+from typing import Iterable, Sequence
 
 from .errors import DimensionError, InputError
-
-Rational = Union[int, Fraction]
 
 
 class IntMatrix:
@@ -75,12 +73,6 @@ class IntMatrix:
         return IntMatrix(
             [[sum(a * b for a, b in zip(row, col)) for col in ot.row_tuples()] for row in self._data]
         )
-
-    def mul_vector(self, v: Sequence[Rational]) -> tuple[Rational, ...]:
-        """Exact matrix-vector product; accepts int or Fraction entries."""
-        if len(v) != self.cols:
-            raise DimensionError(f"vector length {len(v)} does not match {self.cols} columns")
-        return tuple(sum(a * x for a, x in zip(row, v)) for row in self._data)
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, IntMatrix) and self._data == other._data
@@ -252,16 +244,11 @@ def rational_rank(a: IntMatrix) -> int:
     return rank
 
 
-def normalize_int_vector(v: Sequence[Rational]) -> tuple[int, ...]:
-    """Scale a rational vector to coprime integers with positive leading entry."""
-    fracs = [Fraction(x) for x in v]
-    if all(x == 0 for x in fracs):
+def normalize_int_vector(v: Sequence[int]) -> tuple[int, ...]:
+    """Divide an integer vector by the gcd of its entries, making the leading entry positive."""
+    g = gcd(*v)
+    if not g:
         raise InputError("cannot normalize the zero vector")
-    den = lcm(*[x.denominator for x in fracs])
-    ints = [int(x * den) for x in fracs]
-    g = gcd(*ints)
-    ints = [x // g for x in ints]
-    lead = next(x for x in ints if x)
-    if lead < 0:
-        ints = [-x for x in ints]
-    return tuple(ints)
+    if next(x for x in v if x) < 0:
+        g = -g
+    return tuple(x // g for x in v)

@@ -16,7 +16,7 @@ from typing import Iterable, Mapping, NamedTuple, Sequence, Union
 
 from .circuits import BalancedCircuit, CircuitCatalog
 from .errors import DimensionError, InputError
-from .states import PureState, Support, validate_label, xor_labels
+from .states import PureState, Support, label_int, validate_label, xor_labels
 
 
 class Bidegree(NamedTuple):
@@ -45,7 +45,7 @@ class InvariantMonomial:
         labels = [t[0] for t in self.terms]
         if len(set(labels)) != len(labels):
             raise InputError("duplicate label in monomial")
-        if labels != sorted(labels, key=lambda s: int(s, 2)):
+        if labels != sorted(labels, key=label_int):
             raise InputError("monomial terms must be sorted by label value")
 
     @property
@@ -58,7 +58,7 @@ class InvariantMonomial:
 
     @classmethod
     def from_terms(cls, terms: Iterable[tuple[str, int, int]]) -> "InvariantMonomial":
-        return cls(tuple(sorted(terms, key=lambda t: int(t[0], 2))))
+        return cls(tuple(sorted(terms, key=lambda t: label_int(t[0]))))
 
 
 @dataclass(frozen=True)
@@ -118,7 +118,7 @@ def symmetrize_over_flips(
     when the bidegree difference a-b is divisible by four; otherwise the first
     offending mask is reported. Rejection is an outcome, not an error.
     """
-    masks = sorted(set(flip_group), key=lambda s: int(s, 2))
+    masks = sorted(set(flip_group), key=label_int)
     if not masks:
         raise InputError("flip group must contain at least the zero mask")
     n = len(masks[0])

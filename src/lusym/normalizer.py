@@ -83,14 +83,14 @@ def support_stabilizer_masks(support: Support) -> FlipGroup:
 class NormalizerDescription:
     """Diagonal torus times spin-flip group, with the non-triviality flag.
 
-    torus is always the full diagonal group, recorded symbolically; flips are
-    exactly the masks that stabilize the support, since such a mask permutes
-    the sign rows defining the solved group and so conjugates it onto itself.
-    assumption_ok is False when the solved group acts only by signs on some
-    qubit, in which case the normalizer may be strictly larger than described.
+    The torus part is always the full diagonal group, so only the flips are
+    stored. They are exactly the masks that stabilize the support, since such
+    a mask permutes the sign rows defining the solved group and so conjugates
+    it onto itself. assumption_ok is False when the solved group acts only by
+    signs on some qubit, in which case the normalizer may be strictly larger
+    than described.
     """
 
-    torus: DiagonalSymmetryGroup
     flips: FlipGroup
     assumption_ok: bool
     profile: QubitActionProfile
@@ -100,7 +100,6 @@ def compute_normalizer(support: Support, group: DiagonalSymmetryGroup) -> Normal
     """Normalizer of `group`, the solved symmetry group of `support`."""
     profile = qubit_action_profile(support, group)
     return NormalizerDescription(
-        torus=DiagonalSymmetryGroup.full_torus(support.n),
         flips=support_stabilizer_masks(support),
         assumption_ok=not any(profile.trivial),
         profile=profile,

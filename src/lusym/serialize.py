@@ -15,7 +15,7 @@ from typing import Any, Mapping
 
 from . import __version__
 from .analysis import AnalysisReport, SymmetryVerification
-from .circuits import BalancedCircuit, CircuitCatalog
+from .circuits import BalancedCircuit, CircuitCatalog, polytope_classification
 from .errors import InputError
 from .invariants import FlipRejection, InvariantMonomial, InvariantSum
 from .normalizer import FlipGroup, NormalizerDescription
@@ -32,6 +32,11 @@ def canonical_dumps(obj: Any) -> str:
 def _require(condition: bool, message: str) -> None:
     if not condition:
         raise InputError(message)
+
+
+def _is_int(x: Any) -> bool:
+    # bool is a subclass of int, but JSON true and false are not numbers
+    return isinstance(x, int) and not isinstance(x, bool)
 
 
 # ---------------------------------------------------------------- states
@@ -57,7 +62,7 @@ def state_from_dict(data: Mapping) -> PureState:
     _require("n" in data, "state is missing field 'n'")
     _require("amplitudes" in data, "state is missing field 'amplitudes'")
     n = data["n"]
-    _require(isinstance(n, int) and n >= 1, f"field 'n' must be a positive integer, got {n!r}")
+    _require(_is_int(n) and n >= 1, f"field 'n' must be a positive integer, got {n!r}")
     amps = data["amplitudes"]
     _require(isinstance(amps, Mapping) and len(amps) > 0, "field 'amplitudes' must be a nonempty object")
     out = {}
@@ -68,7 +73,7 @@ def state_from_dict(data: Mapping) -> PureState:
         )
         re, im = pair
         _require(
-            all(isinstance(x, (int, float)) and _finite(x) for x in pair),
+            all((_is_int(x) or isinstance(x, float)) and _finite(x) for x in pair),
             f"amplitude for {lab!r} must hold finite numbers",
         )
         _require(len(lab) == n, f"label {lab!r} does not have n={n} bits")
@@ -103,7 +108,7 @@ def fraction_from_dict(data: Mapping) -> Fraction:
     _require(isinstance(data, Mapping), "angle must be an object with 'num' and 'den'")
     _require("num" in data and "den" in data, "angle needs fields 'num' and 'den'")
     num, den = data["num"], data["den"]
-    _require(isinstance(num, int) and isinstance(den, int), "angle fields must be integers")
+    _require(_is_int(num) and _is_int(den), "angle fields 'num' and 'den' must be integers")
     _require(den >= 1, f"angle denominator must be >= 1, got {den}")
     return Fraction(num, den)
 
@@ -142,12 +147,12 @@ def group_from_dict(data: Mapping) -> DiagonalSymmetryGroup:
     for field in ("n", "torus_basis", "finite"):
         _require(field in data, f"group is missing field {field!r}")
     n = data["n"]
-    _require(isinstance(n, int) and n >= 1, "group field 'n' must be a positive integer")
+    _require(_is_int(n) and n >= 1, f"group field 'n' must be a positive integer, got {n!r}")
     basis = []
     for vec in data["torus_basis"]:
         _require(
-            isinstance(vec, list) and len(vec) == n + 1 and all(isinstance(x, int) for x in vec),
-            "torus basis vectors must be integer lists of length n+1",
+            isinstance(vec, list) and len(vec) == n + 1 and all(_is_int(x) for x in vec),
+            f"'torus_basis' vectors must be integer lists of length n+1, got {vec!r}",
         )
         basis.append(tuple(vec))
     factors = []
@@ -156,7 +161,7 @@ def group_from_dict(data: Mapping) -> DiagonalSymmetryGroup:
         _require(isinstance(item, Mapping) and "order" in item and "generator" in item,
                  "finite entries need 'order' and 'generator'")
         order = item["order"]
-        _require(isinstance(order, int) and order >= 2, f"finite order must be >= 2, got {order!r}")
+        _require(_is_int(order) and order >= 2, f"finite order must be >= 2, got {order!r}")
         gen = phase_vector_from_dict(item["generator"])
         _require(gen.n == n, "finite generator qubit count does not match n")
         for x in gen.as_tuple():
@@ -193,27 +198,21 @@ def _complex_pair(c: complex) -> list[float]:
     return [c.real, c.imag]
 
 
-def circuit_to_dict(c: BalancedCircuit, polytope: str | None = None) -> dict:
-    out = {
+def circuit_to_dict(c: BalancedCircuit) -> dict:
+    return {
         "members": list(c.member_labels),
         "relation": list(c.relation),
         "positive": c.positive,
         "d_order": c.d_order,
+        "polytope": polytope_classification(c),
     }
-    if polytope is not None:
-        out["polytope"] = polytope
-    return out
 
 
 def catalog_to_dict(catalog: CircuitCatalog) -> dict:
-    from .circuits import polytope_classification
-
     return {
         "support": list(catalog.support.labels),
         "n": catalog.support.n,
-        "circuits": [
-            circuit_to_dict(c, polytope_classification(c)) for c in catalog.circuits
-        ],
+        "circuits": [circuit_to_dict(c) for c in catalog.circuits],
         "semistable": catalog.semistable,
     }
 
@@ -255,7 +254,6 @@ def profile_to_dict(profile: QubitActionProfile) -> dict:
 def normalizer_to_dict(desc: NormalizerDescription) -> dict:
     return {
         "torus": "full_diagonal",
-        "torus_group": group_to_dict(desc.torus),
         "flips": flip_group_to_dict(desc.flips),
         "assumption_ok": desc.assumption_ok,
     }
@@ -275,7 +273,6 @@ def verification_to_dict(v: SymmetryVerification) -> dict:
 
 
 def report_to_dict(report: AnalysisReport) -> dict:
-    group_block = group_to_dict(report.group)
     return {
         "tool": {"name": TOOL_NAME, "version": __version__},
         "input": {
@@ -286,18 +283,15 @@ def report_to_dict(report: AnalysisReport) -> dict:
             "seed": report.seed,
         },
         "support": list(report.support.labels),
-        "group": group_block,
+        "group": group_to_dict(report.group),
         "group_flags": {
             "torus_rank": report.group.torus_rank,
-            "theta_continuous": report.theta_continuous,
+            "theta_continuous": report.group.theta_continuous,
             "finite_order": report.group.finite_order,
         },
-        "qubit_profile": profile_to_dict(report.profile),
-        "circuits": [
-            circuit_to_dict(c, p)
-            for c, p in zip(report.catalog.circuits, report.polytopes)
-        ],
-        "semistable": report.semistable,
+        "qubit_profile": profile_to_dict(report.normalizer.profile),
+        "circuits": [circuit_to_dict(c) for c in report.catalog.circuits],
+        "semistable": report.catalog.semistable,
         "monomials": [
             dict(monomial_to_dict(m), sl_type=(m.bidegree.a == 0 or m.bidegree.b == 0),
                  value=_complex_pair(v))
@@ -315,8 +309,8 @@ def report_to_dict(report: AnalysisReport) -> dict:
         ],
         "flags": {
             "generic": report.generic,
-            "theta_continuous": report.theta_continuous,
-            "semistable": report.semistable,
+            "theta_continuous": report.group.theta_continuous,
+            "semistable": report.catalog.semistable,
             "larger_symmetry_possible": report.larger_symmetry_possible,
         },
         "verification": verification_to_dict(report.verification),

@@ -14,24 +14,16 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .errors import DimensionError, InputError, InternalError
+from .errors import DimensionError, InternalError
 from .exactlinalg import IntMatrix, normalize_int_vector, smith_normal_form
 from .states import PhaseVector, Support, weight_vector
 
 HALF = Fraction(1, 2)
 
 
-@dataclass(frozen=True)
-class WeightMatrix:
+def sign_rows(support: Support) -> tuple[tuple[int, ...], ...]:
     """Sign matrix of a support: one row ((-1)^{s_1}, ..., (-1)^{s_n}, 1) per label."""
-
-    support: Support
-    matrix: IntMatrix
-
-
-def build_weight_matrix(support: Support) -> WeightMatrix:
-    rows = [weight_vector(label) + (1,) for label in support.labels]
-    return WeightMatrix(support=support, matrix=IntMatrix(rows))
+    return tuple(weight_vector(label) + (1,) for label in support.labels)
 
 
 @dataclass(frozen=True)
@@ -69,20 +61,9 @@ class DiagonalSymmetryGroup:
             order *= d
         return order
 
-    @property
-    def is_finite(self) -> bool:
-        return self.torus_rank == 0
-
     @classmethod
     def trivial(cls, n: int) -> "DiagonalSymmetryGroup":
         return cls(n=n, torus_rank=0, torus_basis=(), finite_factors=(), finite_generators=())
-
-    @classmethod
-    def full_torus(cls, n: int) -> "DiagonalSymmetryGroup":
-        basis = tuple(
-            tuple(1 if i == j else 0 for j in range(n + 1)) for i in range(n + 1)
-        )
-        return cls(n=n, torus_rank=n + 1, torus_basis=basis, finite_factors=(), finite_generators=())
 
 
 def _lex_normalized_generator(g: PhaseVector) -> PhaseVector:
@@ -104,8 +85,8 @@ def solve_symmetry_group(support: Support) -> DiagonalSymmetryGroup:
     part and each invariant factor d_i > 1 contributes a finite cyclic factor
     generated by (column i of v) / d_i.
     """
-    wm = build_weight_matrix(support)
-    dec = smith_normal_form(wm.matrix)
+    rows = sign_rows(support)
+    dec = smith_normal_form(IntMatrix(rows))
     n1 = support.n + 1
     factors_all = dec.invariant_factors
     r = len(factors_all)
@@ -131,7 +112,7 @@ def solve_symmetry_group(support: Support) -> DiagonalSymmetryGroup:
         finite_factors=tuple(finite_factors),
         finite_generators=tuple(finite_generators),
     )
-    _check_solution(wm.matrix, group)
+    _check_solution(rows, group)
     return group
 
 
@@ -156,9 +137,9 @@ def _annihilated_by(rows: Sequence[Sequence[int]], group: DiagonalSymmetryGroup)
     ) and all(_integral(rows, gen.as_tuple()) for gen in group.finite_generators)
 
 
-def _check_solution(matrix: IntMatrix, group: DiagonalSymmetryGroup) -> None:
+def _check_solution(rows: Sequence[Sequence[int]], group: DiagonalSymmetryGroup) -> None:
     # the solved group must fix every label: each sign row sends it to integers
-    if not _annihilated_by(matrix.row_tuples(), group):
+    if not _annihilated_by(rows, group):
         raise InternalError("solved group fails the phase condition")
 
 
@@ -204,13 +185,6 @@ def groups_equal(h1: DiagonalSymmetryGroup, h2: DiagonalSymmetryGroup) -> bool:
     return group_contains(h1, h2) and group_contains(h2, h1)
 
 
-def is_maximal_diagonal_group(support: Support, group: DiagonalSymmetryGroup) -> bool:
-    """Does `group` equal the full diagonal symmetry group of `support`?"""
-    if group.n != support.n:
-        raise DimensionError("support and group qubit counts differ")
-    return groups_equal(group, solve_symmetry_group(support))
-
-
 @dataclass(frozen=True)
 class QubitActionProfile:
     """Which qubits the whole group acts on only by +-1.
@@ -251,17 +225,23 @@ def qubit_action_profile(support: Support, group: DiagonalSymmetryGroup) -> Qubi
     return QubitActionProfile(trivial=tuple(trivial), witnesses=tuple(witnesses))
 
 
+def torus_point(group: DiagonalSymmetryGroup, rng: random.Random, denominator: int) -> PhaseVector:
+    """A random rational point of the torus part: each basis direction times
+    its own draw k/denominator, in basis order, reduced to [0, 1) turns."""
+    total = [Fraction(0)] * (group.n + 1)
+    for vec in group.torus_basis:
+        s = Fraction(rng.randrange(denominator), denominator)
+        for i, x in enumerate(vec):
+            total[i] += s * x
+    return PhaseVector(tuple(x % 1 for x in total[:-1]), total[-1] % 1)
+
+
 def random_element(
     group: DiagonalSymmetryGroup, rng: random.Random, denominator: int = 2**16
 ) -> PhaseVector:
     """A random exact-rational element: random integer powers of the finite
     generators plus a random rational point of the torus part."""
-    n1 = group.n + 1
-    total = [Fraction(0)] * n1
-    for vec in group.torus_basis:
-        s = Fraction(rng.randrange(denominator), denominator)
-        for i, x in enumerate(vec):
-            total[i] += s * x
+    total = list(torus_point(group, rng, denominator).as_tuple())
     for d, gen in zip(group.finite_factors, group.finite_generators):
         a = rng.randrange(d)
         for i, x in enumerate(gen.as_tuple()):

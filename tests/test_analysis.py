@@ -101,8 +101,8 @@ def test_verify_deterministic_across_runs():
 def test_analyze_bell_report():
     rep = analyze(fixture_state("bell"))
     assert rep.group.torus_rank == 1
-    assert rep.semistable
-    assert not rep.theta_continuous
+    assert rep.catalog.semistable
+    assert not rep.group.theta_continuous
     assert len(rep.catalog.circuits) == 1
     assert rep.monomials[0].terms == (("00", 1, 0), ("11", 1, 0))
     assert abs(rep.monomial_values[0] - 0.5) < 1e-12
@@ -128,9 +128,9 @@ def test_analyze_rejects_unnormalized():
 
 def test_analyze_theta_continuous_state():
     rep = analyze(fixture_state("w3"))
-    assert rep.theta_continuous
+    assert rep.group.theta_continuous
     assert rep.catalog.circuits == ()
-    assert not rep.semistable
+    assert not rep.catalog.semistable
     assert all(abs(v - 1 / 3) < 1e-12 for v in rep.defect_values)
     assert rep.generic
 

@@ -65,6 +65,9 @@ def test_normalizer_json_schema(capsys, schema_validator):
     payload = json.loads(out)
     schema_validator("normalizer.schema.json", payload)
     assert payload["flips"]["masks"] == ["0000", "1111"]
+    # the torus part is always the full diagonal group: named, not listed
+    assert payload["torus"] == "full_diagonal"
+    assert "torus_group" not in payload
 
 
 def test_verify_from_support(capsys, schema_validator):
@@ -104,9 +107,29 @@ def test_verify_group_file_failure(capsys, tmp_path):
 
 
 def test_verify_needs_a_group_source(capsys):
-    code, _, err = run_cli(capsys, "verify", "--fixture", "bell")
-    assert code == 2
-    assert "from-support" in err
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--fixture", "bell"])
+    assert exc.value.code == 2
+    assert "from-support" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv, names",
+    [
+        (["analyze", "--input", "s.json", "--fixture", "ghz3"], ("--input", "--fixture")),
+        (["circuits", "--support", "000,111", "--fixture", "bell"], ("--support", "--fixture")),
+        (["normalizer", "--input", "s.json", "--support", "00,11"], ("--input", "--support")),
+        (["verify", "--fixture", "bell", "--group", "g.json", "--from-support"], ("--group", "--from-support")),
+    ],
+    ids=["analyze-input-fixture", "circuits-support-fixture", "normalizer-input-support", "verify-group-from-support"],
+)
+def test_conflicting_sources_are_refused(capsys, argv, names):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "not allowed with" in err
+    assert all(name in err for name in names)
 
 
 def test_compare_json(capsys, schema_validator):

@@ -79,7 +79,6 @@ def test_normalizer_ghz_family():
         sup = Support.from_labels(["0" * n, "1" * n])
         desc = normalizer_of(sup)
         assert desc.flips.masks == ("0" * n, "1" * n)
-        assert desc.torus.torus_rank == n + 1
         assert desc.assumption_ok
 
 

@@ -28,6 +28,7 @@ from lusym.serialize import (
     load_state,
     phase_vector_from_dict,
     phase_vector_to_dict,
+    state_from_dict,
     state_hash,
     state_to_dict,
 )
@@ -85,6 +86,44 @@ def test_load_state_diagnostics():
 def test_load_state_rejects_non_finite(bad):
     with pytest.raises(InputError, match="finite"):
         load_state('{"n": 2, "amplitudes": {"00": [0.6, 0], "11": [0, %s]}}' % bad)
+
+
+# bool is a subclass of int, so JSON true and false must be refused explicitly
+@pytest.mark.parametrize(
+    "text, field",
+    [
+        ('{"n": true, "amplitudes": {"0": [1.0, 0.0]}}', "'n'"),
+        ('{"n": 1, "amplitudes": {"0": [true, false]}}', "'0'"),
+        ('{"n": 2, "amplitudes": {"00": [0.6, 0], "11": [0, true]}}', "'11'"),
+    ],
+    ids=["n", "re-im", "im"],
+)
+def test_state_from_dict_rejects_bool(text, field):
+    with pytest.raises(InputError, match=field):
+        state_from_dict(json.loads(text))
+
+
+@pytest.mark.parametrize(
+    "patch, field",
+    [
+        ({"n": True, "torus_basis": [[1, -1]], "finite": []}, "'n'"),
+        ({"torus_basis": [[True, -1, 0]]}, "'torus_basis'"),
+        ({"finite": [{"order": 2, "generator": {
+            "phis": [{"num": True, "den": 2}, {"num": 0, "den": 1}], "theta": {"num": 1, "den": 2}}}]},
+         "'num'"),
+    ],
+    ids=["n", "torus_basis", "num"],
+)
+def test_group_from_dict_rejects_bool(patch, field):
+    data = dict(group_to_dict(solve_symmetry_group(Support.from_labels(["00", "11"]))), **patch)
+    with pytest.raises(InputError, match=field):
+        group_from_dict(data)
+
+
+@pytest.mark.parametrize("data", [{"num": True, "den": 2}, {"num": 1, "den": True}], ids=["num", "den"])
+def test_fraction_from_dict_rejects_bool(data):
+    with pytest.raises(InputError, match="'num' and 'den'"):
+        fraction_from_dict(data)
 
 
 def test_canonical_dumps_is_strict_json():

@@ -16,14 +16,9 @@ from lusym import (
     qubit_action_profile,
     solve_symmetry_group,
 )
-from lusym.exactlinalg import rational_rank
+from lusym.exactlinalg import IntMatrix, rational_rank
 from lusym.serialize import dump_group, load_group
-from lusym.symmetry import (
-    _check_solution,
-    build_weight_matrix,
-    is_maximal_diagonal_group,
-    random_element,
-)
+from lusym.symmetry import _check_solution, random_element, sign_rows
 
 from conftest import random_state_on, random_support
 
@@ -31,8 +26,7 @@ F = Fraction
 
 
 def test_weight_matrix_bell():
-    wm = build_weight_matrix(Support.from_labels(["00", "11"]))
-    assert wm.matrix.row_tuples() == ((1, 1, 1), (-1, -1, 1))
+    assert sign_rows(Support.from_labels(["00", "11"])) == ((1, 1, 1), (-1, -1, 1))
 
 
 def test_bell_group_frozen():
@@ -66,7 +60,6 @@ def test_full_support_three_qubits():
     assert g.torus_rank == 0
     assert g.finite_factors == (2, 2, 2)
     assert g.finite_order == 8
-    assert g.is_finite
     profile = qubit_action_profile(Support.from_labels(labels), g)
     assert profile.trivial == (True, True, True)
     assert all(w is not None for w in profile.witnesses)
@@ -77,10 +70,10 @@ def test_solution_is_exact_on_random_supports():
     for _ in range(40):
         sup = random_support(rng, rng.randint(1, 5), 8)
         g = solve_symmetry_group(sup)
-        wm = build_weight_matrix(sup)
-        assert g.torus_rank + rational_rank(wm.matrix) == sup.n + 1
+        rows = sign_rows(sup)
+        assert g.torus_rank + rational_rank(IntMatrix(rows)) == sup.n + 1
         for vec in g.torus_basis:
-            assert wm.matrix.mul_vector(vec) == tuple([0] * len(sup.labels))
+            assert all(sum(a * x for a, x in zip(row, vec)) == 0 for row in rows)
             nz = [x for x in vec if x]
             assert nz and nz[0] > 0
         for gen in g.finite_generators:
@@ -95,16 +88,16 @@ def test_solution_is_exact_on_random_supports():
 
 def test_check_solution_rejects_tampered_group():
     sup = Support.from_labels(["000", "110", "100", "010"])
-    matrix = build_weight_matrix(sup).matrix
+    rows = sign_rows(sup)
     g = solve_symmetry_group(sup)
-    _check_solution(matrix, g)
+    _check_solution(rows, g)
     # phi_1 = 1/3 turn moves label 000 by 1/3: not a symmetry
     bad_gen = PhaseVector.make([F(1, 3), 0, 0], 0)
     tampered = dataclasses.replace(g, finite_generators=(bad_gen,) + g.finite_generators[1:])
     with pytest.raises(InternalError):
-        _check_solution(matrix, tampered)
+        _check_solution(rows, tampered)
     with pytest.raises(InternalError):
-        _check_solution(matrix, dataclasses.replace(g, torus_basis=((1, 0, 0, 0),)))
+        _check_solution(rows, dataclasses.replace(g, torus_basis=((1, 0, 0, 0),)))
 
 
 def test_group_member_agrees_with_phase_turns():
@@ -146,7 +139,8 @@ def test_group_member_degenerate_groups():
     assert group_member(triv, PhaseVector.make([0, 0], 0))
     assert group_member(triv, PhaseVector.make([1, 2], 3))
     assert not group_member(triv, PhaseVector.make([F(1, 2), 0], 0))
-    full = DiagonalSymmetryGroup.full_torus(2)
+    identity = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
+    full = DiagonalSymmetryGroup(2, 3, identity, (), ())
     assert group_member(full, PhaseVector.make([F(1, 7), F(3, 5)], F(1, 9)))
 
 
@@ -184,14 +178,14 @@ def test_group_contains_incomparable_pair():
 def test_is_maximal_and_dropped_generator():
     sup = Support.from_labels(["000", "110", "100", "010"])
     g = solve_symmetry_group(sup)
-    assert is_maximal_diagonal_group(sup, g)
+    assert groups_equal(g, solve_symmetry_group(sup))
     assert len(g.finite_factors) == 2
     smaller = dataclasses.replace(
         g,
         finite_factors=g.finite_factors[:1],
         finite_generators=g.finite_generators[:1],
     )
-    assert not is_maximal_diagonal_group(sup, smaller)
+    assert not groups_equal(smaller, solve_symmetry_group(sup))
     assert group_contains(g, smaller)
     assert not group_contains(smaller, g)
 
