@@ -3,7 +3,7 @@ multi-qubit pure states, computed exactly."""
 
 from __future__ import annotations
 
-__version__ = "0.2.0"
+__version__ = "0.3.0"
 
 from .analysis import (
     AnalysisReport,

@@ -11,7 +11,6 @@ from dataclasses import dataclass
 from .circuits import CircuitCatalog, enumerate_circuits
 from .errors import DimensionError, InputError, InternalError
 from .invariants import (
-    InvariantMonomial,
     SlGeneratorReport,
     evaluate,
     monomial_from_circuit,
@@ -117,13 +116,15 @@ def verify_symmetry(
 
 @dataclass(frozen=True)
 class AnalysisReport:
-    """Everything the package can say about one state."""
+    """Everything the package can say about one state.
+
+    Each fact is stored once: the support is catalog.support, and
+    monomial_values[i] is the value of monomial_from_circuit(catalog.circuits[i]).
+    """
 
     state: PureState
-    support: Support
     group: DiagonalSymmetryGroup
     catalog: CircuitCatalog
-    monomials: tuple[InvariantMonomial, ...]
     monomial_values: tuple[complex, ...]
     sl_report: SlGeneratorReport
     normalizer: NormalizerDescription
@@ -132,8 +133,6 @@ class AnalysisReport:
     verification: SymmetryVerification
     generic: bool
     larger_symmetry_possible: bool
-    tol: float
-    seed: int
 
 
 def analyze(
@@ -168,10 +167,8 @@ def analyze(
     )
     return AnalysisReport(
         state=psi,
-        support=support,
         group=group,
         catalog=catalog,
-        monomials=monomials,
         monomial_values=values,
         sl_report=sl_report,
         normalizer=norm_desc,
@@ -180,8 +177,6 @@ def analyze(
         verification=verification,
         generic=generic,
         larger_symmetry_possible=any(abs(v) < GENERIC_FLOOR for v in defect_values),
-        tol=tol,
-        seed=seed,
     )
 
 

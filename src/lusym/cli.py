@@ -110,9 +110,7 @@ def _add_check_options(parser: argparse.ArgumentParser) -> None:
 
 
 def _add_format_options(parser: argparse.ArgumentParser) -> None:
-    group = parser.add_mutually_exclusive_group()
-    group.add_argument("--json", action="store_true", help="machine-readable output")
-    group.add_argument("--text", action="store_true", help="human-readable output (default)")
+    parser.add_argument("--json", action="store_true", help="machine-readable output (default: text)")
 
 
 def cmd_analyze(args: argparse.Namespace) -> int:
@@ -121,8 +119,9 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     if args.json:
         sys.stdout.write(dump_report(report))
         return 0
-    print(f"state: n={psi.n}, support size {len(report.support)}, {state_hash(psi)}")
-    print(f"support: {', '.join(report.support.labels)}")
+    support = report.catalog.support
+    print(f"state: n={psi.n}, support size {len(support)}, {state_hash(psi)}")
+    print(f"support: {', '.join(support.labels)}")
     g = report.group
     print(f"group: torus rank {g.torus_rank}, finite order {g.finite_order}, "
           f"theta {'continuous' if g.theta_continuous else 'discrete'}")

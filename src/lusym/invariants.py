@@ -1,11 +1,17 @@
-"""Invariant monomials of the diagonal symmetry group and their bidegrees.
+"""Invariant monomials of the local diagonal torus and their bidegrees.
 
-A circuit relation z turns into the monomial prod_j c_j^{max(z_j,0)} *
-conj(c_j)^{max(-z_j,0)} with bidegree (sum of positive z, sum of |negative z|).
-Together with the modulus squares |c_j|^2 these generate the invariant ring of
-the maximal diagonal group on the support. Spin-flip symmetrization lifts
-monomials to invariants of the larger normalizer when an admissibility
-condition on the bidegree holds.
+An integer vector z on the support labels gives the monomial
+prod_j c_j^{max(z_j,0)} * conj(c_j)^{max(-z_j,0)} with bidegree (sum of
+positive z, sum of |negative z|). It is invariant under the local diagonal
+phases exactly when z lies in ker_Z(A), A the n x L matrix of the labels'
+sign vectors. The invariant ring is generated by the modulus squares |c_j|^2
+and one monomial per element of the Graver basis of ker_Z(A), its conformally
+minimal vectors. This module builds the monomials of the circuit relations
+only. Circuits are Graver elements, but in general a proper subset of them
+(Sturmfels, Groebner Bases and Convex Polytopes, 1996, ch. 4), so the circuit
+monomials and the |c_j|^2 need not generate the ring. Spin-flip
+symmetrization lifts monomials to invariants of the larger normalizer when an
+admissibility condition on the bidegree holds.
 """
 
 from __future__ import annotations

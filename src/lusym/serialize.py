@@ -17,9 +17,10 @@ from . import __version__
 from .analysis import AnalysisReport, SymmetryVerification
 from .circuits import BalancedCircuit, CircuitCatalog, polytope_classification
 from .errors import InputError
+from .exactlinalg import IntMatrix, rational_rank
 from .invariants import FlipRejection, InvariantMonomial, InvariantSum
 from .normalizer import FlipGroup, NormalizerDescription
-from .states import PhaseVector, PureState, Support
+from .states import PhaseVector, PureState
 from .symmetry import DiagonalSymmetryGroup, QubitActionProfile
 
 TOOL_NAME = "lusym"
@@ -155,6 +156,10 @@ def group_from_dict(data: Mapping) -> DiagonalSymmetryGroup:
             f"'torus_basis' vectors must be integer lists of length n+1, got {vec!r}",
         )
         basis.append(tuple(vec))
+    _require(
+        not basis or rational_rank(IntMatrix(basis)) == len(basis),
+        "'torus_basis' vectors must be nonzero and linearly independent",
+    )
     factors = []
     gens = []
     for item in data["finite"]:
@@ -173,7 +178,6 @@ def group_from_dict(data: Mapping) -> DiagonalSymmetryGroup:
         gens.append(gen)
     return DiagonalSymmetryGroup(
         n=n,
-        torus_rank=len(basis),
         torus_basis=tuple(basis),
         finite_factors=tuple(factors),
         finite_generators=tuple(gens),
@@ -193,10 +197,6 @@ def load_group(text: str) -> DiagonalSymmetryGroup:
 
 
 # ---------------------------------------------------------------- report pieces
-
-def _complex_pair(c: complex) -> list[float]:
-    return [c.real, c.imag]
-
 
 def circuit_to_dict(c: BalancedCircuit) -> dict:
     return {
@@ -279,10 +279,8 @@ def report_to_dict(report: AnalysisReport) -> dict:
             "n": report.state.n,
             "hash": state_hash(report.state),
             "norm": report.state.norm(),
-            "tolerance": report.tol,
-            "seed": report.seed,
         },
-        "support": list(report.support.labels),
+        "support": list(report.catalog.support.labels),
         "group": group_to_dict(report.group),
         "group_flags": {
             "torus_rank": report.group.torus_rank,
@@ -292,11 +290,7 @@ def report_to_dict(report: AnalysisReport) -> dict:
         "qubit_profile": profile_to_dict(report.normalizer.profile),
         "circuits": [circuit_to_dict(c) for c in report.catalog.circuits],
         "semistable": report.catalog.semistable,
-        "monomials": [
-            dict(monomial_to_dict(m), sl_type=(m.bidegree.a == 0 or m.bidegree.b == 0),
-                 value=_complex_pair(v))
-            for m, v in zip(report.monomials, report.monomial_values)
-        ],
+        "monomial_values": [[v.real, v.imag] for v in report.monomial_values],
         "sl_generator": {
             "holds": report.sl_report.holds,
             "degree": report.sl_report.degree,
@@ -309,8 +303,6 @@ def report_to_dict(report: AnalysisReport) -> dict:
         ],
         "flags": {
             "generic": report.generic,
-            "theta_continuous": report.group.theta_continuous,
-            "semistable": report.catalog.semistable,
             "larger_symmetry_possible": report.larger_symmetry_possible,
         },
         "verification": verification_to_dict(report.verification),

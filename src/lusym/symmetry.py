@@ -32,23 +32,25 @@ class DiagonalSymmetryGroup:
 
     The group is (torus part) x (finite part): real multiples of the integer
     torus_basis directions, plus the finite cyclic factors generated by the
-    rational finite_generators, all taken modulo whole turns.
+    rational finite_generators, all taken modulo whole turns. The torus_basis
+    directions are linearly independent, so the torus rank is their count.
     """
 
     n: int
-    torus_rank: int
     torus_basis: tuple[tuple[int, ...], ...]
     finite_factors: tuple[int, ...]
     finite_generators: tuple[PhaseVector, ...]
 
     def __post_init__(self) -> None:
-        if len(self.torus_basis) != self.torus_rank:
-            raise InternalError("torus basis size disagrees with torus rank")
         if len(self.finite_factors) != len(self.finite_generators):
             raise InternalError("finite factors and generators out of step")
         for vec in self.torus_basis:
             if len(vec) != self.n + 1:
                 raise DimensionError("torus basis vectors must have n+1 entries")
+
+    @property
+    def torus_rank(self) -> int:
+        return len(self.torus_basis)
 
     @property
     def theta_continuous(self) -> bool:
@@ -63,7 +65,7 @@ class DiagonalSymmetryGroup:
 
     @classmethod
     def trivial(cls, n: int) -> "DiagonalSymmetryGroup":
-        return cls(n=n, torus_rank=0, torus_basis=(), finite_factors=(), finite_generators=())
+        return cls(n=n, torus_basis=(), finite_factors=(), finite_generators=())
 
 
 def _lex_normalized_generator(g: PhaseVector) -> PhaseVector:
@@ -107,7 +109,6 @@ def solve_symmetry_group(support: Support) -> DiagonalSymmetryGroup:
 
     group = DiagonalSymmetryGroup(
         n=support.n,
-        torus_rank=n1 - r,
         torus_basis=torus_basis,
         finite_factors=tuple(finite_factors),
         finite_generators=tuple(finite_generators),

@@ -53,7 +53,6 @@ def conjugate(group: DiagonalSymmetryGroup, mask: str) -> DiagonalSymmetryGroup:
     flip = [ch == "1" for ch in mask] + [False]
     return DiagonalSymmetryGroup(
         n=group.n,
-        torus_rank=group.torus_rank,
         torus_basis=tuple(
             tuple(-x if f else x for x, f in zip(vec, flip)) for vec in group.torus_basis
         ),
@@ -99,6 +98,7 @@ def schema_validator():
     resources = []
     for path in sorted(SCHEMA_DIR.glob("*.schema.json")):
         doc = json.loads(path.read_text())
+        Draft202012Validator.check_schema(doc)
         docs[path.name] = doc
         resources.append((doc["$id"], Resource.from_contents(doc)))
     registry = Registry().with_resources(resources)

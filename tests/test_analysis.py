@@ -10,6 +10,7 @@ from lusym import (
     analyze,
     compare_strata,
     fixture_state,
+    monomial_from_circuit,
     solve_symmetry_group,
     verify_symmetry,
 )
@@ -104,7 +105,7 @@ def test_analyze_bell_report():
     assert rep.catalog.semistable
     assert not rep.group.theta_continuous
     assert len(rep.catalog.circuits) == 1
-    assert rep.monomials[0].terms == (("00", 1, 0), ("11", 1, 0))
+    assert monomial_from_circuit(rep.catalog.circuits[0]).terms == (("00", 1, 0), ("11", 1, 0))
     assert abs(rep.monomial_values[0] - 0.5) < 1e-12
     assert rep.defect_values == (0.0, 0.0)
     assert not rep.generic

@@ -106,6 +106,14 @@ def test_verify_group_file_failure(capsys, tmp_path):
     assert "exceeds tolerance" in err
 
 
+def test_verify_refuses_dependent_torus_basis(capsys, tmp_path):
+    group_file = tmp_path / "group.json"
+    group_file.write_text('{"n": 2, "torus_basis": [[1, -1, 0], [2, -2, 0], [0, 0, 0]], "finite": []}')
+    code, _, err = run_cli(capsys, "verify", "--fixture", "bell", "--group", str(group_file))
+    assert code == 2
+    assert "'torus_basis'" in err
+
+
 def test_verify_needs_a_group_source(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["verify", "--fixture", "bell"])

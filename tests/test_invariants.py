@@ -1,4 +1,5 @@
 import cmath
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -8,6 +9,7 @@ import pytest
 from lusym import (
     DimensionError,
     InputError,
+    PhaseVector,
     PureState,
     Support,
     apply_phase_element,
@@ -73,6 +75,52 @@ def test_monomial_degree_six():
         "1111": (2, 0),
     }
     assert cmath.isclose(evaluate(m, fixture_state("xstate")), 2 / 216, abs_tol=1e-12)
+
+
+def test_circuit_monomials_miss_a_graver_generator():
+    # z = (-1, 1, 1, 1, 1, 1) on these labels is a conformally minimal kernel
+    # vector that is no circuit, so its monomial is an invariant outside the
+    # ring generated by the circuit monomials and the |c_j|^2
+    labels = ["0000", "0001", "0010", "0100", "1000", "1111"]
+    cat = enumerate_circuits(Support.from_labels(labels))
+    relations = {
+        frozenset(zip(c.member_labels, c.relation)) for c in cat.circuits
+    }
+    assert relations == {
+        frozenset({("0000", 1), ("1111", 1)}),
+        frozenset({("0000", 2), ("0001", -1), ("0010", -1), ("0100", -1), ("1000", -1)}),
+        frozenset({("0001", 1), ("0010", 1), ("0100", 1), ("1000", 1), ("1111", 2)}),
+    }
+    z = dict.fromkeys(labels, 1)
+    z["0000"] = -1
+
+    def in_kernel(y):
+        return all(sum(x if lab[k] == "0" else -x for lab, x in y.items()) == 0 for k in range(4))
+
+    # with every |z_j| = 1, the vectors conformal to z are its restrictions
+    conformal = [{lab: z[lab] for lab, keep in zip(labels, bits) if keep}
+                 for bits in itertools.product((0, 1), repeat=len(labels))]
+    assert [y for y in conformal if y and in_kernel(y)] == [z]
+    assert set(labels) not in [set(c.member_labels) for c in cat.circuits]
+
+    mono = InvariantMonomial.from_terms(
+        (lab, max(x, 0), max(-x, 0)) for lab, x in z.items()
+    )
+    assert tuple(mono.bidegree) == (5, 1)
+    rng = random.Random(151)
+    psi = random_state_on(rng, Support.from_labels(labels))
+    value = evaluate(mono, psi)
+    for _ in range(10):
+        phases = PhaseVector.make([F(rng.randrange(360), 360) for _ in range(4)], 0)
+        assert cmath.isclose(evaluate(mono, apply_phase_element(phases, psi)), value, abs_tol=1e-12)
+    # 2z = (0, 1, 1, 1, 1, 2) - (2, -1, -1, -1, -1, 0): its square is a product of
+    # the five-member circuit monomials, one of them conjugated
+    with_0000, with_1111 = sorted(
+        (monomial_from_circuit(c) for c in cat.circuits if len(c.member_labels) == 5),
+        key=lambda m: m.terms[0][0],
+    )
+    square = evaluate(with_0000, psi).conjugate() * evaluate(with_1111, psi)
+    assert cmath.isclose(value**2, square, abs_tol=1e-12)
 
 
 def test_monomial_validation():

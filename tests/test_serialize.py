@@ -1,3 +1,4 @@
+import hashlib
 import json
 import random
 from fractions import Fraction
@@ -120,6 +121,17 @@ def test_group_from_dict_rejects_bool(patch, field):
         group_from_dict(data)
 
 
+# the torus rank is the number of basis directions, so each must count
+@pytest.mark.parametrize(
+    "basis",
+    [[[1, -1, 0], [2, -2, 0], [0, 0, 0]], [[0, 0, 0]], [[1, -1, 0], [-1, 1, 0]], [[1, 0, 1], [0, 1, 1], [1, 1, 2]]],
+    ids=["dependent-and-zero", "zero", "opposite", "sum"],
+)
+def test_group_from_dict_rejects_dependent_torus_basis(basis):
+    with pytest.raises(InputError, match="'torus_basis'"):
+        group_from_dict({"n": 2, "torus_basis": basis, "finite": []})
+
+
 @pytest.mark.parametrize("data", [{"num": True, "den": 2}, {"num": 1, "den": True}], ids=["num", "den"])
 def test_fraction_from_dict_rejects_bool(data):
     with pytest.raises(InputError, match="'num' and 'den'"):
@@ -205,3 +217,29 @@ def test_report_dict_matches_schema(schema_validator):
     for name in fixture_names():
         payload = json.loads(dump_report(analyze(fixture_state(name))))
         schema_validator("report.schema.json", payload)
+
+
+# sha256 of dump_report(analyze(fixture_state(name))) as written by lusym 0.3.0;
+# any change to the report bytes must come with a version bump and new hashes
+REPORT_SHA256 = {
+    "bell": "86012397e1e546d57201edf8b825c0875688686869aa3dff1b1dc4164de14c75",
+    "cluster4a": "2d1be2292401f1e7fdcb1cfa1ef66edcf8104d68fc72a8aa959029a61ba82d3c",
+    "cluster4b": "9dd065b3bc25da056615544be46506dc367e1711c1e436ac83d3361919143cc6",
+    "ghz2": "86012397e1e546d57201edf8b825c0875688686869aa3dff1b1dc4164de14c75",
+    "ghz3": "18a54dab4c2e0f4969f68817636588ed18a1cefbac2811c7d9baafe1223c66cd",
+    "ghz4": "5dbd40d9f134c05fae7278f1e63507d02cf8cf9a74328b47c6d793556fe53b39",
+    "ghz5": "30d6a86e5c1ef3b57c51e5f1e04b3872f74da60d45e3c4f54f9fbb6cde1cd625",
+    "ghz6": "6184679d9bbe9478472bc23579607b139a85208f4d8c0bc3ee6a5996654fd3a6",
+    "w3": "1b8b9cfde33fbcce0b5707ce7d0c55d939412f486ade05ea03cacbe368e1b80d",
+    "w4": "1f997544373063cc4f123002a1c1a99fb6cc621f03cfd9cee6685bad3cf3802f",
+    "w5": "acf3fe1c5d29f8e5d97efae439fa8da35888ba0cdedf64d5d21cb3084934bb3e",
+    "w6": "fb574a53d17fd66b9e16101e9e1b77953487b0c07406d6e9581585972bb27392",
+    "xstate": "26e26fa1df9aa1a13933e97dc1785e1107ba0be80feb90e4cb2b72981034bd01",
+}
+
+
+def test_report_bytes_are_pinned():
+    assert sorted(REPORT_SHA256) == sorted(fixture_names())
+    for name, digest in REPORT_SHA256.items():
+        text = dump_report(analyze(fixture_state(name)))
+        assert hashlib.sha256(text.encode()).hexdigest() == digest, name

@@ -140,7 +140,8 @@ def test_group_member_degenerate_groups():
     assert group_member(triv, PhaseVector.make([1, 2], 3))
     assert not group_member(triv, PhaseVector.make([F(1, 2), 0], 0))
     identity = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
-    full = DiagonalSymmetryGroup(2, 3, identity, (), ())
+    full = DiagonalSymmetryGroup(2, identity, (), ())
+    assert full.torus_rank == 3
     assert group_member(full, PhaseVector.make([F(1, 7), F(3, 5)], F(1, 9)))
 
 
