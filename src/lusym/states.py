@@ -27,7 +27,7 @@ NORM_TOL = 1e-9
 def validate_label(label: str, n: int | None = None) -> str:
     if not isinstance(label, str) or not label:
         raise InputError(f"basis label must be a nonempty bit string, got {label!r}")
-    if any(ch not in "01" for ch in label):
+    if label.strip("01"):  # a character other than 0 and 1 survives the strip
         raise InputError(f"basis label may contain only 0 and 1, got {label!r}")
     if n is not None and len(label) != n:
         raise DimensionError(f"label {label!r} has {len(label)} bits, expected {n}")
@@ -195,14 +195,32 @@ class PhaseVector:
         )
 
 
+def _scaled_numerators(values: Iterable[Fraction | int]) -> tuple[list[int], int]:
+    """Rationals as integer numerators over their common denominator D (the
+    lcm of their denominators): value = numerator / D for each entry."""
+    vals = list(values)
+    d = math.lcm(*(x.denominator for x in vals))
+    return [x.numerator * (d // x.denominator) for x in vals], d
+
+
 def apply_phase_element(g: PhaseVector, psi: PureState) -> PureState:
-    """Apply a diagonal phase element to a state; norm-preserving by construction."""
+    """Apply a diagonal phase element to a state; norm-preserving by construction.
+
+    The turn of each label is summed exactly as an integer t over the element's
+    common denominator d. The float (t % d) / d is the correctly rounded value
+    of the reduced turn, so the result equals evaluating `phase_turn` exactly.
+    """
     if g.n != psi.n:
         raise DimensionError(f"phase element is on {g.n} qubits, state on {psi.n}")
+    nums, d = _scaled_numerators(g.as_tuple())
+    phis = nums[:-1]
+    # sum_k phi_k (-1)^{s_k} + theta = (sum_k phi_k + theta) - 2 sum_{k: s_k = 1} phi_k
+    base = sum(nums)
     out = {}
     for label, c in psi.amplitudes.items():
-        turn = g.phase_turn(label) % 1
-        out[label] = c * cmath.exp(2j * math.pi * float(turn))
+        validate_label(label, g.n)
+        t = base - 2 * sum(p for p, ch in zip(phis, label) if ch == "1")
+        out[label] = c * cmath.exp(2j * math.pi * ((t % d) / d))
     return PureState(psi.n, out)
 
 

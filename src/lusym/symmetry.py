@@ -8,15 +8,15 @@ part, the finite invariant factors, and exact rational generators.
 
 from __future__ import annotations
 
-import math
 import random
+from operator import mul
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
 from .errors import DimensionError, InternalError
 from .exactlinalg import IntMatrix, normalize_int_vector, smith_normal_form
-from .states import PhaseVector, Support, weight_vector
+from .states import PhaseVector, Support, _scaled_numerators, weight_vector
 
 HALF = Fraction(1, 2)
 
@@ -68,24 +68,16 @@ class DiagonalSymmetryGroup:
         return cls(n=n, torus_basis=(), finite_factors=(), finite_generators=())
 
 
-def _lex_normalized_generator(g: PhaseVector) -> PhaseVector:
-    """Pick the lexicographically smaller of a generator and its inverse.
-
-    Both generate the same cyclic factor; fixing the choice makes solver
-    output deterministic across runs.
-    """
-    fwd = g.reduced()
-    inv = g.inverse()
-    return fwd if fwd.as_tuple() <= inv.as_tuple() else inv
-
-
 def solve_symmetry_group(support: Support) -> DiagonalSymmetryGroup:
     """Solve the phase-fixing system of a support.
 
     With M the (n+1)-column sign matrix, the group is {x : M x = 0 mod 1}.
     Writing u M v = d in Smith form, the kernel columns of v span the torus
     part and each invariant factor d_i > 1 contributes a finite cyclic factor
-    generated by (column i of v) / d_i.
+    generated by (column i of v) / d_i. Of that generator and its inverse,
+    both reduced to [0, 1) turns, the lexicographically smaller is kept, so
+    the output is deterministic; over the shared denominator d_i that is the
+    smaller tuple of numerators.
     """
     rows = sign_rows(support)
     dec = smith_normal_form(IntMatrix(rows))
@@ -102,10 +94,10 @@ def solve_symmetry_group(support: Support) -> DiagonalSymmetryGroup:
         if d <= 1:
             continue
         col = dec.v.column(j)
-        vec = [Fraction(x, d) for x in col]
-        gen = _lex_normalized_generator(PhaseVector(tuple(vec[:-1]), vec[-1]))
+        nums = min(tuple(x % d for x in col), tuple(-x % d for x in col))
+        vec = [Fraction(x, d) for x in nums]
         finite_factors.append(d)
-        finite_generators.append(gen)
+        finite_generators.append(PhaseVector(tuple(vec[:-1]), vec[-1]))
 
     group = DiagonalSymmetryGroup(
         n=support.n,
@@ -122,9 +114,8 @@ def _integral(rows: Sequence[Sequence[int]], vec: Sequence[Fraction | int]) -> b
 
     With h = D * vec for D the lcm of vec's denominators, that is row . h = 0 mod D.
     """
-    d = math.lcm(*(x.denominator for x in vec))
-    h = [int(x * d) for x in vec]
-    return all(sum(a * b for a, b in zip(row, h)) % d == 0 for row in rows)
+    h, d = _scaled_numerators(vec)
+    return all(sum(map(mul, row, h)) % d == 0 for row in rows)
 
 
 def _annihilated_by(rows: Sequence[Sequence[int]], group: DiagonalSymmetryGroup) -> bool:
@@ -134,7 +125,7 @@ def _annihilated_by(rows: Sequence[Sequence[int]], group: DiagonalSymmetryGroup)
     a whole number of turns.
     """
     return all(
-        sum(a * b for a, b in zip(row, vec)) == 0 for row in rows for vec in group.torus_basis
+        sum(map(mul, row, vec)) == 0 for row in rows for vec in group.torus_basis
     ) and all(_integral(rows, gen.as_tuple()) for gen in group.finite_generators)
 
 
@@ -154,13 +145,11 @@ def character_rows(group: DiagonalSymmetryGroup) -> tuple[tuple[int, ...], ...]:
     is read off one Smith decomposition.
     """
     n1 = group.n + 1
-    gens = [gen.as_tuple() for gen in group.finite_generators]
-    k = len(gens)
-    d = math.lcm(*(x.denominator for gen in gens for x in gen))
+    k = len(group.finite_generators)
+    h, d = _scaled_numerators(x for gen in group.finite_generators for x in gen.as_tuple())
     columns = [list(vec) + [0] * k for vec in group.torus_basis]
     columns += [
-        [int(x * d) for x in gen] + [d if i == j else 0 for i in range(k)]
-        for j, gen in enumerate(gens)
+        h[j * n1 : (j + 1) * n1] + [d if i == j else 0 for i in range(k)] for j in range(k)
     ]
     if not columns:
         return IntMatrix.identity(n1).row_tuples()
@@ -228,13 +217,16 @@ def qubit_action_profile(support: Support, group: DiagonalSymmetryGroup) -> Qubi
 
 def torus_point(group: DiagonalSymmetryGroup, rng: random.Random, denominator: int) -> PhaseVector:
     """A random rational point of the torus part: each basis direction times
-    its own draw k/denominator, in basis order, reduced to [0, 1) turns."""
-    total = [Fraction(0)] * (group.n + 1)
+    its own draw k/denominator, in basis order, reduced to [0, 1) turns.
+
+    The sum is taken over integers, as numerators of the shared denominator."""
+    total = [0] * (group.n + 1)
     for vec in group.torus_basis:
-        s = Fraction(rng.randrange(denominator), denominator)
+        k = rng.randrange(denominator)
         for i, x in enumerate(vec):
-            total[i] += s * x
-    return PhaseVector(tuple(x % 1 for x in total[:-1]), total[-1] % 1)
+            total[i] += k * x
+    point = [Fraction(x % denominator, denominator) for x in total]
+    return PhaseVector(tuple(point[:-1]), point[-1])
 
 
 def random_element(

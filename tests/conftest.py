@@ -33,6 +33,20 @@ def random_support(rng: random.Random, n: int, max_labels: int, min_labels: int 
     return Support.from_labels(rng.sample(all_labels(n), size))
 
 
+def random_coset_support(rng: random.Random, n: int, dim: int) -> Support:
+    """One coset x ^ F of a random dim-dimensional flip subgroup F of GF(2)^n:
+    2^dim labels with a large torus and 2^dim stabilizer masks."""
+    while True:
+        span = {0}
+        for _ in range(dim):
+            m = rng.getrandbits(n)
+            span |= {s ^ m for s in span}
+        if len(span) == 2**dim:
+            break
+    x = rng.getrandbits(n)
+    return Support.from_labels(format(x ^ s, f"0{n}b") for s in span)
+
+
 def random_state_on(rng: random.Random, support: Support) -> PureState:
     """Generic complex amplitudes on the given support, normalized, with every
     modulus bounded away from zero so genericity assumptions hold."""

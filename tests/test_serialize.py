@@ -34,7 +34,7 @@ from lusym.serialize import (
     state_to_dict,
 )
 
-from conftest import random_state_on, random_support
+from conftest import random_coset_support, random_state_on, random_support
 
 F = Fraction
 
@@ -243,3 +243,27 @@ def test_report_bytes_are_pinned():
     for name, digest in REPORT_SHA256.items():
         text = dump_report(analyze(fixture_state(name)))
         assert hashlib.sha256(text.encode()).hexdigest() == digest, name
+
+
+# sha256 of dump_report for seeded states beyond the fixtures, written by lusym
+# 0.3.0: cosets with a torus of rank 7 and 8, and random supports whose groups
+# have eight and nine finite factors. Built with the conftest helpers, so a
+# change to those helpers changes the inputs and fails this test too.
+SEEDED_REPORT_SHA256 = {
+    ("coset", 1, 10, 2): "5ef66a5be62957ae827da7163aa22125869e35973592a9a4e393432c58e1b932",
+    ("coset", 2, 12, 3): "51f348999071f4f4333e95a1e546373c81d732542b335b1a74e08d7f2b5580b7",
+    ("random", 5, 8, 12): "283a441960798d98f34413cedb9b2722e1018f1c3775b746b8f82c68c06156b7",
+    ("random", 6, 9, 13): "001ccd72fa59483ade0c07b8540508bd646aa10214eb8c6fd64e02785388e1ea",
+}
+
+
+@pytest.mark.parametrize("kind, seed, n, size", sorted(SEEDED_REPORT_SHA256))
+def test_seeded_report_bytes_are_pinned(kind, seed, n, size):
+    rng = random.Random(seed)
+    if kind == "coset":
+        support = random_coset_support(rng, n, size)
+    else:
+        support = random_support(rng, n, size, min_labels=size)
+    text = dump_report(analyze(random_state_on(rng, support)))
+    digest = SEEDED_REPORT_SHA256[kind, seed, n, size]
+    assert hashlib.sha256(text.encode()).hexdigest() == digest

@@ -14,10 +14,12 @@ from lusym import (
     Support,
     apply_phase_element,
     reduced_density_matrix,
+    solve_symmetry_group,
 )
 from lusym.states import label_int, validate_label, weight_vector, xor_labels
+from lusym.symmetry import random_element, torus_point
 
-from conftest import random_state_on, random_support
+from conftest import random_coset_support, random_state_on, random_support
 
 
 def test_label_helpers():
@@ -115,6 +117,86 @@ def test_apply_phase_element_properties():
         rhs = apply_phase_element(g.compose(h), psi)
         for lab in sup.labels:
             assert cmath.isclose(lhs.amplitude(lab), rhs.amplitude(lab), abs_tol=1e-12)
+
+
+def _applied_by_phase_turn(g, psi):
+    """The reference: each label's exact turn, reduced to [0, 1), then exp."""
+    return {
+        lab: c * cmath.exp(2j * math.pi * float(g.phase_turn(lab) % 1))
+        for lab, c in psi.amplitudes.items()
+    }
+
+
+# 2**20 is the torus sampling denominator; the last two exceed 2**64, where a
+# float of the numerator alone no longer holds it exactly
+DENOMINATORS = (1, 2, 3, 7, 24, 2**20, 3 * 2**20, 2**64 + 13, 2**70 - 1)
+
+
+def _mixed_element(rng, n):
+    """Entries in [-3, 3) turns, each over its own denominator."""
+
+    def turn():
+        den = rng.choice(DENOMINATORS)
+        return Fraction(rng.randrange(-3 * den, 3 * den), den)
+
+    return PhaseVector.make([turn() for _ in range(n)], turn())
+
+
+def test_apply_phase_element_is_bit_exact():
+    rng = random.Random(71)
+    elements = []
+    finite = 0
+    for _ in range(40):
+        sup = random_support(rng, rng.randint(1, 6), 10)
+        elements.append((_mixed_element(rng, sup.n), random_state_on(rng, sup)))
+    for _ in range(20):
+        if rng.random() < 0.5:
+            sup = random_coset_support(rng, rng.randint(4, 9), rng.randint(1, 3))
+        else:
+            sup = random_support(rng, rng.randint(2, 8), 12, min_labels=4)
+        g = solve_symmetry_group(sup)
+        psi = random_state_on(rng, sup)
+        elements += [(gen, psi) for gen in g.finite_generators]
+        finite += len(g.finite_generators)
+        elements += [(torus_point(g, rng, 2**20), psi), (random_element(g, rng), psi)]
+    entries = [x for g, _ in elements for x in g.as_tuple()]
+    assert any(x < 0 for x in entries) and any(x >= 1 for x in entries)
+    assert any(x.denominator > 2**64 for x in entries)
+    assert finite > 0
+    for g, psi in elements:
+        assert apply_phase_element(g, psi).amplitudes == _applied_by_phase_turn(g, psi)
+
+
+def _torus_point_by_fractions(group, rng, denominator):
+    """torus_point as Fraction arithmetic on the same draws."""
+    total = [Fraction(0)] * (group.n + 1)
+    for vec in group.torus_basis:
+        s = Fraction(rng.randrange(denominator), denominator)
+        total = [t + s * x for t, x in zip(total, vec)]
+    return PhaseVector.make([x % 1 for x in total[:-1]], total[-1] % 1)
+
+
+def test_torus_point_matches_fraction_accumulation():
+    rng = random.Random(73)
+    for s in range(40):
+        if s % 2:
+            sup = random_coset_support(rng, rng.randint(4, 12), rng.randint(1, 3))
+        else:
+            sup = random_support(rng, rng.randint(1, 8), 8)
+        g = solve_symmetry_group(sup)
+        point = torus_point(g, random.Random(s), 2**20)
+        assert point == _torus_point_by_fractions(g, random.Random(s), 2**20)
+        assert all(0 <= x < 1 for x in point.as_tuple())
+
+
+def test_apply_phase_element_checks_labels():
+    g = PhaseVector.make([Fraction(1, 4), 0], 0)
+    # built directly, so the labels were never validated
+    with pytest.raises(DimensionError):
+        apply_phase_element(g, PureState(2, {"0": 1.0}))
+    with pytest.raises(InputError) as excinfo:
+        apply_phase_element(g, PureState(2, {"0a": 1.0}))
+    assert excinfo.type is InputError
 
 
 def test_rdm_product_state():
