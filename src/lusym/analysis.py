@@ -68,9 +68,9 @@ def _worst(deviations: list[float]) -> float:
     return max(deviations, default=0.0)
 
 
-def _deviation(a: PureState, b: PureState) -> float:
-    labels = sorted(set(a.amplitudes) | set(b.amplitudes))
-    return _worst([abs(a.amplitude(lab) - b.amplitude(lab)) for lab in labels])
+def _deviation(psi: PureState, moved: PureState) -> float:
+    # a phase element keeps psi's labels, so moved has exactly those labels
+    return _worst([abs(c - moved.amplitudes[lab]) for lab, c in psi.amplitudes.items()])
 
 
 def require_normalized(psi: PureState, tol: float) -> None:
@@ -185,14 +185,16 @@ def compare_strata(support_a: Support, support_b: Support) -> str:
 
     A smaller symmetry group means a more generic stratum whose closure
     contains the strata of larger groups. G_a lies in G_b exactly when the sign
-    rows of support b send all of G_a to integers.
+    rows of support b send all of G_a to integers. A solved group fixes its own
+    support's labels, so only the rows of labels outside that support are tested.
     """
     if support_a.n != support_b.n:
         raise DimensionError("supports live on different qubit counts")
     ga = solve_symmetry_group(support_a)
     gb = solve_symmetry_group(support_b)
-    a_in_b = _annihilated_by(sign_rows(support_b), ga)
-    b_in_a = _annihilated_by(sign_rows(support_a), gb)
+    labels_a, labels_b = set(support_a.labels), set(support_b.labels)
+    a_in_b = _annihilated_by(sign_rows(lab for lab in support_b if lab not in labels_a), ga)
+    b_in_a = _annihilated_by(sign_rows(lab for lab in support_a if lab not in labels_b), gb)
     if a_in_b and b_in_a:
         return STRATA_EQUAL
     if a_in_b:

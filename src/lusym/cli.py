@@ -127,8 +127,8 @@ def cmd_analyze(args: argparse.Namespace) -> int:
           f"theta {'continuous' if g.theta_continuous else 'discrete'}")
     for vec in g.torus_basis:
         print(f"  torus direction {list(vec)}")
-    for d, gen in zip(g.finite_factors, g.finite_generators):
-        print(f"  finite generator of order {d}: phis {[str(p) for p in gen.phis]}, theta {gen.theta}")
+    for gen in g.finite_generators:
+        print(f"  finite generator of order {gen.den}: phis {[str(p) for p in gen.phis]}, theta {gen.theta}")
     trivial = [str(k + 1) for k, t in enumerate(report.normalizer.profile.trivial) if t]
     print(f"qubits acted on only by signs: {', '.join(trivial) if trivial else 'none'}")
     print(f"circuits ({len(report.catalog.circuits)}), semistable: {report.catalog.semistable}")

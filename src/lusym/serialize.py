@@ -126,9 +126,8 @@ def phase_vector_from_dict(data: Mapping) -> PhaseVector:
     _require("phis" in data and "theta" in data, "phase element needs 'phis' and 'theta'")
     phis = data["phis"]
     _require(isinstance(phis, list) and phis, "'phis' must be a nonempty list")
-    return PhaseVector(
-        tuple(fraction_from_dict(p) for p in phis),
-        fraction_from_dict(data["theta"]),
+    return PhaseVector.make(
+        [fraction_from_dict(p) for p in phis], fraction_from_dict(data["theta"])
     )
 
 
@@ -137,8 +136,8 @@ def group_to_dict(group: DiagonalSymmetryGroup) -> dict:
         "n": group.n,
         "torus_basis": [list(vec) for vec in group.torus_basis],
         "finite": [
-            {"order": d, "generator": phase_vector_to_dict(g)}
-            for d, g in zip(group.finite_factors, group.finite_generators)
+            {"order": g.den, "generator": phase_vector_to_dict(g)}
+            for g in group.finite_generators
         ],
     }
 
@@ -160,7 +159,6 @@ def group_from_dict(data: Mapping) -> DiagonalSymmetryGroup:
         not basis or rational_rank(IntMatrix(basis)) == len(basis),
         "'torus_basis' vectors must be nonzero and linearly independent",
     )
-    factors = []
     gens = []
     for item in data["finite"]:
         _require(isinstance(item, Mapping) and "order" in item and "generator" in item,
@@ -169,19 +167,9 @@ def group_from_dict(data: Mapping) -> DiagonalSymmetryGroup:
         _require(_is_int(order) and order >= 2, f"finite order must be >= 2, got {order!r}")
         gen = phase_vector_from_dict(item["generator"])
         _require(gen.n == n, "finite generator qubit count does not match n")
-        for x in gen.as_tuple():
-            _require(
-                (order * x) % 1 == 0,
-                f"generator entry {x} times order {order} is not a whole number of turns",
-            )
-        factors.append(order)
+        _require(order == gen.den, f"finite 'order' {order} is not the generator's exact order {gen.den}")
         gens.append(gen)
-    return DiagonalSymmetryGroup(
-        n=n,
-        torus_basis=tuple(basis),
-        finite_factors=tuple(factors),
-        finite_generators=tuple(gens),
-    )
+    return DiagonalSymmetryGroup(n=n, torus_basis=tuple(basis), finite_generators=tuple(gens))
 
 
 def dump_group(group: DiagonalSymmetryGroup) -> str:

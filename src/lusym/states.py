@@ -145,62 +145,76 @@ class PhaseVector:
     """A diagonal phase element: per-qubit turns phi_1..phi_n plus a global turn theta.
 
     The unitary it denotes multiplies the amplitude of label s by
-    exp(2*pi*i * (sum_k phi_k * (-1)^{s_k} + theta)). All entries are exact
-    Fractions of a turn.
+    exp(2*pi*i * (sum_k phi_k * (-1)^{s_k} + theta)). The turns are stored
+    exactly, as integer numerators nums = (phi_1..phi_n, theta) over one
+    denominator den >= 1 with gcd(den, *nums) = 1, so equal elements are equal
+    objects and den is the element's order in the torus.
     """
 
-    phis: tuple[Fraction, ...]
-    theta: Fraction
+    nums: tuple[int, ...]
+    den: int
+
+    def __post_init__(self) -> None:
+        if self.den < 1 or math.gcd(self.den, *self.nums) != 1:
+            raise InputError(f"phase numerators {self.nums} over {self.den} are not in lowest terms")
 
     @property
     def n(self) -> int:
-        return len(self.phis)
+        return len(self.nums) - 1
+
+    @property
+    def phis(self) -> tuple[Fraction, ...]:
+        return self.as_tuple()[:-1]
+
+    @property
+    def theta(self) -> Fraction:
+        return Fraction(self.nums[-1], self.den)
 
     @classmethod
     def make(cls, phis: Iterable[Fraction | int], theta: Fraction | int) -> "PhaseVector":
-        return cls(tuple(Fraction(p) for p in phis), Fraction(theta))
+        vals = [Fraction(p) for p in phis] + [Fraction(theta)]
+        # over the lcm of reduced denominators the numerators share no factor with it
+        den = math.lcm(*(x.denominator for x in vals))
+        return cls(tuple(x.numerator * (den // x.denominator) for x in vals), den)
+
+    @classmethod
+    def from_numerators(cls, nums: Iterable[int], den: int) -> "PhaseVector":
+        """The element with turns nums[i] / den, each reduced to [0, 1)."""
+        reduced = [x % den for x in nums]
+        common = math.gcd(den, *reduced)
+        return cls(tuple(x // common for x in reduced), den // common)
 
     def as_tuple(self) -> tuple[Fraction, ...]:
-        return self.phis + (self.theta,)
+        return tuple(Fraction(x, self.den) for x in self.nums)
 
     def phase_turn(self, label: str) -> Fraction:
         """Exact phase in turns contributed to the given basis label."""
         validate_label(label, self.n)
-        total = self.theta
-        for phi, sign in zip(self.phis, weight_vector(label)):
-            total += phi * sign
-        return total
+        signs = weight_vector(label) + (1,)
+        return Fraction(sum(x * sign for x, sign in zip(self.nums, signs)), self.den)
 
     def reduced(self) -> "PhaseVector":
-        return PhaseVector(tuple(p % 1 for p in self.phis), self.theta % 1)
+        return PhaseVector.from_numerators(self.nums, self.den)
 
     def compose(self, other: "PhaseVector") -> "PhaseVector":
         if other.n != self.n:
             raise DimensionError("cannot compose phase elements on different qubit counts")
-        return PhaseVector(
-            tuple((a + b) % 1 for a, b in zip(self.phis, other.phis)),
-            (self.theta + other.theta) % 1,
+        den = math.lcm(self.den, other.den)
+        a, b = den // self.den, den // other.den
+        return PhaseVector.from_numerators(
+            (x * a + y * b for x, y in zip(self.nums, other.nums)), den
         )
 
     def inverse(self) -> "PhaseVector":
-        return PhaseVector(tuple((-p) % 1 for p in self.phis), (-self.theta) % 1)
+        return PhaseVector.from_numerators((-x for x in self.nums), self.den)
 
     def negated_on(self, mask: str) -> "PhaseVector":
         """Conjugated element under bit flips at the masked qubits: those phis
         change sign, theta is unchanged."""
         validate_label(mask, self.n)
-        return PhaseVector(
-            tuple((-p) % 1 if m == "1" else p % 1 for p, m in zip(self.phis, mask)),
-            self.theta % 1,
+        return PhaseVector.from_numerators(
+            (-x if m == "1" else x for x, m in zip(self.nums, mask + "0")), self.den
         )
-
-
-def _scaled_numerators(values: Iterable[Fraction | int]) -> tuple[list[int], int]:
-    """Rationals as integer numerators over their common denominator D (the
-    lcm of their denominators): value = numerator / D for each entry."""
-    vals = list(values)
-    d = math.lcm(*(x.denominator for x in vals))
-    return [x.numerator * (d // x.denominator) for x in vals], d
 
 
 def apply_phase_element(g: PhaseVector, psi: PureState) -> PureState:
@@ -212,7 +226,7 @@ def apply_phase_element(g: PhaseVector, psi: PureState) -> PureState:
     """
     if g.n != psi.n:
         raise DimensionError(f"phase element is on {g.n} qubits, state on {psi.n}")
-    nums, d = _scaled_numerators(g.as_tuple())
+    nums, d = g.nums, g.den
     phis = nums[:-1]
     # sum_k phi_k (-1)^{s_k} + theta = (sum_k phi_k + theta) - 2 sum_{k: s_k = 1} phi_k
     base = sum(nums)

@@ -8,22 +8,21 @@ part, the finite invariant factors, and exact rational generators.
 
 from __future__ import annotations
 
+import math
 import random
 from operator import mul
 from dataclasses import dataclass
-from fractions import Fraction
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from .errors import DimensionError, InternalError
 from .exactlinalg import IntMatrix, normalize_int_vector, smith_normal_form
-from .states import PhaseVector, Support, _scaled_numerators, weight_vector
-
-HALF = Fraction(1, 2)
+from .states import PhaseVector, Support, weight_vector
 
 
-def sign_rows(support: Support) -> tuple[tuple[int, ...], ...]:
-    """Sign matrix of a support: one row ((-1)^{s_1}, ..., (-1)^{s_n}, 1) per label."""
-    return tuple(weight_vector(label) + (1,) for label in support.labels)
+def sign_rows(labels: Iterable[str]) -> tuple[tuple[int, ...], ...]:
+    """Sign matrix of a support or any labels: one row ((-1)^{s_1}, ..., (-1)^{s_n}, 1)
+    per label, in iteration order."""
+    return tuple(weight_vector(label) + (1,) for label in labels)
 
 
 @dataclass(frozen=True)
@@ -33,17 +32,15 @@ class DiagonalSymmetryGroup:
     The group is (torus part) x (finite part): real multiples of the integer
     torus_basis directions, plus the finite cyclic factors generated by the
     rational finite_generators, all taken modulo whole turns. The torus_basis
-    directions are linearly independent, so the torus rank is their count.
+    directions are linearly independent, so the torus rank is their count, and
+    each generator's order is its denominator.
     """
 
     n: int
     torus_basis: tuple[tuple[int, ...], ...]
-    finite_factors: tuple[int, ...]
     finite_generators: tuple[PhaseVector, ...]
 
     def __post_init__(self) -> None:
-        if len(self.finite_factors) != len(self.finite_generators):
-            raise InternalError("finite factors and generators out of step")
         for vec in self.torus_basis:
             if len(vec) != self.n + 1:
                 raise DimensionError("torus basis vectors must have n+1 entries")
@@ -57,15 +54,16 @@ class DiagonalSymmetryGroup:
         return any(vec[-1] != 0 for vec in self.torus_basis)
 
     @property
+    def finite_factors(self) -> tuple[int, ...]:
+        return tuple(gen.den for gen in self.finite_generators)
+
+    @property
     def finite_order(self) -> int:
-        order = 1
-        for d in self.finite_factors:
-            order *= d
-        return order
+        return math.prod(self.finite_factors)
 
     @classmethod
     def trivial(cls, n: int) -> "DiagonalSymmetryGroup":
-        return cls(n=n, torus_basis=(), finite_factors=(), finite_generators=())
+        return cls(n=n, torus_basis=(), finite_generators=())
 
 
 def solve_symmetry_group(support: Support) -> DiagonalSymmetryGroup:
@@ -77,7 +75,8 @@ def solve_symmetry_group(support: Support) -> DiagonalSymmetryGroup:
     generated by (column i of v) / d_i. Of that generator and its inverse,
     both reduced to [0, 1) turns, the lexicographically smaller is kept, so
     the output is deterministic; over the shared denominator d_i that is the
-    smaller tuple of numerators.
+    smaller tuple of numerators. Column i of the unimodular v is primitive, so
+    d_i is the generator's lowest-terms denominator.
     """
     rows = sign_rows(support)
     dec = smith_normal_form(IntMatrix(rows))
@@ -88,34 +87,27 @@ def solve_symmetry_group(support: Support) -> DiagonalSymmetryGroup:
     torus_basis = tuple(
         normalize_int_vector(dec.v.column(j)) for j in range(r, n1)
     )
-    finite_factors = []
     finite_generators = []
     for j, d in enumerate(factors_all):
         if d <= 1:
             continue
         col = dec.v.column(j)
         nums = min(tuple(x % d for x in col), tuple(-x % d for x in col))
-        vec = [Fraction(x, d) for x in nums]
-        finite_factors.append(d)
-        finite_generators.append(PhaseVector(tuple(vec[:-1]), vec[-1]))
+        finite_generators.append(PhaseVector(nums, d))
 
     group = DiagonalSymmetryGroup(
-        n=support.n,
-        torus_basis=torus_basis,
-        finite_factors=tuple(finite_factors),
-        finite_generators=tuple(finite_generators),
+        n=support.n, torus_basis=torus_basis, finite_generators=tuple(finite_generators)
     )
     _check_solution(rows, group)
     return group
 
 
-def _integral(rows: Sequence[Sequence[int]], vec: Sequence[Fraction | int]) -> bool:
-    """Does every integer row send the rational vector to an integer?
+def _integral(rows: Sequence[Sequence[int]], g: PhaseVector) -> bool:
+    """Does every integer row send the phase element to a whole number of turns?
 
-    With h = D * vec for D the lcm of vec's denominators, that is row . h = 0 mod D.
+    Over the element's numerators that is row . nums = 0 mod den.
     """
-    h, d = _scaled_numerators(vec)
-    return all(sum(map(mul, row, h)) % d == 0 for row in rows)
+    return all(sum(map(mul, row, g.nums)) % g.den == 0 for row in rows)
 
 
 def _annihilated_by(rows: Sequence[Sequence[int]], group: DiagonalSymmetryGroup) -> bool:
@@ -126,7 +118,7 @@ def _annihilated_by(rows: Sequence[Sequence[int]], group: DiagonalSymmetryGroup)
     """
     return all(
         sum(map(mul, row, vec)) == 0 for row in rows for vec in group.torus_basis
-    ) and all(_integral(rows, gen.as_tuple()) for gen in group.finite_generators)
+    ) and all(_integral(rows, gen) for gen in group.finite_generators)
 
 
 def _check_solution(rows: Sequence[Sequence[int]], group: DiagonalSymmetryGroup) -> None:
@@ -140,16 +132,16 @@ def character_rows(group: DiagonalSymmetryGroup) -> tuple[tuple[int, ...], ...]:
 
     The group is the set of x that every such row sends to an integer. The rows
     are the first n+1 coordinates of the integer left kernel of
-    [[T, D*G], [0, D*I]], where T holds the torus directions as columns and D*G
-    the finite generators scaled by the lcm D of their denominators; the kernel
+    [[T, N], [0, diag(den)]], where T holds the torus directions as columns and
+    N the finite generators' numerators over their denominators den; the kernel
     is read off one Smith decomposition.
     """
     n1 = group.n + 1
-    k = len(group.finite_generators)
-    h, d = _scaled_numerators(x for gen in group.finite_generators for x in gen.as_tuple())
-    columns = [list(vec) + [0] * k for vec in group.torus_basis]
+    gens = group.finite_generators
+    columns = [list(vec) + [0] * len(gens) for vec in group.torus_basis]
     columns += [
-        h[j * n1 : (j + 1) * n1] + [d if i == j else 0 for i in range(k)] for j in range(k)
+        list(gen.nums) + [gen.den if i == j else 0 for i in range(len(gens))]
+        for j, gen in enumerate(gens)
     ]
     if not columns:
         return IntMatrix.identity(n1).row_tuples()
@@ -161,7 +153,7 @@ def group_member(group: DiagonalSymmetryGroup, element: PhaseVector) -> bool:
     """Exact membership of a rational phase element in the group."""
     if element.n != group.n:
         raise DimensionError(f"element on {element.n} qubits, group on {group.n}")
-    return _integral(character_rows(group), element.as_tuple())
+    return _integral(character_rows(group), element)
 
 
 def group_contains(h1: DiagonalSymmetryGroup, h2: DiagonalSymmetryGroup) -> bool:
@@ -197,7 +189,7 @@ def qubit_action_profile(support: Support, group: DiagonalSymmetryGroup) -> Qubi
     label_set = set(support.labels)
     for k in range(n):
         torus_fixed = all(vec[k] == 0 for vec in group.torus_basis)
-        gens_half = all(gen.phis[k] % 1 in (0, HALF) for gen in group.finite_generators)
+        gens_half = all(2 * gen.nums[k] % gen.den == 0 for gen in group.finite_generators)
         is_trivial = torus_fixed and gens_half
         witness = None
         for label in support.labels:
@@ -225,8 +217,7 @@ def torus_point(group: DiagonalSymmetryGroup, rng: random.Random, denominator: i
         k = rng.randrange(denominator)
         for i, x in enumerate(vec):
             total[i] += k * x
-    point = [Fraction(x % denominator, denominator) for x in total]
-    return PhaseVector(tuple(point[:-1]), point[-1])
+    return PhaseVector.from_numerators(total, denominator)
 
 
 def random_element(
@@ -234,10 +225,8 @@ def random_element(
 ) -> PhaseVector:
     """A random exact-rational element: random integer powers of the finite
     generators plus a random rational point of the torus part."""
-    total = list(torus_point(group, rng, denominator).as_tuple())
-    for d, gen in zip(group.finite_factors, group.finite_generators):
-        a = rng.randrange(d)
-        for i, x in enumerate(gen.as_tuple()):
-            total[i] += a * x
-    total = [x % 1 for x in total]
-    return PhaseVector(tuple(total[:-1]), total[-1])
+    element = torus_point(group, rng, denominator)
+    for gen in group.finite_generators:
+        a = rng.randrange(gen.den)
+        element = element.compose(PhaseVector.from_numerators((a * x for x in gen.nums), gen.den))
+    return element

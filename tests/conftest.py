@@ -70,7 +70,6 @@ def conjugate(group: DiagonalSymmetryGroup, mask: str) -> DiagonalSymmetryGroup:
         torus_basis=tuple(
             tuple(-x if f else x for x, f in zip(vec, flip)) for vec in group.torus_basis
         ),
-        finite_factors=group.finite_factors,
         finite_generators=tuple(gen.negated_on(mask) for gen in group.finite_generators),
     )
 

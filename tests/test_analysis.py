@@ -169,11 +169,16 @@ def test_compare_strata_consistent_with_groups():
     rng = random.Random(127)
     from lusym import group_contains
 
+    pairs = []
     for _ in range(40):
         n = rng.randint(2, 4)
-        sa = random_support(rng, n, 6)
-        sb = random_support(rng, n, 6)
+        sa, sb = random_support(rng, n, 6), random_support(rng, n, 6)
+        nested = Support.from_labels(set(sa.labels) | set(sb.labels))
+        pairs += [(sa, sb), (sa, nested), (nested, sb), (sa, sa)]
+    kinds = set()
+    for sa, sb in pairs:
         verdict = compare_strata(sa, sb)
+        kinds.add(verdict)
         ga = solve_symmetry_group(sa)
         gb = solve_symmetry_group(sb)
         a_in_b = group_contains(gb, ga)
@@ -185,3 +190,6 @@ def test_compare_strata_consistent_with_groups():
             (False, False): STRATA_INCOMPARABLE,
         }[(a_in_b, b_in_a)]
         assert verdict == expected
+    assert kinds == {
+        STRATA_EQUAL, STRATA_A_CLOSURE_CONTAINS_B, STRATA_B_CLOSURE_CONTAINS_A, STRATA_INCOMPARABLE
+    }

@@ -114,6 +114,16 @@ def test_verify_refuses_dependent_torus_basis(capsys, tmp_path):
     assert "'torus_basis'" in err
 
 
+def test_verify_refuses_wrong_finite_order(capsys, tmp_path):
+    group = json.loads(dump_group(solve_symmetry_group(Support.from_labels(["00", "11"]))))
+    group["finite"][0]["order"] = 4  # the generator is a half turn, of order 2
+    group_file = tmp_path / "group.json"
+    group_file.write_text(json.dumps(group))
+    code, _, err = run_cli(capsys, "verify", "--fixture", "bell", "--group", str(group_file))
+    assert code == 2
+    assert "'order'" in err
+
+
 def test_verify_needs_a_group_source(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["verify", "--fixture", "bell"])

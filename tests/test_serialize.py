@@ -180,11 +180,14 @@ def test_load_group_validation():
     bad["finite"] = [{"order": 1, "generator": data["finite"][0]["generator"]}]
     with pytest.raises(InputError):
         group_from_dict(bad)
-    bad = dict(data)
-    # order times entry must be integral: 3 * 1/2 is not
-    bad["finite"] = [{"order": 3, "generator": data["finite"][0]["generator"]}]
-    with pytest.raises(InputError):
-        group_from_dict(bad)
+    half_turn = data["finite"][0]["generator"]
+    zero = {"phis": [{"num": 0, "den": 1}] * 2, "theta": {"num": 0, "den": 1}}
+    # the order must be the generator's exact order: 2 for the half turn, 1 for zero
+    for order, gen in [(3, half_turn), (4, half_turn), (2, zero)]:
+        bad = dict(data)
+        bad["finite"] = [{"order": order, "generator": gen}]
+        with pytest.raises(InputError, match="'order'"):
+            group_from_dict(bad)
     with pytest.raises(InputError):
         load_group("[]")
 

@@ -132,14 +132,19 @@ def _applied_by_phase_turn(g, psi):
 DENOMINATORS = (1, 2, 3, 7, 24, 2**20, 3 * 2**20, 2**64 + 13, 2**70 - 1)
 
 
-def _mixed_element(rng, n):
-    """Entries in [-3, 3) turns, each over its own denominator."""
+def _mixed_turns(rng, n):
+    """n + 1 turns in [-3, 3), each over its own denominator."""
 
     def turn():
         den = rng.choice(DENOMINATORS)
         return Fraction(rng.randrange(-3 * den, 3 * den), den)
 
-    return PhaseVector.make([turn() for _ in range(n)], turn())
+    return [turn() for _ in range(n + 1)]
+
+
+def _mixed_element(rng, n):
+    *phis, theta = _mixed_turns(rng, n)
+    return PhaseVector.make(phis, theta)
 
 
 def test_apply_phase_element_is_bit_exact():
@@ -165,6 +170,37 @@ def test_apply_phase_element_is_bit_exact():
     assert finite > 0
     for g, psi in elements:
         assert apply_phase_element(g, psi).amplitudes == _applied_by_phase_turn(g, psi)
+
+
+def test_integer_form_matches_fraction_arithmetic():
+    rng = random.Random(79)
+    for _ in range(200):
+        n = rng.randint(1, 5)
+        x, y = _mixed_turns(rng, n), _mixed_turns(rng, n)
+        g, h = PhaseVector.make(x[:-1], x[-1]), PhaseVector.make(y[:-1], y[-1])
+        assert g.as_tuple() == tuple(x) and (g.phis, g.theta) == (tuple(x[:-1]), x[-1])
+        mask = "".join(rng.choice("01") for _ in range(n))
+        assert g.compose(h).as_tuple() == tuple((a + b) % 1 for a, b in zip(x, y))
+        assert g.inverse().as_tuple() == tuple(-a % 1 for a in x)
+        assert g.reduced().as_tuple() == tuple(a % 1 for a in x)
+        assert g.negated_on(mask).as_tuple() == tuple(
+            -a % 1 if m == "1" else a % 1 for a, m in zip(x, mask + "0")
+        )
+        label = "".join(rng.choice("01") for _ in range(n))
+        signs = [1 if ch == "0" else -1 for ch in label] + [1]
+        assert g.phase_turn(label) == sum(a * s for a, s in zip(x, signs))
+        assert g.den == math.lcm(*(a.denominator for a in x))
+
+
+def test_phase_vector_equality_is_equality_of_values():
+    a = PhaseVector.make([Fraction(2, 4), 0], 0)
+    b = PhaseVector.make([Fraction(1, 2), 0], 0)
+    assert a == b and hash(a) == hash(b)
+    assert (a.nums, a.den) == ((1, 0, 0), 2)
+    assert PhaseVector.make([0, 0], 0) == PhaseVector((0, 0, 0), 1)
+    for nums, den in [((2, 0, 0), 4), ((0, 0, 0), 2), ((1, 0, 0), 0), ((1, 0, 0), -2)]:
+        with pytest.raises(InputError):
+            PhaseVector(nums, den)
 
 
 def _torus_point_by_fractions(group, rng, denominator):
