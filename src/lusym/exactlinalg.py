@@ -1,19 +1,22 @@
 """Exact integer and rational linear algebra.
 
 Smith normal form with both transformation matrices, determinants and rational
-ranks. Everything runs on Python ints and fractions.Fraction; no floating point
-enters any routine in this module, so results are decidable and reproducible
-bit for bit.
+ranks. The elimination carries only the column transform v; the row transform
+u is replayed on demand from a log of the row operations. Everything runs on
+Python ints and fractions.Fraction; no floating point enters any routine in
+this module, so results are decidable and reproducible bit for bit.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 from typing import Iterable, Sequence
 
 from .errors import DimensionError, InputError
+
+
+_INT_ONLY = {int}
 
 
 class IntMatrix:
@@ -24,6 +27,9 @@ class IntMatrix:
     def __init__(self, rows: Iterable[Sequence[int]]):
         data = []
         for row in rows:
+            if {*map(type, row)} <= _INT_ONLY:
+                data.append(tuple(row))
+                continue
             for x in row:
                 if not isinstance(x, int):
                     raise InputError(f"matrix entries must be int, got {type(x).__name__}")
@@ -34,6 +40,13 @@ class IntMatrix:
         if any(len(r) != width for r in data):
             raise InputError("matrix rows must all have the same length")
         self._data: tuple[tuple[int, ...], ...] = tuple(data)
+
+    @classmethod
+    def _of_rows(cls, data: tuple[tuple[int, ...], ...]) -> "IntMatrix":
+        """Wrap rows this module has just computed, without re-checking them."""
+        self = object.__new__(cls)
+        self._data = data
+        return self
 
     @classmethod
     def identity(cls, n: int) -> "IntMatrix":
@@ -84,28 +97,80 @@ class IntMatrix:
         return f"IntMatrix({[list(r) for r in self._data]!r})"
 
 
-@dataclass(frozen=True)
-class SmithDecomposition:
-    """Unimodular u, v and diagonal d with u @ a @ v == d."""
+# Row operations of one elimination, in order: (_SWAP, i, k) swaps rows i and
+# k, (_SUB, i, k, q) sets row_i -= q * row_k, and (_NEG, i) negates row i.
+_SWAP, _SUB, _NEG = range(3)
 
-    u: IntMatrix
-    d: IntMatrix
-    v: IntMatrix
+
+class SmithDecomposition:
+    """Unimodular u, v and diagonal d with u @ a @ v == d.
+
+    The solver reads only v's columns and the invariant factors. u is replayed
+    from the elimination's row operations, and u, d and v are wrapped as
+    IntMatrix, the first time each is read.
+    """
+
+    __slots__ = ("_factors", "_v_columns", "_shape", "_row_ops", "_u", "_d", "_v")
+
+    def __init__(
+        self,
+        factors: tuple[int, ...],
+        v_columns: tuple[tuple[int, ...], ...],
+        shape: tuple[int, int],
+        row_ops: list[tuple[int, ...]],
+    ):
+        self._factors = factors
+        self._v_columns = v_columns
+        self._shape = shape
+        self._row_ops = row_ops
+        self._u = self._d = self._v = None
 
     @property
     def invariant_factors(self) -> tuple[int, ...]:
-        k = min(self.d.rows, self.d.cols)
-        out = []
-        for i in range(k):
-            x = self.d[i, i]
-            if x == 0:
-                break
-            out.append(x)
-        return tuple(out)
+        """The nonzero diagonal entries of d, in order."""
+        return self._factors
+
+    @property
+    def v_columns(self) -> tuple[tuple[int, ...], ...]:
+        """The columns of v."""
+        return self._v_columns
 
     @property
     def rank(self) -> int:
         return len(self.invariant_factors)
+
+    @property
+    def u(self) -> IntMatrix:
+        if self._u is None:
+            m = self._shape[0]
+            U = [[1 if i == j else 0 for j in range(m)] for i in range(m)]
+            for op in self._row_ops:
+                if op[0] == _SUB:
+                    _, i, k, q = op
+                    U[i] = [x - q * y for x, y in zip(U[i], U[k])]
+                elif op[0] == _SWAP:
+                    _, i, k = op
+                    U[i], U[k] = U[k], U[i]
+                else:
+                    U[op[1]] = [-x for x in U[op[1]]]
+            self._u = IntMatrix._of_rows(tuple(map(tuple, U)))
+        return self._u
+
+    @property
+    def d(self) -> IntMatrix:
+        if self._d is None:
+            m, n = self._shape
+            rows = [[0] * n for _ in range(m)]
+            for i, x in enumerate(self._factors):
+                rows[i][i] = x
+            self._d = IntMatrix._of_rows(tuple(map(tuple, rows)))
+        return self._d
+
+    @property
+    def v(self) -> IntMatrix:
+        if self._v is None:
+            self._v = IntMatrix._of_rows(tuple(zip(*self._v_columns)))
+        return self._v
 
 
 def _smallest_nonzero(a: list[list[int]], t: int, m: int, n: int) -> tuple[int, int] | None:
@@ -128,33 +193,40 @@ def smith_normal_form(a: IntMatrix) -> SmithDecomposition:
     non-negative entries satisfying d[i] | d[i+1]. Pivots are chosen as the
     smallest nonzero entry in absolute value, which keeps intermediate growth
     modest on the small matrices this package produces.
+
+    Only v is carried through the elimination, as a list of columns. The row
+    operations are logged instead of applied to u, and u is replayed from that
+    log on demand, the first time it is read.
     """
     m, n = a.rows, a.cols
     A = [list(row) for row in a.row_tuples()]
-    U = [[1 if i == j else 0 for j in range(m)] for i in range(m)]
-    V = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+    V = [[1 if i == j else 0 for i in range(n)] for j in range(n)]  # V[j] is column j
+    ops: list[tuple[int, ...]] = []
 
     def swap_rows(i: int, k: int) -> None:
-        A[i], A[k] = A[k], A[i]
-        U[i], U[k] = U[k], U[i]
+        if i != k:
+            A[i], A[k] = A[k], A[i]
+            ops.append((_SWAP, i, k))
 
     def swap_cols(j: int, k: int) -> None:
-        for row in A:
-            row[j], row[k] = row[k], row[j]
-        for row in V:
-            row[j], row[k] = row[k], row[j]
+        # rows above t are zero in every column >= t
+        if j != k:
+            for i in range(t, m):
+                row = A[i]
+                row[j], row[k] = row[k], row[j]
+            V[j], V[k] = V[k], V[j]
 
     def row_sub(i: int, k: int, q: int) -> None:
         # row_i -= q * row_k
         A[i] = [x - q * y for x, y in zip(A[i], A[k])]
-        U[i] = [x - q * y for x, y in zip(U[i], U[k])]
+        ops.append((_SUB, i, k, q))
 
     def col_sub(j: int, k: int, q: int) -> None:
-        # col_j -= q * col_k
-        for row in A:
+        # col_j -= q * col_k, skipping the zero rows above t
+        for i in range(t, m):
+            row = A[i]
             row[j] -= q * row[k]
-        for row in V:
-            row[j] -= q * row[k]
+        V[j] = [x - q * y for x, y in zip(V[j], V[k])]
 
     t = 0
     while t < min(m, n):
@@ -164,17 +236,16 @@ def smith_normal_form(a: IntMatrix) -> SmithDecomposition:
         swap_rows(t, pos[0])
         swap_cols(t, pos[1])
         while True:
+            p = A[t][t]
             dirty = False
             for i in range(t + 1, m):
                 if A[i][t]:
-                    q = A[i][t] // A[t][t]
-                    row_sub(i, t, q)
+                    row_sub(i, t, A[i][t] // p)
                     if A[i][t]:
                         dirty = True
             for j in range(t + 1, n):
                 if A[t][j]:
-                    q = A[t][j] // A[t][t]
-                    col_sub(j, t, q)
+                    col_sub(j, t, A[t][j] // p)
                     if A[t][j]:
                         dirty = True
             if dirty:
@@ -182,24 +253,23 @@ def smith_normal_form(a: IntMatrix) -> SmithDecomposition:
                 swap_rows(t, pos[0])
                 swap_cols(t, pos[1])
                 continue
-            # column and row t are clear; enforce divisibility of the trailing block
+            # column and row t are clear; enforce divisibility of the trailing
+            # block, which a unit pivot divides already
             offender = None
-            for i in range(t + 1, m):
-                for j in range(t + 1, n):
-                    if A[i][j] % A[t][t]:
+            if p not in (1, -1):
+                for i in range(t + 1, m):
+                    if any(x % p for x in A[i][t + 1 :]):
                         offender = i
                         break
-                if offender is not None:
-                    break
             if offender is None:
                 break
             row_sub(t, offender, -1)  # row_t += row_offender, reintroduces entries to grind down
         if A[t][t] < 0:
             A[t] = [-x for x in A[t]]
-            U[t] = [-x for x in U[t]]
+            ops.append((_NEG, t))
         t += 1
 
-    return SmithDecomposition(IntMatrix(U), IntMatrix(A), IntMatrix(V))
+    return SmithDecomposition(tuple(A[i][i] for i in range(t)), tuple(map(tuple, V)), (m, n), ops)
 
 
 def determinant(a: IntMatrix) -> int:

@@ -80,18 +80,14 @@ def solve_symmetry_group(support: Support) -> DiagonalSymmetryGroup:
     """
     rows = sign_rows(support)
     dec = smith_normal_form(IntMatrix(rows))
-    n1 = support.n + 1
-    factors_all = dec.invariant_factors
-    r = len(factors_all)
+    factors = dec.invariant_factors
+    v_columns = dec.v_columns
 
-    torus_basis = tuple(
-        normalize_int_vector(dec.v.column(j)) for j in range(r, n1)
-    )
+    torus_basis = tuple(normalize_int_vector(col) for col in v_columns[len(factors) :])
     finite_generators = []
-    for j, d in enumerate(factors_all):
+    for d, col in zip(factors, v_columns):
         if d <= 1:
             continue
-        col = dec.v.column(j)
         nums = min(tuple(x % d for x in col), tuple(-x % d for x in col))
         finite_generators.append(PhaseVector(nums, d))
 
@@ -133,8 +129,9 @@ def character_rows(group: DiagonalSymmetryGroup) -> tuple[tuple[int, ...], ...]:
     The group is the set of x that every such row sends to an integer. The rows
     are the first n+1 coordinates of the integer left kernel of
     [[T, N], [0, diag(den)]], where T holds the torus directions as columns and
-    N the finite generators' numerators over their denominators den; the kernel
-    is read off one Smith decomposition.
+    N the finite generators' numerators over their denominators den. That left
+    kernel is the right kernel of the transpose, whose rows are those columns:
+    the trailing columns of v in its Smith decomposition.
     """
     n1 = group.n + 1
     gens = group.finite_generators
@@ -145,8 +142,8 @@ def character_rows(group: DiagonalSymmetryGroup) -> tuple[tuple[int, ...], ...]:
     ]
     if not columns:
         return IntMatrix.identity(n1).row_tuples()
-    dec = smith_normal_form(IntMatrix.from_columns(columns))
-    return tuple(row[:n1] for row in dec.u.row_tuples()[dec.rank :])
+    dec = smith_normal_form(IntMatrix(columns))
+    return tuple(col[:n1] for col in dec.v_columns[dec.rank :])
 
 
 def group_member(group: DiagonalSymmetryGroup, element: PhaseVector) -> bool:

@@ -10,6 +10,7 @@ from lusym import (
     analyze,
     compare_strata,
     fixture_state,
+    group_contains,
     monomial_from_circuit,
     solve_symmetry_group,
     verify_symmetry,
@@ -165,10 +166,25 @@ def test_compare_strata_incomparable():
     assert compare_strata(a, b) == STRATA_INCOMPARABLE
 
 
+def _verdict_from_groups(sa: Support, sb: Support) -> str:
+    # containment decided from the solved groups alone, through character_rows
+    ga = solve_symmetry_group(sa)
+    gb = solve_symmetry_group(sb)
+    return {
+        (True, True): STRATA_EQUAL,
+        (True, False): STRATA_A_CLOSURE_CONTAINS_B,
+        (False, True): STRATA_B_CLOSURE_CONTAINS_A,
+        (False, False): STRATA_INCOMPARABLE,
+    }[(group_contains(gb, ga), group_contains(ga, gb))]
+
+
+ALL_VERDICTS = {
+    STRATA_EQUAL, STRATA_A_CLOSURE_CONTAINS_B, STRATA_B_CLOSURE_CONTAINS_A, STRATA_INCOMPARABLE
+}
+
+
 def test_compare_strata_consistent_with_groups():
     rng = random.Random(127)
-    from lusym import group_contains
-
     pairs = []
     for _ in range(40):
         n = rng.randint(2, 4)
@@ -179,17 +195,40 @@ def test_compare_strata_consistent_with_groups():
     for sa, sb in pairs:
         verdict = compare_strata(sa, sb)
         kinds.add(verdict)
-        ga = solve_symmetry_group(sa)
-        gb = solve_symmetry_group(sb)
-        a_in_b = group_contains(gb, ga)
-        b_in_a = group_contains(ga, gb)
-        expected = {
-            (True, True): STRATA_EQUAL,
-            (True, False): STRATA_A_CLOSURE_CONTAINS_B,
-            (False, True): STRATA_B_CLOSURE_CONTAINS_A,
-            (False, False): STRATA_INCOMPARABLE,
-        }[(a_in_b, b_in_a)]
-        assert verdict == expected
-    assert kinds == {
-        STRATA_EQUAL, STRATA_A_CLOSURE_CONTAINS_B, STRATA_B_CLOSURE_CONTAINS_A, STRATA_INCOMPARABLE
-    }
+        assert verdict == _verdict_from_groups(sa, sb)
+    assert kinds == ALL_VERDICTS
+
+
+def _support_of_ints(xs, n: int) -> Support:
+    return Support.from_labels(format(x, f"0{n}b") for x in xs)
+
+
+def test_compare_strata_consistent_with_groups_at_workload_sizes():
+    # n = 8-14 and 4 to n+2 labels, the strata-queries benchmark's shapes.
+    # compare_strata tests sign rows against the solved groups, group_contains
+    # the character lattice that character_rows reads off a second Smith form.
+    rng = random.Random(1409)
+    kinds = set()
+    for _ in range(20):
+        n = rng.randint(8, 14)
+        size = rng.randint(n // 2, n + 2)
+        # x, y, z with z = y wherever x != y: the sign row of w = x ^ y ^ z is
+        # r_x - r_y + r_z, so adding w leaves the group as it is
+        while True:
+            x, y, z = (rng.getrandbits(n) for _ in range(3))
+            diff = x ^ y
+            z = (y & diff) | (z & ~diff)
+            w = x ^ y ^ z
+            if len({x, y, z, w}) == 4:
+                break
+        rest = set(rng.sample(range(2**n), size)) - {x, y, z, w}
+        sa = _support_of_ints(rest | {x, y, z}, n)
+        equal = _support_of_ints(rest | {x, y, z, w}, n)
+        shrunk = Support.from_labels(rng.sample(sa.labels, len(sa.labels) - rng.randint(1, 2)))
+        independent = _support_of_ints(rng.sample(range(2**n), size), n)
+        assert compare_strata(sa, equal) == STRATA_EQUAL
+        for a, b in [(sa, equal), (sa, shrunk), (shrunk, sa), (sa, independent)]:
+            verdict = compare_strata(a, b)
+            kinds.add(verdict)
+            assert verdict == _verdict_from_groups(a, b)
+    assert kinds == ALL_VERDICTS

@@ -1,3 +1,4 @@
+import hashlib
 import random
 from fractions import Fraction
 
@@ -7,9 +8,11 @@ from lusym import (
     InputError,
     IntMatrix,
     rational_rank,
+    Support,
     smith_normal_form,
 )
 from lusym.exactlinalg import determinant, normalize_int_vector
+from lusym.symmetry import sign_rows
 
 
 def test_intmatrix_rejects_bad_input():
@@ -21,6 +24,16 @@ def test_intmatrix_rejects_bad_input():
         IntMatrix([[1.5, 2]])
     with pytest.raises(InputError):
         IntMatrix([[Fraction(1, 2)]])
+
+
+def test_intmatrix_converts_int_like_entries():
+    # bool and other int subclasses are accepted and stored as plain ints
+    class Count(int):
+        pass
+
+    a = IntMatrix([[True, Count(3)], [0, -2]])
+    assert a.row_tuples() == ((1, 3), (0, -2))
+    assert {type(x) for row in a.row_tuples() for x in row} == {int}
 
 
 def test_intmatrix_basic_ops():
@@ -84,6 +97,57 @@ def test_smith_random_properties():
             for j, x in enumerate(row):
                 if i != j:
                     assert x == 0
+
+
+def _criterion_8_matrices():
+    # the inputs of test_acceptance::test_criterion_8_smith_normal_form_exact
+    rng = random.Random(808)
+    for _ in range(1000):
+        m = rng.randint(1, 8)
+        n = rng.randint(1, 8)
+        yield IntMatrix([[rng.randint(-9, 9) for _ in range(n)] for _ in range(m)])
+
+
+def _strata_sign_matrices():
+    # sign matrices of supports shaped like the strata-queries benchmark's
+    rng = random.Random(914)
+    for _ in range(50):
+        n = rng.randint(8, 14)
+        size = rng.randint(n // 2, n + 2)
+        labels = [format(x, f"0{n}b") for x in rng.sample(range(2**n), size)]
+        yield IntMatrix(sign_rows(Support.from_labels(labels)))
+
+
+def _transforms_digest(matrices) -> str:
+    h = hashlib.sha256()
+    for a in matrices:
+        dec = smith_normal_form(a)
+        h.update(repr((dec.u.row_tuples(), dec.d.row_tuples(), dec.v.row_tuples())).encode())
+    return h.hexdigest()
+
+
+@pytest.mark.parametrize(
+    "matrices, digest",
+    [
+        (_criterion_8_matrices, "ef95493b6e0c5782945b0fa133fb1255cd3f9718b92b539470d9ebdabc888185"),
+        (_strata_sign_matrices, "e0035480f01b1bce344d3211533a3d63c9e0ece55b74911fcb87aa6878e23ab6"),
+    ],
+    ids=["criterion-8", "strata-shapes"],
+)
+def test_smith_transforms_are_pinned(matrices, digest):
+    # u, d and v entry for entry as computed when u was carried through the
+    # elimination and v held as rows: the replayed u and the column-held v
+    # reproduce them
+    assert _transforms_digest(matrices()) == digest
+
+
+def test_smith_views_are_built_once():
+    dec = smith_normal_form(IntMatrix([[2, 4, 4], [-6, 6, 12], [10, 4, 16]]))
+    assert dec.u is dec.u
+    assert dec.d is dec.d
+    assert dec.v is dec.v
+    assert dec.invariant_factors == (2, 2, 156)
+    assert dec.v_columns == tuple(dec.v.column(j) for j in range(3))
 
 
 def test_determinant_frozen():

@@ -16,7 +16,7 @@ from lusym import (
     qubit_action_profile,
     solve_symmetry_group,
 )
-from lusym.exactlinalg import IntMatrix, rational_rank
+from lusym.exactlinalg import IntMatrix, SmithDecomposition, rational_rank
 from lusym.serialize import dump_group, load_group
 from lusym.symmetry import _check_solution, random_element, sign_rows
 
@@ -98,6 +98,20 @@ def test_check_solution_rejects_tampered_group():
         _check_solution(rows, tampered)
     with pytest.raises(InternalError):
         _check_solution(rows, dataclasses.replace(g, torus_basis=((1, 0, 0, 0),)))
+
+
+def test_solver_builds_no_transform_matrix(monkeypatch):
+    # solving and containment read v's columns and the invariant factors only:
+    # neither replays u nor wraps u, d or v as an IntMatrix
+    def refuse(self):
+        raise AssertionError("a transform matrix was built")
+
+    for name in ("u", "d", "v"):
+        monkeypatch.setattr(SmithDecomposition, name, property(refuse))
+    rng = random.Random(5)
+    for _ in range(20):
+        g = solve_symmetry_group(random_support(rng, 6, 9))
+        assert group_contains(g, g)
 
 
 def test_group_member_agrees_with_phase_turns():
