@@ -3,7 +3,7 @@ multi-qubit pure states, computed exactly."""
 
 from __future__ import annotations
 
-__version__ = "0.3.0"
+__version__ = "0.4.0"
 
 from .analysis import (
     AnalysisReport,
@@ -12,12 +12,7 @@ from .analysis import (
     compare_strata,
     verify_symmetry,
 )
-from .circuits import (
-    BalancedCircuit,
-    CircuitCatalog,
-    enumerate_circuits,
-    polytope_classification,
-)
+from .circuits import BalancedCircuit, CircuitCatalog, enumerate_circuits
 from .errors import DimensionError, InputError, InternalError
 from .exactlinalg import (
     IntMatrix,
@@ -109,7 +104,6 @@ __all__ = [
     "groups_equal",
     "is_sl_type",
     "monomial_from_circuit",
-    "polytope_classification",
     "qubit_action_profile",
     "rational_rank",
     "reduced_density_matrix",

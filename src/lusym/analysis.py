@@ -147,15 +147,10 @@ def analyze(
     group = solve_symmetry_group(support)
     catalog = enumerate_circuits(support)
 
-    monomials = tuple(monomial_from_circuit(c) for c in catalog.circuits)
-    if group.theta_continuous:
-        for mono in monomials:
-            a, b = mono.bidegree
-            if a != b:
-                raise InternalError(
-                    "continuous global phase must force balanced bidegrees"
-                )
-    values = tuple(evaluate(m, psi) for m in monomials)
+    # a circuit monomial's bidegree (a, b) has a - b = d_order
+    if group.theta_continuous and any(c.d_order for c in catalog.circuits):
+        raise InternalError("continuous global phase must force balanced bidegrees")
+    values = tuple(evaluate(monomial_from_circuit(c), psi) for c in catalog.circuits)
     sl_report = single_sl_generator_check(catalog)
     norm_desc = compute_normalizer(support, group)
     defects = tuple(balance_defect_polynomials(support))

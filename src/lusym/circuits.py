@@ -30,9 +30,6 @@ from .errors import InternalError
 from .exactlinalg import normalize_int_vector
 from .states import Support, weight_vector
 
-ORIGIN_IN_CONVEX_HULL = "origin_in_convex_hull"
-ORIGIN_IN_AFFINE_HULL_ONLY = "origin_in_affine_hull_only"
-
 
 @dataclass(frozen=True)
 class BalancedCircuit:
@@ -40,20 +37,33 @@ class BalancedCircuit:
 
     member_labels follow support order; relation is the unique integer
     dependency (gcd 1, first entry positive) aligned with member_labels.
-    d_order is the plain signed sum of the relation.
     """
 
     member_labels: tuple[str, ...]
     relation: tuple[int, ...]
-    positive: bool
-    d_order: int
+
+    @property
+    def positive(self) -> bool:
+        """Every entry of the relation is positive, so the origin is a convex
+        combination of the members."""
+        return all(z > 0 for z in self.relation)
+
+    @property
+    def d_order(self) -> int:
+        """The plain signed sum of the relation."""
+        return sum(self.relation)
 
 
 @dataclass(frozen=True)
 class CircuitCatalog:
     support: Support
     circuits: tuple[BalancedCircuit, ...]
-    semistable: bool
+
+    @property
+    def semistable(self) -> bool:
+        """Some circuit is positive, so the origin lies in the convex hull of
+        the support's sign vectors."""
+        return any(c.positive for c in self.circuits)
 
 
 def _eliminate(x: list[int], v: list[int], p: int) -> list[int]:
@@ -183,33 +193,12 @@ def enumerate_circuits(support: Support) -> CircuitCatalog:
                 members = tuple(sorted(y))
                 found[members] = normalize_int_vector([y[j] for j in members])
 
-    circuits = []
-    for members in sorted(found):
-        relation = found[members]
-        positive = all(z > 0 for z in relation)
-        circuits.append(
-            BalancedCircuit(
-                member_labels=tuple(support.labels[i] for i in members),
-                relation=relation,
-                positive=positive,
-                d_order=sum(relation),
-            )
-        )
+    circuits = tuple(
+        BalancedCircuit(tuple(support.labels[i] for i in members), found[members])
+        for members in sorted(found)
+    )
     for c in circuits:
         if len(c.member_labels) > support.n + 1:
             raise InternalError("circuit larger than n+1 members")
-    return CircuitCatalog(
-        support=support,
-        circuits=tuple(circuits),
-        semistable=any(c.positive for c in circuits),
-    )
-
-
-def polytope_classification(circuit: BalancedCircuit) -> str:
-    """Convex-hull position of the origin relative to the circuit members.
-
-    A strictly positive relation exhibits the origin as a convex combination;
-    otherwise only the affine hull is reported.
-    """
-    return ORIGIN_IN_CONVEX_HULL if circuit.positive else ORIGIN_IN_AFFINE_HULL_ONLY
+    return CircuitCatalog(support=support, circuits=circuits)
 

@@ -19,7 +19,7 @@ from .analysis import (
     require_normalized,
     verify_symmetry,
 )
-from .circuits import enumerate_circuits, polytope_classification
+from .circuits import enumerate_circuits
 from .errors import InputError, InternalError
 from .fixtures import fixture_names, fixture_state
 from .invariants import (
@@ -133,8 +133,9 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     print(f"qubits acted on only by signs: {', '.join(trivial) if trivial else 'none'}")
     print(f"circuits ({len(report.catalog.circuits)}), semistable: {report.catalog.semistable}")
     for c, val in zip(report.catalog.circuits, report.monomial_values):
+        kind = "positive" if c.positive else "mixed"
         print(f"  members {list(c.member_labels)} relation {list(c.relation)} "
-              f"d={c.d_order} {polytope_classification(c)} value {val:.6g}")
+              f"({kind}, d={c.d_order}) value {val:.6g}")
     print(f"single SL generator: {report.sl_report.holds} ({report.sl_report.reason})")
     print(f"normalizer flips: {', '.join(report.normalizer.flips.masks)} "
           f"(assumption_ok={report.normalizer.assumption_ok})")

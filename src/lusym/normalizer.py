@@ -86,23 +86,24 @@ class NormalizerDescription:
     The torus part is always the full diagonal group, so only the flips are
     stored. They are exactly the masks that stabilize the support, since such
     a mask permutes the sign rows defining the solved group and so conjugates
-    it onto itself. assumption_ok is False when the solved group acts only by
-    signs on some qubit, in which case the normalizer may be strictly larger
-    than described.
+    it onto itself.
     """
 
     flips: FlipGroup
-    assumption_ok: bool
     profile: QubitActionProfile
+
+    @property
+    def assumption_ok(self) -> bool:
+        """False when the solved group acts only by signs on some qubit, in
+        which case the normalizer may be strictly larger than described."""
+        return not any(self.profile.trivial)
 
 
 def compute_normalizer(support: Support, group: DiagonalSymmetryGroup) -> NormalizerDescription:
     """Normalizer of `group`, the solved symmetry group of `support`."""
-    profile = qubit_action_profile(support, group)
     return NormalizerDescription(
         flips=support_stabilizer_masks(support),
-        assumption_ok=not any(profile.trivial),
-        profile=profile,
+        profile=qubit_action_profile(support, group),
     )
 
 

@@ -10,12 +10,11 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from fractions import Fraction
 from typing import Any, Mapping
 
 from . import __version__
-from .analysis import AnalysisReport, SymmetryVerification
-from .circuits import BalancedCircuit, CircuitCatalog, polytope_classification
+from .analysis import GENERIC_FLOOR, AnalysisReport, SymmetryVerification
+from .circuits import BalancedCircuit, CircuitCatalog
 from .errors import InputError
 from .exactlinalg import IntMatrix, rational_rank
 from .invariants import FlipRejection, InvariantMonomial, InvariantSum
@@ -99,44 +98,16 @@ def load_state(text: str) -> PureState:
     return state_from_dict(data)
 
 
-# ---------------------------------------------------------------- angles and groups
-
-def fraction_to_dict(f: Fraction) -> dict:
-    return {"num": f.numerator, "den": f.denominator}
-
-
-def fraction_from_dict(data: Mapping) -> Fraction:
-    _require(isinstance(data, Mapping), "angle must be an object with 'num' and 'den'")
-    _require("num" in data and "den" in data, "angle needs fields 'num' and 'den'")
-    num, den = data["num"], data["den"]
-    _require(_is_int(num) and _is_int(den), "angle fields 'num' and 'den' must be integers")
-    _require(den >= 1, f"angle denominator must be >= 1, got {den}")
-    return Fraction(num, den)
-
-
-def phase_vector_to_dict(g: PhaseVector) -> dict:
-    return {
-        "phis": [fraction_to_dict(p % 1) for p in g.phis],
-        "theta": fraction_to_dict(g.theta % 1),
-    }
-
-
-def phase_vector_from_dict(data: Mapping) -> PhaseVector:
-    _require(isinstance(data, Mapping), "phase element must be an object")
-    _require("phis" in data and "theta" in data, "phase element needs 'phis' and 'theta'")
-    phis = data["phis"]
-    _require(isinstance(phis, list) and phis, "'phis' must be a nonempty list")
-    return PhaseVector.make(
-        [fraction_from_dict(p) for p in phis], fraction_from_dict(data["theta"])
-    )
-
+# ---------------------------------------------------------------- groups
 
 def group_to_dict(group: DiagonalSymmetryGroup) -> dict:
+    """A finite generator is written as its numerators (phi_1..phi_n, theta),
+    each reduced to [0, order), over its order."""
     return {
         "n": group.n,
         "torus_basis": [list(vec) for vec in group.torus_basis],
         "finite": [
-            {"order": g.den, "generator": phase_vector_to_dict(g)}
+            {"order": g.den, "nums": [x % g.den for x in g.nums]}
             for g in group.finite_generators
         ],
     }
@@ -148,6 +119,8 @@ def group_from_dict(data: Mapping) -> DiagonalSymmetryGroup:
         _require(field in data, f"group is missing field {field!r}")
     n = data["n"]
     _require(_is_int(n) and n >= 1, f"group field 'n' must be a positive integer, got {n!r}")
+    for field in ("torus_basis", "finite"):
+        _require(isinstance(data[field], list), f"group field {field!r} must be a list")
     basis = []
     for vec in data["torus_basis"]:
         _require(
@@ -161,14 +134,16 @@ def group_from_dict(data: Mapping) -> DiagonalSymmetryGroup:
     )
     gens = []
     for item in data["finite"]:
-        _require(isinstance(item, Mapping) and "order" in item and "generator" in item,
-                 "finite entries need 'order' and 'generator'")
-        order = item["order"]
-        _require(_is_int(order) and order >= 2, f"finite order must be >= 2, got {order!r}")
-        gen = phase_vector_from_dict(item["generator"])
-        _require(gen.n == n, "finite generator qubit count does not match n")
-        _require(order == gen.den, f"finite 'order' {order} is not the generator's exact order {gen.den}")
-        gens.append(gen)
+        _require(isinstance(item, Mapping) and "order" in item and "nums" in item,
+                 "finite entries need 'order' and 'nums'")
+        order, nums = item["order"], item["nums"]
+        _require(_is_int(order) and order >= 2, f"finite 'order' must be an integer >= 2, got {order!r}")
+        _require(
+            isinstance(nums, list) and len(nums) == n + 1 and all(_is_int(x) for x in nums),
+            f"finite 'nums' must be an integer list of length n+1, got {nums!r}",
+        )
+        # the lowest-terms rule of PhaseVector makes order the generator's exact order
+        gens.append(PhaseVector(tuple(nums), order))
     return DiagonalSymmetryGroup(n=n, torus_basis=tuple(basis), finite_generators=tuple(gens))
 
 
@@ -190,9 +165,6 @@ def circuit_to_dict(c: BalancedCircuit) -> dict:
     return {
         "members": list(c.member_labels),
         "relation": list(c.relation),
-        "positive": c.positive,
-        "d_order": c.d_order,
-        "polytope": polytope_classification(c),
     }
 
 
@@ -241,7 +213,6 @@ def profile_to_dict(profile: QubitActionProfile) -> dict:
 
 def normalizer_to_dict(desc: NormalizerDescription) -> dict:
     return {
-        "torus": "full_diagonal",
         "flips": flip_group_to_dict(desc.flips),
         "assumption_ok": desc.assumption_ok,
     }
@@ -286,7 +257,7 @@ def report_to_dict(report: AnalysisReport) -> dict:
         },
         "normalizer": normalizer_to_dict(report.normalizer),
         "defects": [
-            {"qubit": d.qubit, "value": v, "vanishes": abs(v) < 1e-9}
+            {"qubit": d.qubit, "value": v, "vanishes": abs(v) < GENERIC_FLOOR}
             for d, v in zip(report.defects, report.defect_values)
         ],
         "flags": {

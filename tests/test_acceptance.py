@@ -30,7 +30,6 @@ from lusym import (
     symmetrize_over_flips,
     verify_symmetry,
 )
-from lusym.circuits import polytope_classification
 from lusym.invariants import (
     InvariantSum,
     bidegree_scaling_check,

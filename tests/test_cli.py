@@ -65,8 +65,8 @@ def test_normalizer_json_schema(capsys, schema_validator):
     payload = json.loads(out)
     schema_validator("normalizer.schema.json", payload)
     assert payload["flips"]["masks"] == ["0000", "1111"]
-    # the torus part is always the full diagonal group: named, not listed
-    assert payload["torus"] == "full_diagonal"
+    # the torus part is always the full diagonal group, so it is not written
+    assert "torus" not in payload
     assert "torus_group" not in payload
 
 
@@ -116,12 +116,33 @@ def test_verify_refuses_dependent_torus_basis(capsys, tmp_path):
 
 def test_verify_refuses_wrong_finite_order(capsys, tmp_path):
     group = json.loads(dump_group(solve_symmetry_group(Support.from_labels(["00", "11"]))))
-    group["finite"][0]["order"] = 4  # the generator is a half turn, of order 2
+    # the half turn written over 4: the nums share the factor 2 with the order
+    group["finite"][0] = {"order": 4, "nums": [2 * x for x in group["finite"][0]["nums"]]}
     group_file = tmp_path / "group.json"
     group_file.write_text(json.dumps(group))
     code, _, err = run_cli(capsys, "verify", "--fixture", "bell", "--group", str(group_file))
     assert code == 2
-    assert "'order'" in err
+    assert "lowest terms" in err
+
+
+@pytest.mark.parametrize(
+    "finite, torus_basis, message",
+    [
+        ([], 5, "'torus_basis' must be a list"),
+        (5, [], "'finite' must be a list"),
+        # a group file written by lusym 0.3.0
+        ([{"order": 2, "generator": {"phis": [{"num": 1, "den": 2}, {"num": 0, "den": 1}],
+                                     "theta": {"num": 1, "den": 2}}}], [[1, -1, 0]],
+         "'order' and 'nums'"),
+    ],
+    ids=["torus_basis-not-list", "finite-not-list", "0.3.0-generator"],
+)
+def test_verify_refuses_malformed_group_file(capsys, tmp_path, finite, torus_basis, message):
+    group_file = tmp_path / "group.json"
+    group_file.write_text(json.dumps({"n": 2, "torus_basis": torus_basis, "finite": finite}))
+    code, _, err = run_cli(capsys, "verify", "--fixture", "bell", "--group", str(group_file))
+    assert code == 2
+    assert message in err
 
 
 def test_verify_needs_a_group_source(capsys):

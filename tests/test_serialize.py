@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 
 from lusym import (
+    DiagonalSymmetryGroup,
     InputError,
     PhaseVector,
     PureState,
@@ -21,22 +22,16 @@ from lusym.serialize import (
     dump_group,
     dump_report,
     dump_state,
-    fraction_from_dict,
-    fraction_to_dict,
     group_from_dict,
     group_to_dict,
     load_group,
     load_state,
-    phase_vector_from_dict,
-    phase_vector_to_dict,
     state_from_dict,
     state_hash,
     state_to_dict,
 )
 
 from conftest import random_coset_support, random_state_on, random_support
-
-F = Fraction
 
 
 def test_canonical_dumps_shape():
@@ -104,16 +99,18 @@ def test_state_from_dict_rejects_bool(text, field):
         state_from_dict(json.loads(text))
 
 
+# a field of the wrong JSON type, a bool or a non-list included, is refused by name
 @pytest.mark.parametrize(
     "patch, field",
     [
         ({"n": True, "torus_basis": [[1, -1]], "finite": []}, "'n'"),
         ({"torus_basis": [[True, -1, 0]]}, "'torus_basis'"),
-        ({"finite": [{"order": 2, "generator": {
-            "phis": [{"num": True, "den": 2}, {"num": 0, "den": 1}], "theta": {"num": 1, "den": 2}}}]},
-         "'num'"),
+        ({"finite": [{"order": 2, "nums": [True, 0, 1]}]}, "'nums'"),
+        ({"finite": [{"order": True, "nums": [1, 0, 1]}]}, "'order'"),
+        ({"torus_basis": 5}, "'torus_basis'"),
+        ({"finite": 5}, "'finite'"),
     ],
-    ids=["n", "torus_basis", "num"],
+    ids=["n", "torus_basis", "num", "order", "torus_basis-not-list", "finite-not-list"],
 )
 def test_group_from_dict_rejects_bool(patch, field):
     data = dict(group_to_dict(solve_symmetry_group(Support.from_labels(["00", "11"]))), **patch)
@@ -132,34 +129,11 @@ def test_group_from_dict_rejects_dependent_torus_basis(basis):
         group_from_dict({"n": 2, "torus_basis": basis, "finite": []})
 
 
-@pytest.mark.parametrize("data", [{"num": True, "den": 2}, {"num": 1, "den": True}], ids=["num", "den"])
-def test_fraction_from_dict_rejects_bool(data):
-    with pytest.raises(InputError, match="'num' and 'den'"):
-        fraction_from_dict(data)
-
-
 def test_canonical_dumps_is_strict_json():
     with pytest.raises(ValueError):
         canonical_dumps({"value": float("nan")})
     with pytest.raises(ValueError):
         canonical_dumps([float("inf")])
-
-
-def test_fraction_round_trip():
-    for f in [F(0), F(1, 2), F(-3, 4), F(22, 7)]:
-        assert fraction_from_dict(fraction_to_dict(f)) == f
-    assert fraction_to_dict(F(-1, 2)) == {"num": -1, "den": 2}
-    with pytest.raises(InputError):
-        fraction_from_dict({"num": 1})
-    with pytest.raises(InputError):
-        fraction_from_dict({"num": 1, "den": 0})
-
-
-def test_phase_vector_round_trip():
-    g = PhaseVector.make([F(3, 2), F(-1, 4)], F(7, 3))
-    back = phase_vector_from_dict(phase_vector_to_dict(g))
-    # serialization stores the reduced representative
-    assert back == g.reduced()
 
 
 def test_group_round_trip_exact():
@@ -171,23 +145,28 @@ def test_group_round_trip_exact():
         assert back == g
         assert groups_equal(back, g)
         assert dump_group(back) == dump_group(g)
+    # a generator off [0, 1) turns is written as its reduced representative
+    gen = PhaseVector.make([Fraction(3, 2), Fraction(-1, 4)], Fraction(7, 3))
+    group = DiagonalSymmetryGroup(n=2, torus_basis=(), finite_generators=(gen,))
+    assert group_to_dict(group)["finite"] == [{"order": 12, "nums": [6, 9, 4]}]
+    assert group_from_dict(group_to_dict(group)).finite_generators == (gen.reduced(),)
 
 
 def test_load_group_validation():
     g = solve_symmetry_group(Support.from_labels(["00", "11"]))
     data = group_to_dict(g)
-    bad = dict(data)
-    bad["finite"] = [{"order": 1, "generator": data["finite"][0]["generator"]}]
-    with pytest.raises(InputError):
-        group_from_dict(bad)
-    half_turn = data["finite"][0]["generator"]
-    zero = {"phis": [{"num": 0, "den": 1}] * 2, "theta": {"num": 0, "den": 1}}
-    # the order must be the generator's exact order: 2 for the half turn, 1 for zero
-    for order, gen in [(3, half_turn), (4, half_turn), (2, zero)]:
-        bad = dict(data)
-        bad["finite"] = [{"order": order, "generator": gen}]
-        with pytest.raises(InputError, match="'order'"):
-            group_from_dict(bad)
+    half_turn = data["finite"][0]["nums"]
+    assert data["finite"] == [{"order": 2, "nums": [1, 0, 1]}]
+    for item, message in [
+        ({"order": 1, "nums": half_turn}, "'order'"),
+        ({"order": 2, "nums": half_turn[:2]}, "'nums'"),
+        # order is the generator's exact order: nums sharing a factor with it,
+        # such as the half turn written over 4 or the zero element, are refused
+        ({"order": 4, "nums": [2 * x for x in half_turn]}, "lowest terms"),
+        ({"order": 2, "nums": [0, 0, 0]}, "lowest terms"),
+    ]:
+        with pytest.raises(InputError, match=message):
+            group_from_dict(dict(data, finite=[item]))
     with pytest.raises(InputError):
         load_group("[]")
 
@@ -222,22 +201,22 @@ def test_report_dict_matches_schema(schema_validator):
         schema_validator("report.schema.json", payload)
 
 
-# sha256 of dump_report(analyze(fixture_state(name))) as written by lusym 0.3.0;
+# sha256 of dump_report(analyze(fixture_state(name))) as written by lusym 0.4.0;
 # any change to the report bytes must come with a version bump and new hashes
 REPORT_SHA256 = {
-    "bell": "86012397e1e546d57201edf8b825c0875688686869aa3dff1b1dc4164de14c75",
-    "cluster4a": "2d1be2292401f1e7fdcb1cfa1ef66edcf8104d68fc72a8aa959029a61ba82d3c",
-    "cluster4b": "9dd065b3bc25da056615544be46506dc367e1711c1e436ac83d3361919143cc6",
-    "ghz2": "86012397e1e546d57201edf8b825c0875688686869aa3dff1b1dc4164de14c75",
-    "ghz3": "18a54dab4c2e0f4969f68817636588ed18a1cefbac2811c7d9baafe1223c66cd",
-    "ghz4": "5dbd40d9f134c05fae7278f1e63507d02cf8cf9a74328b47c6d793556fe53b39",
-    "ghz5": "30d6a86e5c1ef3b57c51e5f1e04b3872f74da60d45e3c4f54f9fbb6cde1cd625",
-    "ghz6": "6184679d9bbe9478472bc23579607b139a85208f4d8c0bc3ee6a5996654fd3a6",
-    "w3": "1b8b9cfde33fbcce0b5707ce7d0c55d939412f486ade05ea03cacbe368e1b80d",
-    "w4": "1f997544373063cc4f123002a1c1a99fb6cc621f03cfd9cee6685bad3cf3802f",
-    "w5": "acf3fe1c5d29f8e5d97efae439fa8da35888ba0cdedf64d5d21cb3084934bb3e",
-    "w6": "fb574a53d17fd66b9e16101e9e1b77953487b0c07406d6e9581585972bb27392",
-    "xstate": "26e26fa1df9aa1a13933e97dc1785e1107ba0be80feb90e4cb2b72981034bd01",
+    "bell": "bed7d7eb7de25d448709648ac9c321ebe3f3dd20823d8df5028df19eef697536",
+    "cluster4a": "526366900af4c9ad8296058a0257e76a8ccc813135846b8bc4e067190901214f",
+    "cluster4b": "ff021db498be2073228cd86b2e840b113836e00135e00ff6c984457cd9ab5380",
+    "ghz2": "bed7d7eb7de25d448709648ac9c321ebe3f3dd20823d8df5028df19eef697536",
+    "ghz3": "2f39c624931039f4bde376e049c1f877f58a7ff2add3f62f60bfda6de952fd8c",
+    "ghz4": "dd5f48bf8a2cecff4616a1255df892441a74b129172cf23c6e784b3f4d6e361b",
+    "ghz5": "7fcdbf901cd6c0c85b03dfeadb9e996332bec6cde1bf04f53277756a30ab675d",
+    "ghz6": "69e49938a069b358c295247fd5c2baba3ea9adb9430c6b7d595d177c2cb4c2eb",
+    "w3": "21bccce7beef4bba3f29ef325ee3df20704c3e10ee3fe623b1525a7916d1e5b4",
+    "w4": "d16b9cdb01a1e56761dfa7b078bf0a27c4239737d8c66f12d8cb4f1faf8584d9",
+    "w5": "ef955b204713239dc71c414f66b5c518a8c2346ea6919b6c14c29b3cb6d8604e",
+    "w6": "1fde32fefc5550970d16f2faf99ea86d512941008a58221badcdd98674a84e83",
+    "xstate": "80af492e30ffacc793d82d7b66cfef6a3e59c6065ae801c049ae347fe2136e94",
 }
 
 
@@ -249,14 +228,14 @@ def test_report_bytes_are_pinned():
 
 
 # sha256 of dump_report for seeded states beyond the fixtures, written by lusym
-# 0.3.0: cosets with a torus of rank 7 and 8, and random supports whose groups
+# 0.4.0: cosets with a torus of rank 7 and 8, and random supports whose groups
 # have eight and nine finite factors. Built with the conftest helpers, so a
 # change to those helpers changes the inputs and fails this test too.
 SEEDED_REPORT_SHA256 = {
-    ("coset", 1, 10, 2): "5ef66a5be62957ae827da7163aa22125869e35973592a9a4e393432c58e1b932",
-    ("coset", 2, 12, 3): "51f348999071f4f4333e95a1e546373c81d732542b335b1a74e08d7f2b5580b7",
-    ("random", 5, 8, 12): "283a441960798d98f34413cedb9b2722e1018f1c3775b746b8f82c68c06156b7",
-    ("random", 6, 9, 13): "001ccd72fa59483ade0c07b8540508bd646aa10214eb8c6fd64e02785388e1ea",
+    ("coset", 1, 10, 2): "47559f487c378f3a667d50aba1709af54e70739e7ba32a4e7ecae6881543eed6",
+    ("coset", 2, 12, 3): "d3ca38fb6183a423bc5e862d1515fcf65d085066de9258e99594334895d0e388",
+    ("random", 5, 8, 12): "7a9283d8ee2225682298aff279c987f06e62d1e7374d7bbd43c2b709a0b8a711",
+    ("random", 6, 9, 13): "6bbc21cd4c001f6dd67ecf0158cf73f57caaf22575bc7de554cf10d990774193",
 }
 
 
