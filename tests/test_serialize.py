@@ -106,11 +106,12 @@ def test_state_from_dict_rejects_bool(text, field):
         ({"n": True, "torus_basis": [[1, -1]], "finite": []}, "'n'"),
         ({"torus_basis": [[True, -1, 0]]}, "'torus_basis'"),
         ({"finite": [{"order": 2, "nums": [True, 0, 1]}]}, "'nums'"),
+        ({"finite": [{"order": 2, "nums": [1, 0, False]}]}, "'nums'"),
         ({"finite": [{"order": True, "nums": [1, 0, 1]}]}, "'order'"),
         ({"torus_basis": 5}, "'torus_basis'"),
         ({"finite": 5}, "'finite'"),
     ],
-    ids=["n", "torus_basis", "num", "order", "torus_basis-not-list", "finite-not-list"],
+    ids=["n", "torus_basis", "num", "num-false", "order", "torus_basis-not-list", "finite-not-list"],
 )
 def test_group_from_dict_rejects_bool(patch, field):
     data = dict(group_to_dict(solve_symmetry_group(Support.from_labels(["00", "11"]))), **patch)
