@@ -7,9 +7,11 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
+from typing import Iterable
 
 from .circuits import CircuitCatalog, enumerate_circuits
 from .errors import DimensionError, InputError, InternalError
+from .exactlinalg import hermite_normal_form, lattice_member
 from .invariants import (
     SlGeneratorReport,
     evaluate,
@@ -23,13 +25,7 @@ from .normalizer import (
     compute_normalizer,
 )
 from .states import PureState, Support, apply_phase_element
-from .symmetry import (
-    DiagonalSymmetryGroup,
-    _annihilated_by,
-    sign_rows,
-    solve_symmetry_group,
-    torus_point,
-)
+from .symmetry import DiagonalSymmetryGroup, sign_rows, solve_symmetry_group, torus_point
 
 DEFAULT_TOL = 1e-9
 DEFAULT_SAMPLES = 8
@@ -175,21 +171,36 @@ def analyze(
     )
 
 
+def _in_sign_lattice(support: Support, labels: Iterable[str]) -> bool:
+    """Do the sign rows of the labels lie in Λ, the row lattice of the support's
+    sign rows? Only labels outside the support are tested, and Λ is brought to
+    Hermite normal form only when there is one."""
+    own = set(support.labels)
+    extra = sign_rows(lab for lab in labels if lab not in own)
+    if not extra:
+        return True
+    rows = sign_rows(support)
+    hnf = hermite_normal_form(rows)
+    if not all(lattice_member(hnf, row) for row in rows):
+        raise InternalError("a sign row falls outside its own support's Hermite normal form")
+    return all(lattice_member(hnf, row) for row in extra)
+
+
 def compare_strata(support_a: Support, support_b: Support) -> str:
     """Closure order between the symmetry strata of two supports.
 
     A smaller symmetry group means a more generic stratum whose closure
-    contains the strata of larger groups. G_a lies in G_b exactly when the sign
-    rows of support b send all of G_a to integers. A solved group fixes its own
-    support's labels, so only the rows of labels outside that support are tested.
+    contains the strata of larger groups. A support's group is the annihilator
+    of Λ, the integer row lattice of its sign rows (w_s, 1), so by Pontryagin
+    duality G_a ⊆ G_b exactly when Λ_b ⊆ Λ_a: when every sign row of b lies
+    in Λ_a. The verdict is decided on the lattices alone, through the Hermite
+    normal form of Λ_a or Λ_b, and no group is solved. A nested pair b ⊂ a
+    needs only Λ_b's form and a's extra rows reduced against it.
     """
     if support_a.n != support_b.n:
         raise DimensionError("supports live on different qubit counts")
-    ga = solve_symmetry_group(support_a)
-    gb = solve_symmetry_group(support_b)
-    labels_a, labels_b = set(support_a.labels), set(support_b.labels)
-    a_in_b = _annihilated_by(sign_rows(lab for lab in support_b if lab not in labels_a), ga)
-    b_in_a = _annihilated_by(sign_rows(lab for lab in support_a if lab not in labels_b), gb)
+    a_in_b = _in_sign_lattice(support_a, support_b)
+    b_in_a = _in_sign_lattice(support_b, support_a)
     if a_in_b and b_in_a:
         return STRATA_EQUAL
     if a_in_b:

@@ -1,8 +1,9 @@
 """Exact integer and rational linear algebra.
 
-Smith normal form with both transformation matrices, determinants and rational
-ranks. The elimination carries only the column transform v; the row transform
-u is replayed on demand from a log of the row operations. Everything runs on
+Smith normal form with both transformation matrices, the row Hermite normal
+form with lattice membership, determinants and rational ranks. The Smith
+elimination carries only the column transform v; the row transform u is
+replayed on demand from a log of the row operations. Everything runs on
 Python ints and fractions.Fraction; no floating point enters any routine in
 this module, so results are decidable and reproducible bit for bit.
 """
@@ -270,6 +271,65 @@ def smith_normal_form(a: IntMatrix) -> SmithDecomposition:
         t += 1
 
     return SmithDecomposition(tuple(A[i][i] for i in range(t)), tuple(map(tuple, V)), (m, n), ops)
+
+
+def hermite_normal_form(rows: Iterable[Sequence[int]]) -> tuple[tuple[int, ...], ...]:
+    """Row Hermite normal form of the lattice spanned by integer rows.
+
+    The result is the lattice's unique echelon basis: each row's first nonzero
+    entry, its pivot, is positive and lies right of the pivot above it, and
+    every entry above a pivot is reduced into [0, pivot). Zero rows are
+    dropped. Each column is cleared by gcd elimination, subtracting multiples
+    of the row with the smallest entry there; no transform is built.
+    """
+    pending = [list(r) for r in rows if any(r)]
+    hnf: list[list[int]] = []
+    for c in range(len(pending[0]) if pending else 0):
+        live = [r for r in pending if r[c]]
+        if not live:
+            continue
+        pending = [r for r in pending if not r[c]]
+        while len(live) > 1:
+            p = min(live, key=lambda r: abs(r[c]))
+            rest = []
+            for r in live:
+                if r is not p:
+                    q = r[c] // p[c]
+                    r = [x - q * y for x, y in zip(r, p)]
+                    if r[c]:
+                        rest.append(r)
+                    elif any(r):
+                        pending.append(r)
+            live = rest + [p]
+        p = live[0] if live[0][c] > 0 else [-x for x in live[0]]
+        for i, h in enumerate(hnf):
+            q = h[c] // p[c]
+            if q:
+                hnf[i] = [x - q * y for x, y in zip(h, p)]
+        hnf.append(p)
+    return tuple(map(tuple, hnf))
+
+
+def lattice_member(hnf: Sequence[Sequence[int]], row: Sequence[int]) -> bool:
+    """Is the integer row in the lattice whose Hermite normal form is hnf?
+
+    The row is reduced against the echelon rows in turn; it is a member
+    exactly when each pivot divides the entry left in its column and nothing
+    remains at the end. A row never touches the columns left of its pivot, so
+    an entry left over there survives to the end.
+    """
+    r = list(row)
+    c = -1
+    for h in hnf:
+        c += 1
+        while not h[c]:  # the pivot: right of the one above, first nonzero of h
+            c += 1
+        q, rem = divmod(r[c], h[c])
+        if rem:
+            return False
+        if q:
+            r = [x - q * y for x, y in zip(r, h)]
+    return not any(r)
 
 
 def determinant(a: IntMatrix) -> int:

@@ -102,14 +102,11 @@ def load_state(text: str) -> PureState:
 
 def group_to_dict(group: DiagonalSymmetryGroup) -> dict:
     """A finite generator is written as its numerators (phi_1..phi_n, theta),
-    each reduced to [0, order), over its order."""
+    each in [0, order), over its order."""
     return {
         "n": group.n,
         "torus_basis": [list(vec) for vec in group.torus_basis],
-        "finite": [
-            {"order": g.den, "nums": [x % g.den for x in g.nums]}
-            for g in group.finite_generators
-        ],
+        "finite": [{"order": g.den, "nums": list(g.nums)} for g in group.finite_generators],
     }
 
 
@@ -142,7 +139,8 @@ def group_from_dict(data: Mapping) -> DiagonalSymmetryGroup:
             isinstance(nums, list) and len(nums) == n + 1 and all(_is_int(x) for x in nums),
             f"finite 'nums' must be an integer list of length n+1, got {nums!r}",
         )
-        # the lowest-terms rule of PhaseVector makes order the generator's exact order
+        # PhaseVector refuses nums off [0, order), and its lowest-terms rule makes
+        # order the generator's exact order
         gens.append(PhaseVector(tuple(nums), order))
     return DiagonalSymmetryGroup(n=n, torus_basis=tuple(basis), finite_generators=tuple(gens))
 

@@ -146,9 +146,9 @@ class PhaseVector:
 
     The unitary it denotes multiplies the amplitude of label s by
     exp(2*pi*i * (sum_k phi_k * (-1)^{s_k} + theta)). The turns are stored
-    exactly, as integer numerators nums = (phi_1..phi_n, theta) over one
-    denominator den >= 1 with gcd(den, *nums) = 1, so equal elements are equal
-    objects and den is the element's order in the torus.
+    exactly, as integer numerators nums = (phi_1..phi_n, theta) in [0, den)
+    over one denominator den >= 1 with gcd(den, *nums) = 1, so equal elements
+    are equal objects and den is the element's order in the torus.
     """
 
     nums: tuple[int, ...]
@@ -157,6 +157,8 @@ class PhaseVector:
     def __post_init__(self) -> None:
         if self.den < 1 or math.gcd(self.den, *self.nums) != 1:
             raise InputError(f"phase numerators {self.nums} over {self.den} are not in lowest terms")
+        if not all(0 <= x < self.den for x in self.nums):
+            raise InputError(f"phase numerators {self.nums} must lie in [0, {self.den})")
 
     @property
     def n(self) -> int:
@@ -172,10 +174,10 @@ class PhaseVector:
 
     @classmethod
     def make(cls, phis: Iterable[Fraction | int], theta: Fraction | int) -> "PhaseVector":
+        """The element with the given turns, each reduced to [0, 1)."""
         vals = [Fraction(p) for p in phis] + [Fraction(theta)]
-        # over the lcm of reduced denominators the numerators share no factor with it
         den = math.lcm(*(x.denominator for x in vals))
-        return cls(tuple(x.numerator * (den // x.denominator) for x in vals), den)
+        return cls.from_numerators((x.numerator * (den // x.denominator) for x in vals), den)
 
     @classmethod
     def from_numerators(cls, nums: Iterable[int], den: int) -> "PhaseVector":
@@ -192,9 +194,6 @@ class PhaseVector:
         validate_label(label, self.n)
         signs = weight_vector(label) + (1,)
         return Fraction(sum(x * sign for x, sign in zip(self.nums, signs)), self.den)
-
-    def reduced(self) -> "PhaseVector":
-        return PhaseVector.from_numerators(self.nums, self.den)
 
     def compose(self, other: "PhaseVector") -> "PhaseVector":
         if other.n != self.n:

@@ -1,10 +1,13 @@
 import math
 import random
+import sys
 
 import pytest
 
+import lusym.analysis
 from lusym import (
     InputError,
+    InternalError,
     PureState,
     Support,
     analyze,
@@ -12,6 +15,7 @@ from lusym import (
     fixture_state,
     group_contains,
     monomial_from_circuit,
+    smith_normal_form,
     solve_symmetry_group,
     verify_symmetry,
 )
@@ -22,6 +26,7 @@ from lusym.analysis import (
     STRATA_INCOMPARABLE,
     _deviation,
 )
+from lusym.symmetry import character_rows
 
 from conftest import random_state_on, random_support
 
@@ -203,32 +208,101 @@ def _support_of_ints(xs, n: int) -> Support:
     return Support.from_labels(format(x, f"0{n}b") for x in xs)
 
 
-def test_compare_strata_consistent_with_groups_at_workload_sizes():
-    # n = 8-14 and 4 to n+2 labels, the strata-queries benchmark's shapes.
-    # compare_strata tests sign rows against the solved groups, group_contains
-    # the character lattice that character_rows reads off a second Smith form.
+def _strata_pairs(rng: random.Random, n: int, size: int) -> list[tuple[Support, Support]]:
+    """Four pairs on n qubits around one random support sa of about size
+    labels: sa with an equal-stratum extension, with a subset of it both ways
+    round, and with an independent draw."""
+    # x, y, z with z = y wherever x != y: the sign row of w = x ^ y ^ z is
+    # r_x - r_y + r_z, so adding w leaves the group as it is
+    while True:
+        x, y, z = (rng.getrandbits(n) for _ in range(3))
+        diff = x ^ y
+        z = (y & diff) | (z & ~diff)
+        w = x ^ y ^ z
+        if len({x, y, z, w}) == 4:
+            break
+    rest = set(rng.sample(range(2**n), size)) - {x, y, z, w}
+    sa = _support_of_ints(rest | {x, y, z}, n)
+    equal = _support_of_ints(rest | {x, y, z, w}, n)
+    shrunk = Support.from_labels(rng.sample(sa.labels, len(sa.labels) - rng.randint(1, 2)))
+    independent = _support_of_ints(rng.sample(range(2**n), size), n)
+    return [(sa, equal), (sa, shrunk), (shrunk, sa), (sa, independent)]
+
+
+def _workload_size_pairs() -> list[tuple[Support, Support]]:
+    # n = 8-14 and 4 to n+2 labels, the strata-queries benchmark's shapes
     rng = random.Random(1409)
-    kinds = set()
+    pairs = []
     for _ in range(20):
         n = rng.randint(8, 14)
-        size = rng.randint(n // 2, n + 2)
-        # x, y, z with z = y wherever x != y: the sign row of w = x ^ y ^ z is
-        # r_x - r_y + r_z, so adding w leaves the group as it is
-        while True:
-            x, y, z = (rng.getrandbits(n) for _ in range(3))
-            diff = x ^ y
-            z = (y & diff) | (z & ~diff)
-            w = x ^ y ^ z
-            if len({x, y, z, w}) == 4:
-                break
-        rest = set(rng.sample(range(2**n), size)) - {x, y, z, w}
-        sa = _support_of_ints(rest | {x, y, z}, n)
-        equal = _support_of_ints(rest | {x, y, z, w}, n)
-        shrunk = Support.from_labels(rng.sample(sa.labels, len(sa.labels) - rng.randint(1, 2)))
-        independent = _support_of_ints(rng.sample(range(2**n), size), n)
-        assert compare_strata(sa, equal) == STRATA_EQUAL
-        for a, b in [(sa, equal), (sa, shrunk), (shrunk, sa), (sa, independent)]:
+        pairs += _strata_pairs(rng, n, rng.randint(n // 2, n + 2))
+    return pairs
+
+
+def test_compare_strata_consistent_with_groups_at_workload_sizes():
+    # compare_strata decides lattice inclusion on the sign rows through their
+    # Hermite forms; group_contains reads the character lattice off each
+    # solved group with a second Smith form
+    pairs = _workload_size_pairs()
+    assert all(compare_strata(a, b) == STRATA_EQUAL for a, b in pairs[::4])
+    kinds = set()
+    for a, b in pairs:
+        verdict = compare_strata(a, b)
+        kinds.add(verdict)
+        assert verdict == _verdict_from_groups(a, b)
+    assert kinds == ALL_VERDICTS
+
+
+def test_compare_strata_solves_no_group(monkeypatch):
+    # the verdict needs no Smith form, no solved group and no character rows:
+    # with all three refusing to run it is still the groups' verdict
+    pairs = _workload_size_pairs()
+    expected = [_verdict_from_groups(a, b) for a, b in pairs]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("compare_strata solved a group")
+
+    banned = (smith_normal_form, solve_symmetry_group, character_rows)
+    for name, module in list(sys.modules.items()):
+        if name == "lusym" or name.startswith("lusym."):
+            for attr, value in list(vars(module).items()):
+                if any(value is f for f in banned):
+                    monkeypatch.setattr(module, attr, refuse)
+    with pytest.raises(AssertionError, match="solved a group"):
+        lusym.analysis.solve_symmetry_group(pairs[0][0])
+    assert [compare_strata(a, b) for a, b in pairs] == expected
+
+
+def test_compare_strata_self_check_trips_on_a_broken_form(monkeypatch):
+    # with the last basis row of each Hermite form dropped, the lattice is too
+    # small to hold every sign row of its own support: exit 3, not a verdict
+    real = lusym.analysis.hermite_normal_form
+    monkeypatch.setattr(lusym.analysis, "hermite_normal_form", lambda rows: real(rows)[:-1])
+    ghz = Support.from_labels(["0000", "1111"])
+    full = Support.from_labels([format(x, "04b") for x in range(16)])
+    with pytest.raises(InternalError, match="Hermite normal form"):
+        compare_strata(full, ghz)
+
+
+def _moved(support: Support, perm: list[int], mask: int) -> Support:
+    # qubit k of the image is qubit perm[k] of the label, then flipped where mask is 1
+    return _support_of_ints(
+        (int("".join(lab[p] for p in perm), 2) ^ mask for lab in support.labels), support.n
+    )
+
+
+def test_compare_strata_invariant_under_permutation_and_flips():
+    # a qubit permutation and a flip X^m send every sign row through one
+    # unimodular map (columns permuted, some negated), so lattice inclusion,
+    # and with it the verdict, is unchanged
+    rng = random.Random(1011)
+    kinds = set()
+    for _ in range(40):
+        n = rng.randint(3, 10)
+        perm = rng.sample(range(n), n)
+        mask = rng.getrandbits(n)
+        for a, b in _strata_pairs(rng, n, rng.randint(2, n + 2)):
             verdict = compare_strata(a, b)
             kinds.add(verdict)
-            assert verdict == _verdict_from_groups(a, b)
+            assert compare_strata(_moved(a, perm, mask), _moved(b, perm, mask)) == verdict
     assert kinds == ALL_VERDICTS

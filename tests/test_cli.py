@@ -134,8 +134,10 @@ def test_verify_refuses_wrong_finite_order(capsys, tmp_path):
         ([{"order": 2, "generator": {"phis": [{"num": 1, "den": 2}, {"num": 0, "den": 1}],
                                      "theta": {"num": 1, "den": 2}}}], [[1, -1, 0]],
          "'order' and 'nums'"),
+        # the half turn written as 3/2: numerators lie in [0, order)
+        ([{"order": 2, "nums": [3, 0, 1]}], [], "must lie in [0, 2)"),
     ],
-    ids=["torus_basis-not-list", "finite-not-list", "0.3.0-generator"],
+    ids=["torus_basis-not-list", "finite-not-list", "0.3.0-generator", "nums-off-range"],
 )
 def test_verify_refuses_malformed_group_file(capsys, tmp_path, finite, torus_basis, message):
     group_file = tmp_path / "group.json"

@@ -11,7 +11,12 @@ from lusym import (
     Support,
     smith_normal_form,
 )
-from lusym.exactlinalg import determinant, normalize_int_vector
+from lusym.exactlinalg import (
+    determinant,
+    hermite_normal_form,
+    lattice_member,
+    normalize_int_vector,
+)
 from lusym.symmetry import sign_rows
 
 
@@ -148,6 +153,73 @@ def test_smith_views_are_built_once():
     assert dec.v is dec.v
     assert dec.invariant_factors == (2, 2, 156)
     assert dec.v_columns == tuple(dec.v.column(j) for j in range(3))
+
+
+def _pivot(row) -> int:
+    return next(j for j, x in enumerate(row) if x)
+
+
+def test_hermite_normal_form_shape_and_lattice():
+    # on the criterion-8 matrices: the echelon shape with positive pivots and
+    # reduced entries above them, a basis of the same lattice (every input
+    # row a member, the same invariant factors) and one form per lattice
+    # (rows reordered or already in form give it back)
+    for a in _criterion_8_matrices():
+        rows = a.row_tuples()
+        hnf = hermite_normal_form(rows)
+        pivots = [_pivot(h) for h in hnf]
+        assert pivots == sorted(set(pivots))
+        for i, (h, c) in enumerate(zip(hnf, pivots)):
+            assert h[c] > 0
+            assert all(0 <= above[c] < h[c] for above in hnf[:i])
+        assert all(lattice_member(hnf, row) for row in rows)
+        factors = smith_normal_form(IntMatrix(hnf)).invariant_factors if hnf else ()
+        assert factors == smith_normal_form(a).invariant_factors
+        assert hermite_normal_form(rows[::-1]) == hnf
+        assert hermite_normal_form(hnf) == hnf
+
+
+def _member_by_smith(a: IntMatrix, row) -> bool:
+    # with u a v = d, row = x a for an integer x exactly when (row v)_i is a
+    # multiple of d_i for i < rank and zero beyond
+    dec = smith_normal_form(a)
+    image = [sum(x * y for x, y in zip(row, dec.v.column(j))) for j in range(a.cols)]
+    factors = dec.invariant_factors
+    return all(image[i] % d == 0 for i, d in enumerate(factors)) and not any(image[len(factors) :])
+
+
+def test_lattice_member_agrees_with_smith_route():
+    # membership decided two ways: reduction against the Hermite form, and
+    # divisibility of the row's image under the Smith column transform
+    rng = random.Random(809)
+    verdicts = []
+    for a in _criterion_8_matrices():
+        rows = a.row_tuples()
+        hnf = hermite_normal_form(rows)
+        coefficients = [rng.randint(-3, 3) for _ in rows]
+        combo = [sum(k * r[j] for k, r in zip(coefficients, rows)) for j in range(a.cols)]
+        nudged = list(combo)
+        nudged[rng.randrange(a.cols)] += rng.choice([-1, 1])
+        for row in (combo, nudged, [rng.randint(-9, 9) for _ in range(a.cols)]):
+            verdict = lattice_member(hnf, row)
+            assert verdict == _member_by_smith(a, row)
+            verdicts.append(verdict)
+        assert lattice_member(hnf, combo)
+    assert verdicts.count(True) > 1000 and verdicts.count(False) > 500
+
+
+def test_hermite_normal_form_small_cases():
+    assert hermite_normal_form([[0, 0], [0, 0]]) == ()
+    assert hermite_normal_form([]) == ()
+    assert hermite_normal_form([[4, 6], [6, 9]]) == ((2, 3),)
+    assert hermite_normal_form([[-2, 3], [0, -5]]) == ((2, 2), (0, 5))
+    assert hermite_normal_form([[-2, 3], [0, -5], [4, 1]]) == ((2, 0), (0, 1))
+    # the lattice 2Z x Z: (1, 0) is out, (2, 7) is in
+    hnf = hermite_normal_form([[2, 1], [0, 1]])
+    assert hnf == ((2, 0), (0, 1))
+    assert not lattice_member(hnf, (1, 0)) and lattice_member(hnf, (2, 7))
+    # a row off the rational span is out, whatever its leading entries
+    assert not lattice_member(((1, 0, 0),), (2, 0, 1))
 
 
 def test_determinant_frozen():

@@ -146,11 +146,13 @@ def test_group_round_trip_exact():
         assert back == g
         assert groups_equal(back, g)
         assert dump_group(back) == dump_group(g)
-    # a generator off [0, 1) turns is written as its reduced representative
+    # a generator made from turns off [0, 1) is stored, written and read back
+    # as its reduced representative
     gen = PhaseVector.make([Fraction(3, 2), Fraction(-1, 4)], Fraction(7, 3))
+    assert gen == PhaseVector.make([Fraction(1, 2), Fraction(3, 4)], Fraction(1, 3))
     group = DiagonalSymmetryGroup(n=2, torus_basis=(), finite_generators=(gen,))
     assert group_to_dict(group)["finite"] == [{"order": 12, "nums": [6, 9, 4]}]
-    assert group_from_dict(group_to_dict(group)).finite_generators == (gen.reduced(),)
+    assert group_from_dict(group_to_dict(group)).finite_generators == (gen,)
 
 
 def test_load_group_validation():
@@ -165,6 +167,8 @@ def test_load_group_validation():
         # such as the half turn written over 4 or the zero element, are refused
         ({"order": 4, "nums": [2 * x for x in half_turn]}, "lowest terms"),
         ({"order": 2, "nums": [0, 0, 0]}, "lowest terms"),
+        # nums are the numerators in [0, order): the half turn written as 3/2 is refused
+        ({"order": 2, "nums": [3, 0, 1]}, r"\[0, 2\)"),
     ]:
         with pytest.raises(InputError, match=message):
             group_from_dict(dict(data, finite=[item]))

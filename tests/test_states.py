@@ -78,12 +78,11 @@ def test_phase_vector_group_ops():
     g = PhaseVector.make([Fraction(3, 4), Fraction(1, 3)], Fraction(5, 6))
     e = g.compose(g.inverse())
     assert e.phis == (Fraction(0), Fraction(0)) and e.theta == 0
-    assert g.reduced().phis == g.phis  # already in [0,1)
     flipped = g.negated_on("10")
     assert flipped.phis == (Fraction(1, 4), Fraction(1, 3))
     assert flipped.theta == g.theta
     # conjugation is an involution
-    assert flipped.negated_on("10") == g.reduced()
+    assert flipped.negated_on("10") == g
     with pytest.raises(DimensionError):
         g.compose(PhaseVector.make([0], 0))
 
@@ -164,9 +163,10 @@ def test_apply_phase_element_is_bit_exact():
         elements += [(gen, psi) for gen in g.finite_generators]
         finite += len(g.finite_generators)
         elements += [(torus_point(g, rng, 2**20), psi), (random_element(g, rng), psi)]
-    entries = [x for g, _ in elements for x in g.as_tuple()]
-    assert any(x < 0 for x in entries) and any(x >= 1 for x in entries)
-    assert any(x.denominator > 2**64 for x in entries)
+    # every element is stored in [0, 1) turns, but a label's turn leaves that range
+    turns = [g.phase_turn(label) for g, psi in elements for label in psi.amplitudes]
+    assert any(t < 0 for t in turns) and any(t >= 1 for t in turns)
+    assert any(x.denominator > 2**64 for g, _ in elements for x in g.as_tuple())
     assert finite > 0
     for g, psi in elements:
         assert apply_phase_element(g, psi).amplitudes == _applied_by_phase_turn(g, psi)
@@ -178,17 +178,18 @@ def test_integer_form_matches_fraction_arithmetic():
         n = rng.randint(1, 5)
         x, y = _mixed_turns(rng, n), _mixed_turns(rng, n)
         g, h = PhaseVector.make(x[:-1], x[-1]), PhaseVector.make(y[:-1], y[-1])
-        assert g.as_tuple() == tuple(x) and (g.phis, g.theta) == (tuple(x[:-1]), x[-1])
+        # make reduces each turn to [0, 1)
+        assert g.as_tuple() == tuple(a % 1 for a in x)
+        assert (g.phis, g.theta) == (tuple(a % 1 for a in x[:-1]), x[-1] % 1)
         mask = "".join(rng.choice("01") for _ in range(n))
         assert g.compose(h).as_tuple() == tuple((a + b) % 1 for a, b in zip(x, y))
         assert g.inverse().as_tuple() == tuple(-a % 1 for a in x)
-        assert g.reduced().as_tuple() == tuple(a % 1 for a in x)
         assert g.negated_on(mask).as_tuple() == tuple(
             -a % 1 if m == "1" else a % 1 for a, m in zip(x, mask + "0")
         )
         label = "".join(rng.choice("01") for _ in range(n))
         signs = [1 if ch == "0" else -1 for ch in label] + [1]
-        assert g.phase_turn(label) == sum(a * s for a, s in zip(x, signs))
+        assert g.phase_turn(label) == sum(a % 1 * s for a, s in zip(x, signs))
         assert g.den == math.lcm(*(a.denominator for a in x))
 
 
@@ -198,8 +199,19 @@ def test_phase_vector_equality_is_equality_of_values():
     assert a == b and hash(a) == hash(b)
     assert (a.nums, a.den) == ((1, 0, 0), 2)
     assert PhaseVector.make([0, 0], 0) == PhaseVector((0, 0, 0), 1)
-    for nums, den in [((2, 0, 0), 4), ((0, 0, 0), 2), ((1, 0, 0), 0), ((1, 0, 0), -2)]:
-        with pytest.raises(InputError):
+    # turns off [0, 1) are reduced, so one torus element has one representation
+    c = PhaseVector.make([Fraction(3, 2), 0], 0)
+    assert c == b and hash(c) == hash(b)
+    assert PhaseVector.make([Fraction(-1, 4), 1], Fraction(7, 3)) == PhaseVector((9, 0, 4), 12)
+    for nums, den, message in [
+        ((2, 0, 0), 4, "lowest terms"),
+        ((0, 0, 0), 2, "lowest terms"),
+        ((1, 0, 0), 0, "lowest terms"),
+        ((1, 0, 0), -2, "lowest terms"),
+        ((3, 0, 1), 2, r"\[0, 2\)"),
+        ((-1, 0, 0), 2, r"\[0, 2\)"),
+    ]:
+        with pytest.raises(InputError, match=message):
             PhaseVector(nums, den)
 
 
