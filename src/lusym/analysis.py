@@ -7,25 +7,17 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
-from typing import Iterable
+from typing import TYPE_CHECKING, Iterable
 
-from .circuits import CircuitCatalog, enumerate_circuits
 from .errors import DimensionError, InputError, InternalError
 from .exactlinalg import hermite_normal_form, lattice_member
-from .invariants import (
-    SlGeneratorReport,
-    evaluate,
-    monomial_from_circuit,
-    single_sl_generator_check,
-)
-from .normalizer import (
-    DefectPolynomial,
-    NormalizerDescription,
-    balance_defect_polynomials,
-    compute_normalizer,
-)
 from .states import PureState, Support, apply_phase_element
 from .symmetry import DiagonalSymmetryGroup, sign_rows, solve_symmetry_group, torus_point
+
+if TYPE_CHECKING:
+    from .circuits import BalancedCircuit, CircuitCatalog
+    from .invariants import SlGeneratorReport
+    from .normalizer import DefectPolynomial, NormalizerDescription
 
 DEFAULT_TOL = 1e-9
 DEFAULT_SAMPLES = 8
@@ -131,6 +123,26 @@ class AnalysisReport:
     larger_symmetry_possible: bool
 
 
+def _monomial_values(circuits: Iterable[BalancedCircuit], psi: PureState) -> tuple[complex, ...]:
+    """evaluate(monomial_from_circuit(c), psi) for each circuit c, by the same
+    float operations in the same order: a circuit's members follow label-value
+    order, as the monomial's terms do. The factor of one (label, exponent) pair
+    is computed once and shared by every circuit that has it."""
+    factors: dict[tuple[str, int], complex] = {}
+    values = []
+    for circuit in circuits:
+        value = 1 + 0j
+        for term in zip(circuit.member_labels, circuit.relation):
+            f = factors.get(term)
+            if f is None:
+                label, z = term
+                a = complex(psi.amplitudes[label])
+                f = factors[term] = a ** max(z, 0) * a.conjugate() ** max(-z, 0)
+            value *= f
+        values.append(value)
+    return tuple(values)
+
+
 def analyze(
     psi: PureState,
     tol: float = DEFAULT_TOL,
@@ -138,6 +150,11 @@ def analyze(
     seed: int = 0,
 ) -> AnalysisReport:
     """Full deterministic analysis of a normalized sparse state."""
+    # imported here, so that verify_symmetry and compare_strata load none of them
+    from .circuits import enumerate_circuits
+    from .invariants import single_sl_generator_check
+    from .normalizer import balance_defect_polynomials, compute_normalizer
+
     require_normalized(psi, tol)
     support = psi.support()
     group = solve_symmetry_group(support)
@@ -146,7 +163,7 @@ def analyze(
     # a circuit monomial's bidegree (a, b) has a - b = d_order
     if group.theta_continuous and any(c.d_order for c in catalog.circuits):
         raise InternalError("continuous global phase must force balanced bidegrees")
-    values = tuple(evaluate(monomial_from_circuit(c), psi) for c in catalog.circuits)
+    values = _monomial_values(catalog.circuits, psi)
     sl_report = single_sl_generator_check(catalog)
     norm_desc = compute_normalizer(support, group)
     defects = tuple(balance_defect_polynomials(support))

@@ -105,45 +105,77 @@ def _systematic_kernel(
     return pivots, free, D, Q
 
 
-def _greedy_bases(rest: list[list[int]], echelon: list, marks: list[list[int]], still: int):
-    """Yield every echelon [(row, pivot), ...] that completes `echelon` by `still`
-    rows of `rest` taken in order as the greedy basis of the hyperplane they span.
+def _greedy_bases(
+    rest: list[list[int]], echelon: list, marks: list[list[int]], still: int, out: list
+) -> None:
+    """Append to `out` every echelon [(row, pivot), ...] that completes `echelon`
+    by `still` rows of `rest` taken in order as the greedy basis of the
+    hyperplane they span.
 
     Rows of `rest` and `marks` are reduced against `echelon`; zero rows are
     dropped from `rest` (they lie in every completion). A row of `rest` that is
     independent but skipped joins `marks`, and every mark must stay outside the
     final span; that makes the greedy basis, and so each hyperplane, unique.
+    `marks` belongs to the call, which extends it.
     """
     if not still:
-        yield echelon
+        out.append(echelon)
         return
-    m = len(marks)
-    for q, v in enumerate(rest):
-        if len(rest) - q < still:
-            return
+    if still == 1:
+        # The echelon has t-2 rows and reduced rows are zero at its pivots, so
+        # they live on the two other coordinates. There a row completes the
+        # hyperplane unless a mark or an earlier row is parallel to it, which
+        # primitive directions decide with no further reduction.
+        pivots = {p for _, p in echelon}
+        i, j = (m for m in range(len(echelon) + 2) if m not in pivots)
+        seen = {_direction(w[i], w[j]) for w in marks}
+        for v in rest:
+            d = _direction(v[i], v[j])
+            if d not in seen:
+                seen.add(d)
+                out.append(echelon + [(v, i if v[i] else j)])
+        return
+    for q in range(len(rest) - still + 1):
+        v = rest[q]
         p = 0
         while not v[p]:
             p += 1
         a = v[p]
-        # Reduce marks, then the later rows, by v. This is _eliminate inlined,
-        # as the innermost loop of the search, with gcd 0 meaning a zero row.
-        out = []
-        for i, w in enumerate(marks + rest[q + 1 :]):
+        # Reduce the marks, then the later rows, by v: _eliminate inlined, as
+        # the innermost loop of the search. A mark is only tested for zero and
+        # reduced further, so it keeps its common factor; its entries grow
+        # additively in bit length over at most t levels.
+        reduced = []
+        for w in marks:
             b = w[p]
             if b:
                 w = [a * s - b * t for s, t in zip(w, v)]
-                g = gcd(*w)
-                if not g:
-                    if i < m:
-                        break  # a mark fell into the span
-                    continue
-                if g > 1:
-                    w = [s // g for s in w]
-            out.append(w)
+                if not any(w):
+                    break  # a mark fell into the span
+            reduced.append(w)
         else:
-            yield from _greedy_bases(out[m:], echelon + [(v, p)], out[:m], still - 1)
-        marks = marks + [v]
-        m += 1
+            later = []
+            for w in rest[q + 1 :]:
+                b = w[p]
+                if b:
+                    w = [a * s - b * t for s, t in zip(w, v)]
+                    g = gcd(*w)
+                    if not g:
+                        continue
+                    if g > 1:
+                        w = [s // g for s in w]
+                later.append(w)
+            _greedy_bases(later, echelon + [(v, p)], reduced, still - 1, out)
+        marks.append(v)
+
+
+def _direction(x: int, y: int) -> tuple[int, int]:
+    """The primitive integer pair on the line through (x, y) != (0, 0), first
+    nonzero entry positive."""
+    g = gcd(x, y)
+    if x < 0 or not x and y < 0:
+        g = -g
+    return x // g, y // g
 
 
 def _null_vector(echelon: list, t: int) -> list[int]:
@@ -183,7 +215,9 @@ def enumerate_circuits(support: Support) -> CircuitCatalog:
         units = [[int(m == i) for i in range(t)] for m in range(t)]
         for live in combinations(range(k), t):
             QT = [[row[m] for m in live] for row in Q]
-            for echelon in _greedy_bases([row for row in QT if any(row)], [], units, t - 1):
+            echelons: list = []
+            _greedy_bases([row for row in QT if any(row)], [], list(units), t - 1, echelons)
+            for echelon in echelons:
                 c = _null_vector(echelon, t)
                 y = {free[m]: D * x for m, x in zip(live, c)}
                 for i, row in enumerate(QT):

@@ -9,7 +9,6 @@ from __future__ import annotations
 import argparse
 import math
 import sys
-from pathlib import Path
 
 from .analysis import (
     DEFAULT_SAMPLES,
@@ -19,18 +18,8 @@ from .analysis import (
     require_normalized,
     verify_symmetry,
 )
-from .circuits import enumerate_circuits
 from .errors import InputError, InternalError
 from .fixtures import fixture_names, fixture_state
-from .invariants import (
-    FlipRejection,
-    abs_square_generators,
-    evaluate,
-    is_sl_type,
-    monomial_from_circuit,
-    symmetrize_over_flips,
-)
-from .normalizer import balance_defect_polynomials, compute_normalizer, support_stabilizer_masks
 from .serialize import (
     canonical_dumps,
     catalog_to_dict,
@@ -47,10 +36,14 @@ from .serialize import (
 from .states import PureState, Support
 from .symmetry import solve_symmetry_group
 
+# The circuit search, the invariants and the normalizer are imported by the
+# subcommands that use them, so `compare` and `verify` never load them.
+
 
 def _read_text(path: str) -> str:
     try:
-        return Path(path).read_text(encoding="utf-8")
+        with open(path, encoding="utf-8") as f:
+            return f.read()
     except OSError as exc:
         raise InputError(f"cannot read {path}: {exc.strerror or exc}") from exc
     except UnicodeDecodeError as exc:
@@ -148,6 +141,8 @@ def cmd_analyze(args: argparse.Namespace) -> int:
 
 
 def cmd_circuits(args: argparse.Namespace) -> int:
+    from .circuits import enumerate_circuits
+
     support, _ = _support_from_args(args)
     catalog = enumerate_circuits(support)
     if args.json:
@@ -164,6 +159,17 @@ def cmd_circuits(args: argparse.Namespace) -> int:
 
 
 def cmd_invariants(args: argparse.Namespace) -> int:
+    from .circuits import enumerate_circuits
+    from .invariants import (
+        FlipRejection,
+        abs_square_generators,
+        evaluate,
+        is_sl_type,
+        monomial_from_circuit,
+        symmetrize_over_flips,
+    )
+    from .normalizer import balance_defect_polynomials, support_stabilizer_masks
+
     support, psi = _support_from_args(args)
     catalog = enumerate_circuits(support)
     flip_masks = list(support_stabilizer_masks(support).masks)
@@ -222,6 +228,8 @@ def cmd_invariants(args: argparse.Namespace) -> int:
 
 
 def cmd_normalizer(args: argparse.Namespace) -> int:
+    from .normalizer import compute_normalizer
+
     support, _ = _support_from_args(args)
     desc = compute_normalizer(support, solve_symmetry_group(support))
     if args.json:

@@ -232,7 +232,10 @@ class SlGeneratorReport:
 
 def single_sl_generator_check(catalog: CircuitCatalog) -> SlGeneratorReport:
     """When the support has exactly one circuit, positive and SL-type, the
-    scaling-invariant bidegrees on the support are exhausted by (r*d, 0)."""
+    scaling-invariant bidegrees on the support are exhausted by (r*d, 0).
+
+    A positive relation has no negative entry, so its monomial has bidegree
+    (d_order, 0) and is SL-type: positivity is the whole test."""
     circuits = catalog.circuits
     if len(circuits) != 1:
         return SlGeneratorReport(
@@ -244,11 +247,6 @@ def single_sl_generator_check(catalog: CircuitCatalog) -> SlGeneratorReport:
     if not only.positive:
         return SlGeneratorReport(
             holds=False, degree=None, reason="the single circuit is not positive"
-        )
-    mono = monomial_from_circuit(only)
-    if not is_sl_type(mono):
-        return SlGeneratorReport(
-            holds=False, degree=None, reason="the single circuit monomial is not SL-type"
         )
     return SlGeneratorReport(
         holds=True,

@@ -10,17 +10,21 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from typing import Any, Mapping
+from typing import TYPE_CHECKING, Any, Mapping
 
 from . import __version__
-from .analysis import GENERIC_FLOOR, AnalysisReport, SymmetryVerification
-from .circuits import BalancedCircuit, CircuitCatalog
+from .analysis import GENERIC_FLOOR
 from .errors import InputError
 from .exactlinalg import IntMatrix, rational_rank
-from .invariants import FlipRejection, InvariantMonomial, InvariantSum
-from .normalizer import FlipGroup, NormalizerDescription
 from .states import PhaseVector, PureState
-from .symmetry import DiagonalSymmetryGroup, QubitActionProfile
+from .symmetry import DiagonalSymmetryGroup
+
+if TYPE_CHECKING:
+    from .analysis import AnalysisReport, SymmetryVerification
+    from .circuits import BalancedCircuit, CircuitCatalog
+    from .invariants import FlipRejection, InvariantMonomial, InvariantSum
+    from .normalizer import FlipGroup, NormalizerDescription
+    from .symmetry import QubitActionProfile
 
 TOOL_NAME = "lusym"
 

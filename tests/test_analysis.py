@@ -12,6 +12,8 @@ from lusym import (
     Support,
     analyze,
     compare_strata,
+    evaluate,
+    fixture_names,
     fixture_state,
     group_contains,
     monomial_from_circuit,
@@ -28,7 +30,7 @@ from lusym.analysis import (
 )
 from lusym.symmetry import character_rows
 
-from conftest import random_state_on, random_support
+from conftest import random_coset_support, random_state_on, random_support
 
 
 def test_verify_bell_exact():
@@ -149,6 +151,47 @@ def test_analyze_random_states_verify_clean():
         rep = analyze(random_state_on(rng, sup))
         assert rep.verification.passed
         assert rep.verification.max_deviation < 1e-9
+
+
+def _axis_state_on(rng: random.Random, support: Support) -> PureState:
+    """Purely real or purely imaginary amplitudes, their zero parts 0.0 or -0.0,
+    normalized part by part so that no zero changes sign."""
+    parts = []
+    for _ in support.labels:
+        x = rng.choice([-1, 1]) * rng.uniform(0.2, 1.0)
+        zero = rng.choice([0.0, -0.0])
+        parts.append((x, zero) if rng.random() < 0.5 else (zero, x))
+    norm = math.sqrt(sum(x * x + y * y for x, y in parts))
+    return PureState.from_amplitudes(
+        {lab: complex(x / norm, y / norm) for lab, (x, y) in zip(support.labels, parts)}
+    )
+
+
+def _bits(v: complex) -> tuple:
+    # (re, im) with the sign of each part, so that 0.0 and -0.0 differ
+    return v.real, v.imag, math.copysign(1.0, v.real), math.copysign(1.0, v.imag)
+
+
+def test_monomial_values_are_evaluate_bit_for_bit():
+    # analyze computes the values straight from the relations; they must be the
+    # floats evaluate(monomial_from_circuit(c), psi) gives, signs of zero included
+    rng = random.Random(1201)
+    states = [fixture_state(name) for name in fixture_names()]
+    for n, size in [(6, 12), (7, 14), (8, 13), (10, 13)]:
+        support = random_support(rng, n, size, min_labels=size)
+        states += [random_state_on(rng, support), _axis_state_on(rng, support)]
+    for n, dim in [(10, 2), (11, 3), (12, 3)]:
+        support = random_coset_support(rng, n, dim)
+        states += [random_state_on(rng, support), _axis_state_on(rng, support)]
+    negative_zeros = 0
+    for psi in states:
+        report = analyze(psi)
+        assert len(report.monomial_values) == len(report.catalog.circuits)
+        for c, value in zip(report.catalog.circuits, report.monomial_values):
+            assert _bits(value) == _bits(evaluate(monomial_from_circuit(c), psi)), c
+            negative_zeros += sum(x == 0 and math.copysign(1.0, x) < 0 for x in (value.real, value.imag))
+    # the axis states reach signed zeros, so the sign check is not vacuous
+    assert negative_zeros > 0
 
 
 def test_compare_strata_equal():
@@ -284,11 +327,13 @@ def test_compare_strata_self_check_trips_on_a_broken_form(monkeypatch):
         compare_strata(full, ghz)
 
 
-def _moved(support: Support, perm: list[int], mask: int) -> Support:
+def _moved_label(label: str, perm: list[int], mask: int) -> str:
     # qubit k of the image is qubit perm[k] of the label, then flipped where mask is 1
-    return _support_of_ints(
-        (int("".join(lab[p] for p in perm), 2) ^ mask for lab in support.labels), support.n
-    )
+    return format(int("".join(label[p] for p in perm), 2) ^ mask, f"0{len(label)}b")
+
+
+def _moved(support: Support, perm: list[int], mask: int) -> Support:
+    return Support.from_labels(_moved_label(lab, perm, mask) for lab in support.labels)
 
 
 def test_compare_strata_invariant_under_permutation_and_flips():
@@ -306,3 +351,40 @@ def test_compare_strata_invariant_under_permutation_and_flips():
             kinds.add(verdict)
             assert compare_strata(_moved(a, perm, mask), _moved(b, perm, mask)) == verdict
     assert kinds == ALL_VERDICTS
+
+
+@pytest.mark.parametrize("kind", ["random", "coset"])
+def test_analysis_is_equivariant_under_permutation_and_flips(kind):
+    # A qubit permutation and a flip X^m are local unitaries: they permute the
+    # coordinates of every sign vector and negate some, so the relations of the
+    # image support are the same per label, each up to the sign its first
+    # member fixes, and each monomial value keeps its modulus.
+    rng = random.Random(f"equivariance:{kind}")
+    for _ in range(40):
+        n = rng.randint(3, 10)
+        if kind == "random":
+            support = random_support(rng, n, n + 6, min_labels=n + 1)
+        else:
+            support = random_coset_support(rng, n, rng.randint(1, min(3, n - 1)))
+        psi = random_state_on(rng, support)
+        perm, mask = rng.sample(range(n), n), rng.getrandbits(n)
+        image = PureState.from_amplitudes(
+            {_moved_label(lab, perm, mask): c for lab, c in psi.amplitudes.items()}
+        )
+        before, after = analyze(psi), analyze(image)
+
+        moved_circuits = {}
+        for c in before.catalog.circuits:
+            relation = {_moved_label(lab, perm, mask): z for lab, z in zip(c.member_labels, c.relation)}
+            moved_circuits[frozenset(relation)] = relation
+        assert len(moved_circuits) == len(after.catalog.circuits)
+        for c in after.catalog.circuits:
+            relation = dict(zip(c.member_labels, c.relation))
+            expected = moved_circuits[frozenset(relation)]
+            assert relation in (expected, {lab: -z for lab, z in expected.items()})
+
+        moduli = [sorted(abs(v) for v in r.monomial_values) for r in (before, after)]
+        assert all(math.isclose(x, y, rel_tol=1e-9) for x, y in zip(*moduli))
+        assert before.group.torus_rank == after.group.torus_rank
+        assert sorted(before.group.finite_factors) == sorted(after.group.finite_factors)
+        assert before.verification.passed and after.verification.passed

@@ -1,3 +1,4 @@
+import hashlib
 import math
 import random
 
@@ -165,3 +166,24 @@ def test_circuit_groups_contain_support_group():
         for circuit in circuits:
             g_circ = solve_symmetry_group(Support.from_labels(circuit.member_labels))
             assert group_contains(g_circ, g_full)
+
+
+def _workload_sized_supports():
+    # shapes like the dense-circuits benchmark's, where |T| >= 4 search levels
+    # and their dead branches occur; the brute-force oracle stops at n <= 6
+    rng = random.Random(1213)
+    for n, L in [(6, 14), (7, 14), (8, 13), (9, 13), (10, 13)]:
+        for _ in range(12):
+            yield random_support(rng, n, L, min_labels=L)
+
+
+# sha256 over repr(enumerate_circuits(s).circuits) on the supports above, as
+# found by the search of lusym 0.4.0: members, relations and their order
+CATALOG_SHA256 = "3ebc24c315b64038035a76c06f0c64223bc4a5aebf2d1f8ff43c8df425c06a47"
+
+
+def test_workload_sized_catalogs_are_pinned():
+    h = hashlib.sha256()
+    for sup in _workload_sized_supports():
+        h.update(repr(enumerate_circuits(sup).circuits).encode())
+    assert h.hexdigest() == CATALOG_SHA256

@@ -305,3 +305,52 @@ def test_cli_import_leaves_numpy_out():
         timeout=60,
     )
     assert result.returncode == 0, result.stderr
+
+
+LOADED_LUSYM_MODULES = (
+    "import sys; from lusym.cli import main; code = main(sys.argv[1:]); "
+    "print(*sorted(m for m in sys.modules if m.startswith('lusym')), file=sys.stderr); "
+    "sys.exit(code)"
+)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["compare", "--support-a", "00,11", "--support-b", "00"],
+        ["verify", "--fixture", "ghz4", "--from-support"],
+        ["verify", "--fixture", "ghz4", "--group", "GROUP"],
+    ],
+    ids=["compare", "verify-from-support", "verify-group-file"],
+)
+def test_compare_and_verify_load_no_circuit_code(tmp_path, argv):
+    # a fresh process, so modules that other tests imported do not count
+    group_file = tmp_path / "g.json"
+    group_file.write_text(dump_group(solve_symmetry_group(fixture_state("ghz4").support())))
+    argv = [str(group_file) if a == "GROUP" else a for a in argv]
+    result = subprocess.run(
+        [sys.executable, "-c", LOADED_LUSYM_MODULES, *argv],
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert result.returncode == 0, result.stderr
+    loaded = set(result.stderr.split())
+    assert "lusym.analysis" in loaded
+    assert not loaded & {"lusym.circuits", "lusym.invariants", "lusym.normalizer"}
+
+
+def test_lazy_package_exports_every_public_name():
+    import importlib
+
+    import lusym
+
+    namespace: dict = {}
+    exec("from lusym import *", namespace)
+    assert sorted(set(namespace) - {"__builtins__"}) == lusym.__all__
+    for name in lusym.__all__:
+        module = importlib.import_module(f"lusym.{lusym._SUBMODULE[name]}")
+        assert getattr(lusym, name) is getattr(module, name) is namespace[name]
+    assert set(lusym.__all__) <= set(dir(lusym))
+    with pytest.raises(AttributeError, match="no_such_name"):
+        lusym.no_such_name

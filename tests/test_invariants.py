@@ -274,3 +274,18 @@ def test_single_sl_generator_reports():
     )
     assert not two.holds
     assert "2 circuits" in two.reason
+
+
+def test_positive_circuit_monomials_are_sl_type():
+    # single_sl_generator_check tests positivity alone: a positive circuit's
+    # monomial has bidegree (d_order, 0), so it is SL-type, and a mixed one's is not
+    rng = random.Random(1207)
+    seen = set()
+    for _ in range(60):
+        for c in enumerate_circuits(random_support(rng, rng.randint(2, 6), 10)).circuits:
+            mono = monomial_from_circuit(c)
+            assert is_sl_type(mono) == c.positive
+            if c.positive:
+                assert mono.bidegree == (c.d_order, 0)
+            seen.add(c.positive)
+    assert seen == {True, False}
