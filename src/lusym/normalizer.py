@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import InternalError
-from .states import PureState, Support, label_int, xor_labels
+from .states import PureState, Support, label_int
 from .symmetry import DiagonalSymmetryGroup, QubitActionProfile, qubit_action_profile
 
 
@@ -38,29 +38,34 @@ class FlipGroup:
         return mask in set(self.masks)
 
 
-def _gf2_generators(masks: list[str]) -> tuple[str, ...]:
-    n = len(masks[0])
+def _gf2_generators(values: list[int]) -> list[int]:
+    """The masks, in the given order, that are independent of those before them."""
     basis: list[int] = []
-    gens: list[str] = []
-    for mask in sorted(masks, key=label_int):
-        x = label_int(mask)
+    gens: list[int] = []
+    for x in values:
         y = x
         for b in basis:
             y = min(y, y ^ b)
         if y:
             basis.append(y)
-            gens.append(mask)
-    return tuple(gens)
+            gens.append(x)
+    return gens
 
 
-def _as_flip_group(masks: list[str]) -> FlipGroup:
-    ordered = tuple(sorted(set(masks), key=label_int))
-    mask_set = set(ordered)
+def _as_flip_group(values: list[int], n: int) -> FlipGroup:
+    """The flip group of n-bit masks given by their integer values."""
+    ordered = sorted(set(values))
+    value_set = set(ordered)
     for x in ordered:
         for y in ordered:
-            if xor_labels(x, y) not in mask_set:
-                raise InternalError(f"flip masks not closed under xor: {x} ^ {y}")
-    return FlipGroup(masks=ordered, generators=_gf2_generators(list(ordered)))
+            if x ^ y not in value_set:
+                raise InternalError(
+                    f"flip masks not closed under xor: {x:0{n}b} ^ {y:0{n}b}"
+                )
+    return FlipGroup(
+        masks=tuple(f"{x:0{n}b}" for x in ordered),
+        generators=tuple(f"{x:0{n}b}" for x in _gf2_generators(ordered)),
+    )
 
 
 def support_stabilizer_masks(support: Support) -> FlipGroup:
@@ -69,14 +74,15 @@ def support_stabilizer_masks(support: Support) -> FlipGroup:
     Candidates are the XOR differences against one fixed label: any stabilizing
     mask must send that label somewhere inside the support.
     """
-    label_set = set(support.labels)
-    base = support.labels[0]
+    values = [label_int(lab) for lab in support.labels]
+    value_set = set(values)
+    base = values[0]
     kept = []
-    for other in support.labels:
-        mask = xor_labels(base, other)
-        if all(xor_labels(lab, mask) in label_set for lab in support.labels):
+    for other in values:
+        mask = base ^ other
+        if all(v ^ mask in value_set for v in values):
             kept.append(mask)
-    return _as_flip_group(kept)
+    return _as_flip_group(kept, support.n)
 
 
 @dataclass(frozen=True)

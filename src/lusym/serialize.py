@@ -1,8 +1,9 @@
 """Canonical JSON serialization for states, groups, and analysis reports.
 
-All writers go through canonical_dumps (sorted keys, fixed indentation), so a
-given object always produces byte-identical output. Floats use Python repr,
-the shortest representation that round-trips exactly.
+All writers go through canonical_dumps (sorted keys, compact separators), so
+a given object always produces byte-identical output. Floats use Python repr,
+the shortest representation that round-trips exactly. Readers accept any JSON
+layout, indented files of earlier versions included.
 """
 
 from __future__ import annotations
@@ -30,7 +31,8 @@ TOOL_NAME = "lusym"
 
 
 def canonical_dumps(obj: Any) -> str:
-    return json.dumps(obj, sort_keys=True, indent=2, ensure_ascii=True, allow_nan=False) + "\n"
+    # no indent: any indent makes json fall back to its pure-Python encoder
+    return json.dumps(obj, sort_keys=True, separators=(",", ":"), ensure_ascii=True, allow_nan=False) + "\n"
 
 
 def _require(condition: bool, message: str) -> None:

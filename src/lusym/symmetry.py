@@ -16,7 +16,7 @@ from typing import Iterable, Sequence
 
 from .errors import DimensionError, InternalError
 from .exactlinalg import IntMatrix, normalize_int_vector, smith_normal_form
-from .states import PhaseVector, Support, weight_vector
+from .states import PhaseVector, Support, label_int, weight_vector
 
 
 def sign_rows(labels: Iterable[str]) -> tuple[tuple[int, ...], ...]:
@@ -183,16 +183,18 @@ def qubit_action_profile(support: Support, group: DiagonalSymmetryGroup) -> Qubi
     n = support.n
     trivial = []
     witnesses: list[tuple[str, str] | None] = []
-    label_set = set(support.labels)
+    values = [label_int(label) for label in support.labels]
+    value_set = set(values)
     for k in range(n):
         torus_fixed = all(vec[k] == 0 for vec in group.torus_basis)
         gens_half = all(2 * gen.nums[k] % gen.den == 0 for gen in group.finite_generators)
         is_trivial = torus_fixed and gens_half
         witness = None
-        for label in support.labels:
-            flipped = label[:k] + ("1" if label[k] == "0" else "0") + label[k + 1 :]
-            if flipped in label_set:
-                witness = (label, flipped) if label < flipped else (flipped, label)
+        bit = 1 << (n - 1 - k)
+        for v in values:
+            if v ^ bit in value_set:
+                # the first such label in value order has bit k clear
+                witness = (f"{v & ~bit:0{n}b}", f"{v | bit:0{n}b}")
                 break
         if witness is not None and not is_trivial:
             raise InternalError(

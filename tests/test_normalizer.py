@@ -3,6 +3,7 @@ import random
 import pytest
 
 from lusym import (
+    InternalError,
     Support,
     compute_normalizer,
     fixture_state,
@@ -10,7 +11,7 @@ from lusym import (
     reduced_density_matrix,
     solve_symmetry_group,
 )
-from lusym.normalizer import balance_defect_polynomials, support_stabilizer_masks
+from lusym.normalizer import _as_flip_group, balance_defect_polynomials, support_stabilizer_masks
 from lusym.states import xor_labels
 
 from conftest import conjugate, random_state_on, random_support
@@ -59,6 +60,35 @@ def test_stabilizer_masks_xor_closure_random():
         for m in fg.masks:
             assert {xor_labels(lab, m) for lab in labels} == labels
         assert len(fg.masks) == 2 ** len(fg.generators)
+
+
+def test_stabilizer_masks_brute_force():
+    # every t in [0, 2^n) with S ^ t = S, in value order; the generators are the
+    # masks, in value order, outside the span of the generators before them
+    rng = random.Random(149)
+    for _ in range(80):
+        n = rng.randint(1, 6)
+        sup = random_support(rng, n, 2**n)
+        values = {int(lab, 2) for lab in sup.labels}
+        masks = [t for t in range(2**n) if {v ^ t for v in values} == values]
+        span, gens = {0}, []
+        for t in masks:
+            if t not in span:
+                gens.append(t)
+                span |= {x ^ t for x in span}
+        fg = support_stabilizer_masks(sup)
+        assert fg.masks == tuple(format(t, f"0{n}b") for t in masks)
+        assert fg.generators == tuple(format(t, f"0{n}b") for t in gens)
+
+
+@pytest.mark.parametrize(
+    "values, n",
+    [([0b00, 0b01, 0b10], 2), ([0b11], 2), ([0b000, 0b011, 0b101], 3)],
+    ids=["no-sum", "no-zero", "no-sum-3"],
+)
+def test_flip_group_self_check_rejects_unclosed_masks(values, n):
+    with pytest.raises(InternalError, match="not closed under xor"):
+        _as_flip_group(values, n)
 
 
 def test_phase_condition_keeps_ghz_flip():

@@ -35,10 +35,27 @@ from conftest import random_coset_support, random_state_on, random_support
 
 
 def test_canonical_dumps_shape():
-    text = canonical_dumps({"b": 1, "a": [1.5, None]})
-    assert text.endswith("\n")
-    assert text.index('"a"') < text.index('"b"')
-    assert json.loads(text) == {"b": 1, "a": [1.5, None]}
+    assert canonical_dumps({"b": 1, "a": [1.5, None]}) == '{"a":[1.5,null],"b":1}\n'
+
+
+def test_written_files_are_fixed_points():
+    report = dump_report(analyze(fixture_state("cluster4a")))
+    group = dump_group(solve_symmetry_group(fixture_state("ghz4").support()))
+    for text in (report, group):
+        assert canonical_dumps(json.loads(text)) == text
+        assert text.count("\n") == 1
+
+
+def test_indented_files_of_0_4_0_load():
+    # lusym 0.4.0 wrote sorted keys with indent=2; such files still load and
+    # are written back in the compact form
+    psi = fixture_state("xstate")
+    group = solve_symmetry_group(psi.support())
+    old_state = json.dumps(state_to_dict(psi), sort_keys=True, indent=2) + "\n"
+    old_group = json.dumps(group_to_dict(group), sort_keys=True, indent=2) + "\n"
+    assert old_state != dump_state(psi) and old_group != dump_group(group)
+    assert dump_state(load_state(old_state)) == dump_state(psi)
+    assert dump_group(load_group(old_group)) == dump_group(group)
 
 
 def test_state_round_trip():
@@ -184,6 +201,7 @@ def test_report_dump_deterministic():
     payload = json.loads(r1)
     assert payload["tool"]["name"] == "lusym"
     assert payload["input"]["hash"] == state_hash(psi)
+    assert state_hash(psi) == "sha256:" + hashlib.sha256(dump_state(psi).encode()).hexdigest()
 
 
 def test_state_dict_matches_schema(schema_validator):
@@ -206,22 +224,22 @@ def test_report_dict_matches_schema(schema_validator):
         schema_validator("report.schema.json", payload)
 
 
-# sha256 of dump_report(analyze(fixture_state(name))) as written by lusym 0.4.0;
+# sha256 of dump_report(analyze(fixture_state(name))) as written by lusym 0.5.0;
 # any change to the report bytes must come with a version bump and new hashes
 REPORT_SHA256 = {
-    "bell": "bed7d7eb7de25d448709648ac9c321ebe3f3dd20823d8df5028df19eef697536",
-    "cluster4a": "526366900af4c9ad8296058a0257e76a8ccc813135846b8bc4e067190901214f",
-    "cluster4b": "ff021db498be2073228cd86b2e840b113836e00135e00ff6c984457cd9ab5380",
-    "ghz2": "bed7d7eb7de25d448709648ac9c321ebe3f3dd20823d8df5028df19eef697536",
-    "ghz3": "2f39c624931039f4bde376e049c1f877f58a7ff2add3f62f60bfda6de952fd8c",
-    "ghz4": "dd5f48bf8a2cecff4616a1255df892441a74b129172cf23c6e784b3f4d6e361b",
-    "ghz5": "7fcdbf901cd6c0c85b03dfeadb9e996332bec6cde1bf04f53277756a30ab675d",
-    "ghz6": "69e49938a069b358c295247fd5c2baba3ea9adb9430c6b7d595d177c2cb4c2eb",
-    "w3": "21bccce7beef4bba3f29ef325ee3df20704c3e10ee3fe623b1525a7916d1e5b4",
-    "w4": "d16b9cdb01a1e56761dfa7b078bf0a27c4239737d8c66f12d8cb4f1faf8584d9",
-    "w5": "ef955b204713239dc71c414f66b5c518a8c2346ea6919b6c14c29b3cb6d8604e",
-    "w6": "1fde32fefc5550970d16f2faf99ea86d512941008a58221badcdd98674a84e83",
-    "xstate": "80af492e30ffacc793d82d7b66cfef6a3e59c6065ae801c049ae347fe2136e94",
+    "bell": "6be8132fd1e7bc3dc7e3851e9e0fc7e36e74abfedce22cff76c1fd6fdc7545a9",
+    "cluster4a": "00a6d594f84f0aa48201f88c73b92c94b399f8cc001fe5124afd8ef30c4abbaa",
+    "cluster4b": "20bac10548f5b7e2d4b4c43c01d0fe4e1017a9287136c074b99ecee3f7125e21",
+    "ghz2": "6be8132fd1e7bc3dc7e3851e9e0fc7e36e74abfedce22cff76c1fd6fdc7545a9",
+    "ghz3": "e6d265f09014117d373e92138cbe4c290825a1602b12da10e8ca0a6e86bdea83",
+    "ghz4": "7d4654e6725ced30b7891fdc51a0795f8e582364b30e80621df44e1442a358f8",
+    "ghz5": "60992e9bb809487af362970a924346785b01018d933e275b7f7185c46d52f2f0",
+    "ghz6": "badd2a731123f25242a03a53bd0272d2756abbcb2b75182144f5d48e85a5beec",
+    "w3": "c9c911e9d3c7aeaace9b4260821d6a27c1a7d2c109ff60d60cd1800ab8c5a90d",
+    "w4": "85a4b94fd37180cb12e7981495adb38be0486689f3dcf893d85e973a254662e0",
+    "w5": "8b3eb0c85dd1c7effbcbb6ee6d751a46ad25690cd950835442b9de6e94821b83",
+    "w6": "f024df495325634bc9e85f19a4330df3d6508fb0cc9b1d897082c346eacd0977",
+    "xstate": "69cbb5dde4bf4cceeb52a1a71bf50ee5a5c5d6da1dacc03bd9396448820e4137",
 }
 
 
@@ -233,24 +251,71 @@ def test_report_bytes_are_pinned():
 
 
 # sha256 of dump_report for seeded states beyond the fixtures, written by lusym
-# 0.4.0: cosets with a torus of rank 7 and 8, and random supports whose groups
+# 0.5.0: cosets with a torus of rank 7 and 8, and random supports whose groups
 # have eight and nine finite factors. Built with the conftest helpers, so a
 # change to those helpers changes the inputs and fails this test too.
 SEEDED_REPORT_SHA256 = {
-    ("coset", 1, 10, 2): "47559f487c378f3a667d50aba1709af54e70739e7ba32a4e7ecae6881543eed6",
-    ("coset", 2, 12, 3): "d3ca38fb6183a423bc5e862d1515fcf65d085066de9258e99594334895d0e388",
-    ("random", 5, 8, 12): "7a9283d8ee2225682298aff279c987f06e62d1e7374d7bbd43c2b709a0b8a711",
-    ("random", 6, 9, 13): "6bbc21cd4c001f6dd67ecf0158cf73f57caaf22575bc7de554cf10d990774193",
+    ("coset", 1, 10, 2): "735e202649816f984edf96ece8963fbdbce88b96d46396e57aacec2cdd04f577",
+    ("coset", 2, 12, 3): "80c4425f473500cd8d21e89f67851f703c31dcbd362bd3c5b49c49d12f81cfa5",
+    ("random", 5, 8, 12): "e422ba963fae9ca2b5f6897fd928bf5990d6a565bf007dd978085c5f67fdc806",
+    ("random", 6, 9, 13): "634a5a7ee925ade0a51b4828b5fd5b4ed17b1b85e6f77481b141947ac84cef28",
 }
 
 
-@pytest.mark.parametrize("kind, seed, n, size", sorted(SEEDED_REPORT_SHA256))
-def test_seeded_report_bytes_are_pinned(kind, seed, n, size):
+def _seeded_report(kind, seed, n, size):
     rng = random.Random(seed)
     if kind == "coset":
         support = random_coset_support(rng, n, size)
     else:
         support = random_support(rng, n, size, min_labels=size)
-    text = dump_report(analyze(random_state_on(rng, support)))
+    return dump_report(analyze(random_state_on(rng, support)))
+
+
+@pytest.mark.parametrize("kind, seed, n, size", sorted(SEEDED_REPORT_SHA256))
+def test_seeded_report_bytes_are_pinned(kind, seed, n, size):
+    text = _seeded_report(kind, seed, n, size)
     digest = SEEDED_REPORT_SHA256[kind, seed, n, size]
     assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
+def _content_sha256(text):
+    """sha256 of a report's values and keys, whatever its whitespace, with the
+    two fields a format change may move (tool.version, input.hash) removed."""
+    data = json.loads(text)
+    del data["tool"]["version"], data["input"]["hash"]
+    return hashlib.sha256(json.dumps(data, sort_keys=True, separators=(",", ":")).encode()).hexdigest()
+
+
+# content digests of the reports pinned above, recorded from lusym 0.4.0: a
+# format change that moves only whitespace, the version and the state hash
+# leaves every one of them unchanged
+REPORT_CONTENT_SHA256 = {
+    "bell": "662a7e63fc4916d4f949772cba45eb5d64ee7567514bde195009476ba3e4a385",
+    "cluster4a": "464757b0e1ddfca94a006dcda2efd85708d5cbc1a20a48f2b7f14b4151ebe578",
+    "cluster4b": "77ef2e46866532d36b0ab01c7ed2b9fa436c3b52ab1a4a76f25171ee3b9e5139",
+    "ghz2": "662a7e63fc4916d4f949772cba45eb5d64ee7567514bde195009476ba3e4a385",
+    "ghz3": "c35b4cc326cff26daa7d1a783d7e51038d5165819b333f9c65bad2b31dae8ac9",
+    "ghz4": "d9ac78502c3e38c2f0833f24e9fa274344ee2fad28d6a61bd2a301b119fa4a7c",
+    "ghz5": "8644263101a89607eae6016ac926c60075380d5f45896dfabf18f21e42eebaec",
+    "ghz6": "613f20e051d782dd19156ea840933cd5e8ab4e7469b9ee04173655e98ebceb43",
+    "w3": "d2e13c209a45bf3ae35155206680eeb2d5390f08a2aed32e6bce3762f4651085",
+    "w4": "0ca86cdc400199eed53c187068e72c69dd91c58c8760117e3b3ca7fdad7a2645",
+    "w5": "ab36bdf0c417047b26c369ca9fbcd058311a0c85b69c170f0e153899db770088",
+    "w6": "e05bdee0e775244c7cc9cb72f7eb306111826ee1f40acb8a56076d33b3909049",
+    "xstate": "40c2df504fe82163db0244e58d406afcfe2d615da72e14227ff8500ca9001ca2",
+}
+SEEDED_REPORT_CONTENT_SHA256 = {
+    ("coset", 1, 10, 2): "c6e9cd2a6441f8c8fb1829d2be291c7558345b93b15b07b76dedb1d9070a69a6",
+    ("coset", 2, 12, 3): "2144031f9c7af4c4d24e9f845b1d7a4980a001e2fd9f7b9f3d2ae983551dec82",
+    ("random", 5, 8, 12): "0c41f18f8cbbd2fdf7a06a78f78dd5147de4cd5611711eec342de5f96d138c1f",
+    ("random", 6, 9, 13): "6531fc612bfaf13d7bbe2bf91626ac9fa4b0459d39b99af41bd8691ecef1f560",
+}
+
+
+def test_report_content_is_pinned():
+    assert sorted(REPORT_CONTENT_SHA256) == sorted(REPORT_SHA256)
+    assert sorted(SEEDED_REPORT_CONTENT_SHA256) == sorted(SEEDED_REPORT_SHA256)
+    for name, digest in REPORT_CONTENT_SHA256.items():
+        assert _content_sha256(dump_report(analyze(fixture_state(name)))) == digest, name
+    for case, digest in SEEDED_REPORT_CONTENT_SHA256.items():
+        assert _content_sha256(_seeded_report(*case)) == digest, case

@@ -229,3 +229,23 @@ def test_witness_forces_triviality_randomly():
                 assert profile.trivial[k]
                 a, b = witness
                 assert sum(x != y for x, y in zip(a, b)) == 1
+
+
+def test_qubit_action_profile_witness_brute_force():
+    # the witness at qubit k is the first label, in value order, whose flip at
+    # k lies in the support, paired with that flip and sorted
+    rng = random.Random(151)
+    for _ in range(80):
+        n = rng.randint(1, 6)
+        sup = random_support(rng, n, 2**n)
+        labels = set(sup.labels)
+        expected = []
+        for k in range(n):
+            witness = None
+            for lab in sorted(labels, key=lambda lab: int(lab, 2)):
+                flipped = lab[:k] + "10"[int(lab[k])] + lab[k + 1 :]
+                if flipped in labels:
+                    witness = tuple(sorted((lab, flipped)))
+                    break
+            expected.append(witness)
+        assert qubit_action_profile(sup, solve_symmetry_group(sup)).witnesses == tuple(expected)
