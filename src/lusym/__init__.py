@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from importlib import import_module
 
-__version__ = "0.5.0"
+__version__ = "0.6.0"
 
 _EXPORTS = {
     "analysis": ("AnalysisReport", "SymmetryVerification", "analyze", "compare_strata", "verify_symmetry"),
@@ -55,7 +55,6 @@ _EXPORTS = {
         "QubitActionProfile",
         "group_contains",
         "group_member",
-        "groups_equal",
         "qubit_action_profile",
         "solve_symmetry_group",
     ),

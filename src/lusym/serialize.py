@@ -16,7 +16,6 @@ from typing import TYPE_CHECKING, Any, Mapping
 from . import __version__
 from .analysis import GENERIC_FLOOR
 from .errors import InputError
-from .exactlinalg import IntMatrix, rational_rank
 from .states import PhaseVector, PureState
 from .symmetry import DiagonalSymmetryGroup
 
@@ -131,10 +130,6 @@ def group_from_dict(data: Mapping) -> DiagonalSymmetryGroup:
             f"'torus_basis' vectors must be integer lists of length n+1, got {vec!r}",
         )
         basis.append(tuple(vec))
-    _require(
-        not basis or rational_rank(IntMatrix(basis)) == len(basis),
-        "'torus_basis' vectors must be nonzero and linearly independent",
-    )
     gens = []
     for item in data["finite"]:
         _require(isinstance(item, Mapping) and "order" in item and "nums" in item,
@@ -148,7 +143,9 @@ def group_from_dict(data: Mapping) -> DiagonalSymmetryGroup:
         # PhaseVector refuses nums off [0, order), and its lowest-terms rule makes
         # order the generator's exact order
         gens.append(PhaseVector(tuple(nums), order))
-    return DiagonalSymmetryGroup(n=n, torus_basis=tuple(basis), finite_generators=tuple(gens))
+    group = DiagonalSymmetryGroup.from_presentation(n, basis, gens)
+    _require(group.torus_rank == len(basis), "'torus_basis' vectors must be nonzero and linearly independent")
+    return group
 
 
 def dump_group(group: DiagonalSymmetryGroup) -> str:

@@ -1,9 +1,12 @@
 """Locally diagonal symmetry groups of a support, solved exactly.
 
 The group of diagonal elements diag(phi_1..phi_n, theta) fixing every basis
-label of a support is the solution set of an integer linear system modulo full
-turns. Solving the system by Smith normal form yields the continuous torus
-part, the finite invariant factors, and exact rational generators.
+label of a support is the set of x with M x integral, where M holds the sign
+rows (w_s, 1) of the labels. It is fixed by one lattice: Lambda, the integer
+row lattice of M, its character lattice (Pontryagin duality). A group is
+stored as the Hermite normal form of Lambda, so equal groups are equal
+objects, and its torus basis and finite generators are derived from that form
+once, by Smith normal form. Membership and containment read the form alone.
 """
 
 from __future__ import annotations
@@ -11,11 +14,11 @@ from __future__ import annotations
 import math
 import random
 from operator import mul
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
 from .errors import DimensionError, InternalError
-from .exactlinalg import IntMatrix, normalize_int_vector, smith_normal_form
+from .exactlinalg import IntMatrix, hermite_normal_form, lattice_member, normalize_int_vector, smith_normal_form
 from .states import PhaseVector, Support, label_int, weight_vector
 
 
@@ -27,27 +30,78 @@ def sign_rows(labels: Iterable[str]) -> tuple[tuple[int, ...], ...]:
 
 @dataclass(frozen=True)
 class DiagonalSymmetryGroup:
-    """Closed subgroup of the diagonal torus in (phi_1..phi_n, theta) coordinates.
+    """Closed subgroup {x : c . x integral for every c in Lambda} of the
+    diagonal torus in (phi_1..phi_n, theta) coordinates.
 
-    The group is (torus part) x (finite part): real multiples of the integer
-    torus_basis directions, plus the finite cyclic factors generated by the
-    rational finite_generators, all taken modulo whole turns. The torus_basis
-    directions are linearly independent, so the torus rank is their count, and
-    each generator's order is its denominator.
+    Built from any integer rows of length n+1 spanning Lambda, it stores their
+    row Hermite normal form as characters; equality and hashing read n and
+    characters only. From the Smith form u C v = d of that form it derives the
+    group as (torus part) x (finite part): real multiples of the torus_basis
+    directions, the kernel columns of v, plus the cyclic factors generated by
+    (column i of v) / d_i for each d_i > 1, taken modulo whole turns. Of a
+    generator and its inverse, both reduced to [0, 1) turns, the
+    lexicographically smaller is kept. Column i of the unimodular v is
+    primitive, so d_i is the generator's order.
     """
 
     n: int
-    torus_basis: tuple[tuple[int, ...], ...]
-    finite_generators: tuple[PhaseVector, ...]
+    characters: tuple[tuple[int, ...], ...]
+    torus_basis: tuple[tuple[int, ...], ...] = field(init=False, compare=False)
+    finite_generators: tuple[PhaseVector, ...] = field(init=False, compare=False)
 
     def __post_init__(self) -> None:
-        for vec in self.torus_basis:
-            if len(vec) != self.n + 1:
-                raise DimensionError("torus basis vectors must have n+1 entries")
+        rows = tuple(self.characters)
+        if any(len(row) != self.n + 1 for row in rows):
+            raise DimensionError("character rows must have n+1 entries")
+        characters = hermite_normal_form(rows)
+        if characters:
+            dec = smith_normal_form(IntMatrix(characters))
+            factors, v_columns = dec.invariant_factors, dec.v_columns
+            torus_basis = tuple(normalize_int_vector(col) for col in v_columns[len(factors) :])
+            finite_generators = tuple(
+                PhaseVector(min(tuple(x % d for x in col), tuple(-x % d for x in col)), d)
+                for d, col in zip(factors, v_columns)
+                if d > 1
+            )
+        else:  # Lambda = {0}: the full torus
+            torus_basis, finite_generators = IntMatrix.identity(self.n + 1).row_tuples(), ()
+        object.__setattr__(self, "characters", characters)
+        object.__setattr__(self, "torus_basis", torus_basis)
+        object.__setattr__(self, "finite_generators", finite_generators)
+
+    @classmethod
+    def from_presentation(
+        cls,
+        n: int,
+        torus_basis: Sequence[Sequence[int]],
+        finite_generators: Sequence[PhaseVector],
+    ) -> "DiagonalSymmetryGroup":
+        """The group generated by the torus directions and the finite generators.
+
+        Lambda is the set of c with c . t = 0 for each direction t and c . g
+        integral for each generator g: the first n+1 coordinates of the integer
+        left kernel of [[T, N], [0, diag(den)]], where T holds the directions as
+        columns and N the generators' numerators over their denominators den.
+        That left kernel is the right kernel of the transpose, whose rows are
+        those columns: the trailing columns of v in its Smith decomposition.
+        """
+        n1 = n + 1
+        if any(len(vec) != n1 for vec in torus_basis) or any(g.n != n for g in finite_generators):
+            raise DimensionError("torus directions and finite generators must have n+1 entries")
+        k = len(finite_generators)
+        columns = [list(vec) + [0] * k for vec in torus_basis]
+        columns += [
+            list(gen.nums) + [gen.den if i == j else 0 for i in range(k)]
+            for j, gen in enumerate(finite_generators)
+        ]
+        if not columns:
+            return cls(n, IntMatrix.identity(n1).row_tuples())
+        dec = smith_normal_form(IntMatrix(columns))
+        return cls(n, tuple(col[:n1] for col in dec.v_columns[dec.rank :]))
 
     @property
     def torus_rank(self) -> int:
-        return len(self.torus_basis)
+        return self.n + 1 - len(self.characters)
 
     @property
     def theta_continuous(self) -> bool:
@@ -61,39 +115,12 @@ class DiagonalSymmetryGroup:
     def finite_order(self) -> int:
         return math.prod(self.finite_factors)
 
-    @classmethod
-    def trivial(cls, n: int) -> "DiagonalSymmetryGroup":
-        return cls(n=n, torus_basis=(), finite_generators=())
-
 
 def solve_symmetry_group(support: Support) -> DiagonalSymmetryGroup:
-    """Solve the phase-fixing system of a support.
-
-    With M the (n+1)-column sign matrix, the group is {x : M x = 0 mod 1}.
-    Writing u M v = d in Smith form, the kernel columns of v span the torus
-    part and each invariant factor d_i > 1 contributes a finite cyclic factor
-    generated by (column i of v) / d_i. Of that generator and its inverse,
-    both reduced to [0, 1) turns, the lexicographically smaller is kept, so
-    the output is deterministic; over the shared denominator d_i that is the
-    smaller tuple of numerators. Column i of the unimodular v is primitive, so
-    d_i is the generator's lowest-terms denominator.
-    """
+    """The group of a support: the one whose character lattice is spanned by
+    the support's sign rows, checked against those rows."""
     rows = sign_rows(support)
-    dec = smith_normal_form(IntMatrix(rows))
-    factors = dec.invariant_factors
-    v_columns = dec.v_columns
-
-    torus_basis = tuple(normalize_int_vector(col) for col in v_columns[len(factors) :])
-    finite_generators = []
-    for d, col in zip(factors, v_columns):
-        if d <= 1:
-            continue
-        nums = min(tuple(x % d for x in col), tuple(-x % d for x in col))
-        finite_generators.append(PhaseVector(nums, d))
-
-    group = DiagonalSymmetryGroup(
-        n=support.n, torus_basis=torus_basis, finite_generators=tuple(finite_generators)
-    )
+    group = DiagonalSymmetryGroup(support.n, rows)
     _check_solution(rows, group)
     return group
 
@@ -118,50 +145,23 @@ def _annihilated_by(rows: Sequence[Sequence[int]], group: DiagonalSymmetryGroup)
 
 
 def _check_solution(rows: Sequence[Sequence[int]], group: DiagonalSymmetryGroup) -> None:
-    # the solved group must fix every label: each sign row sends it to integers
+    # the derived group must fix every label: each sign row sends it to integers
     if not _annihilated_by(rows, group):
         raise InternalError("solved group fails the phase condition")
-
-
-def character_rows(group: DiagonalSymmetryGroup) -> tuple[tuple[int, ...], ...]:
-    """Integer rows spanning the lattice of all c with c . x integral on the group.
-
-    The group is the set of x that every such row sends to an integer. The rows
-    are the first n+1 coordinates of the integer left kernel of
-    [[T, N], [0, diag(den)]], where T holds the torus directions as columns and
-    N the finite generators' numerators over their denominators den. That left
-    kernel is the right kernel of the transpose, whose rows are those columns:
-    the trailing columns of v in its Smith decomposition.
-    """
-    n1 = group.n + 1
-    gens = group.finite_generators
-    columns = [list(vec) + [0] * len(gens) for vec in group.torus_basis]
-    columns += [
-        list(gen.nums) + [gen.den if i == j else 0 for i in range(len(gens))]
-        for j, gen in enumerate(gens)
-    ]
-    if not columns:
-        return IntMatrix.identity(n1).row_tuples()
-    dec = smith_normal_form(IntMatrix(columns))
-    return tuple(col[:n1] for col in dec.v_columns[dec.rank :])
 
 
 def group_member(group: DiagonalSymmetryGroup, element: PhaseVector) -> bool:
     """Exact membership of a rational phase element in the group."""
     if element.n != group.n:
         raise DimensionError(f"element on {element.n} qubits, group on {group.n}")
-    return _integral(character_rows(group), element)
+    return _integral(group.characters, element)
 
 
 def group_contains(h1: DiagonalSymmetryGroup, h2: DiagonalSymmetryGroup) -> bool:
-    """Is h2 a subgroup of h1? Decided from the group descriptions alone."""
+    """Is h2 a subgroup of h1? By duality, exactly when Lambda_1 lies in Lambda_2."""
     if h1.n != h2.n:
         raise DimensionError(f"groups on different qubit counts: {h1.n} vs {h2.n}")
-    return _annihilated_by(character_rows(h1), h2)
-
-
-def groups_equal(h1: DiagonalSymmetryGroup, h2: DiagonalSymmetryGroup) -> bool:
-    return group_contains(h1, h2) and group_contains(h2, h1)
+    return all(lattice_member(h2.characters, row) for row in h1.characters)
 
 
 @dataclass(frozen=True)

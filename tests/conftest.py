@@ -65,7 +65,7 @@ def conjugate(group: DiagonalSymmetryGroup, mask: str) -> DiagonalSymmetryGroup:
     """The group conjugated by bit flips at the masked qubits: the masked phis
     of every torus direction and finite generator change sign."""
     flip = [ch == "1" for ch in mask] + [False]
-    return DiagonalSymmetryGroup(
+    return DiagonalSymmetryGroup.from_presentation(
         n=group.n,
         torus_basis=tuple(
             tuple(-x if f else x for x, f in zip(vec, flip)) for vec in group.torus_basis

@@ -14,7 +14,6 @@ from lusym import (
     analyze,
     fixture_names,
     fixture_state,
-    groups_equal,
     solve_symmetry_group,
 )
 from lusym.serialize import (
@@ -161,15 +160,25 @@ def test_group_round_trip_exact():
         g = solve_symmetry_group(sup)
         back = group_from_dict(group_to_dict(g))
         assert back == g
-        assert groups_equal(back, g)
         assert dump_group(back) == dump_group(g)
-    # a generator made from turns off [0, 1) is stored, written and read back
-    # as its reduced representative
+    # a generator made from turns off [0, 1) is reduced; the cyclic group it
+    # generates is written with the lexicographically smaller of the generator
+    # and its inverse, and read back as the same group
     gen = PhaseVector.make([Fraction(3, 2), Fraction(-1, 4)], Fraction(7, 3))
     assert gen == PhaseVector.make([Fraction(1, 2), Fraction(3, 4)], Fraction(1, 3))
-    group = DiagonalSymmetryGroup(n=2, torus_basis=(), finite_generators=(gen,))
-    assert group_to_dict(group)["finite"] == [{"order": 12, "nums": [6, 9, 4]}]
-    assert group_from_dict(group_to_dict(group)).finite_generators == (gen,)
+    group = DiagonalSymmetryGroup.from_presentation(2, (), (gen,))
+    assert group_to_dict(group)["finite"] == [{"order": 12, "nums": [6, 3, 8]}]
+    assert group.finite_generators == (gen.inverse(),)
+    assert group_from_dict(group_to_dict(group)) == group
+
+
+def test_hand_written_presentation_loads_as_the_canonical_group():
+    # the Bell group with its torus direction negated and its generator
+    # composed with the half turn of that direction
+    text = '{"n":2,"torus_basis":[[-1,1,0]],"finite":[{"order":2,"nums":[0,1,1]}]}'
+    bell = solve_symmetry_group(Support.from_labels(["00", "11"]))
+    assert load_group(text) == bell
+    assert dump_group(load_group(text)) == dump_group(bell) != canonical_dumps(json.loads(text))
 
 
 def test_load_group_validation():
@@ -224,22 +233,22 @@ def test_report_dict_matches_schema(schema_validator):
         schema_validator("report.schema.json", payload)
 
 
-# sha256 of dump_report(analyze(fixture_state(name))) as written by lusym 0.5.0;
+# sha256 of dump_report(analyze(fixture_state(name))) as written by lusym 0.6.0;
 # any change to the report bytes must come with a version bump and new hashes
 REPORT_SHA256 = {
-    "bell": "6be8132fd1e7bc3dc7e3851e9e0fc7e36e74abfedce22cff76c1fd6fdc7545a9",
-    "cluster4a": "00a6d594f84f0aa48201f88c73b92c94b399f8cc001fe5124afd8ef30c4abbaa",
-    "cluster4b": "20bac10548f5b7e2d4b4c43c01d0fe4e1017a9287136c074b99ecee3f7125e21",
-    "ghz2": "6be8132fd1e7bc3dc7e3851e9e0fc7e36e74abfedce22cff76c1fd6fdc7545a9",
-    "ghz3": "e6d265f09014117d373e92138cbe4c290825a1602b12da10e8ca0a6e86bdea83",
-    "ghz4": "7d4654e6725ced30b7891fdc51a0795f8e582364b30e80621df44e1442a358f8",
-    "ghz5": "60992e9bb809487af362970a924346785b01018d933e275b7f7185c46d52f2f0",
-    "ghz6": "badd2a731123f25242a03a53bd0272d2756abbcb2b75182144f5d48e85a5beec",
-    "w3": "c9c911e9d3c7aeaace9b4260821d6a27c1a7d2c109ff60d60cd1800ab8c5a90d",
-    "w4": "85a4b94fd37180cb12e7981495adb38be0486689f3dcf893d85e973a254662e0",
-    "w5": "8b3eb0c85dd1c7effbcbb6ee6d751a46ad25690cd950835442b9de6e94821b83",
-    "w6": "f024df495325634bc9e85f19a4330df3d6508fb0cc9b1d897082c346eacd0977",
-    "xstate": "69cbb5dde4bf4cceeb52a1a71bf50ee5a5c5d6da1dacc03bd9396448820e4137",
+    "bell": "91ff325046a4e86836d5d14c6d1605c0747ee3a4798d3df7ef7847d547797239",
+    "cluster4a": "9c49280a1c7984cb871010e09d3916a86cd050bde8fafa52e6e0b7511ef14830",
+    "cluster4b": "98291e200148d397cc796025b4ca48df89b0083c9a8aec70b10c6eca15317648",
+    "ghz2": "91ff325046a4e86836d5d14c6d1605c0747ee3a4798d3df7ef7847d547797239",
+    "ghz3": "fe3947c5347eee0163df7bd5f944437612828b000530bcc63230370ea2a00c5d",
+    "ghz4": "872932769893c7d118322047abec30521837f1fdef5005a0076ece6228be8d17",
+    "ghz5": "fa2bbc4c0a3e83c6af3224c024a54e35d514c8ca3a0a4f6a64b88f9be5312821",
+    "ghz6": "a1617d31e0bd313b95e48856c97523c94a9e3f80e6e769a0017f9274e9adadd1",
+    "w3": "ce3f55a7175378ef841ee9294701006b9b81c085c3de228a2fe2be91f996a3c4",
+    "w4": "bae1a45dad7edd3255f9984ff59d2635ac27cac1b321419110cdef061b1c206a",
+    "w5": "2b9ec0ac9452e79d9f47088f96c57fc539de8ed1d138327fb0e5c0d4d073684d",
+    "w6": "d628bc198edfb041742f743af38c95ae9f4a2a4f73d13ff9a64359e345a0dbb2",
+    "xstate": "07951df88cfdb5d4cf3bc1ec6d8d6b8fc9330124577bace0c2dbfbddb9ce5495",
 }
 
 
@@ -251,14 +260,14 @@ def test_report_bytes_are_pinned():
 
 
 # sha256 of dump_report for seeded states beyond the fixtures, written by lusym
-# 0.5.0: cosets with a torus of rank 7 and 8, and random supports whose groups
+# 0.6.0: cosets with a torus of rank 7 and 8, and random supports whose groups
 # have eight and nine finite factors. Built with the conftest helpers, so a
 # change to those helpers changes the inputs and fails this test too.
 SEEDED_REPORT_SHA256 = {
-    ("coset", 1, 10, 2): "735e202649816f984edf96ece8963fbdbce88b96d46396e57aacec2cdd04f577",
-    ("coset", 2, 12, 3): "80c4425f473500cd8d21e89f67851f703c31dcbd362bd3c5b49c49d12f81cfa5",
-    ("random", 5, 8, 12): "e422ba963fae9ca2b5f6897fd928bf5990d6a565bf007dd978085c5f67fdc806",
-    ("random", 6, 9, 13): "634a5a7ee925ade0a51b4828b5fd5b4ed17b1b85e6f77481b141947ac84cef28",
+    ("coset", 1, 10, 2): "2f23be74e15531c0f0a33ab63915f453a033b30af20db34fe4a55b110744de6f",
+    ("coset", 2, 12, 3): "bfbe176fb328df7f5b24a877802e1aed0411e948a1e4c29056a2f15c3092d5f2",
+    ("random", 5, 8, 12): "ab8c31fda37275b03f2c9064a385f4592682cbafa0e8816dbdfc9a698d772299",
+    ("random", 6, 9, 13): "2ab1e273742705a6147e596b4a49811b8b103a6755cfd9cf91372c5fc0e1adb0",
 }
 
 
@@ -286,29 +295,29 @@ def _content_sha256(text):
     return hashlib.sha256(json.dumps(data, sort_keys=True, separators=(",", ":")).encode()).hexdigest()
 
 
-# content digests of the reports pinned above, recorded from lusym 0.4.0: a
+# content digests of the reports pinned above, recorded from lusym 0.6.0: a
 # format change that moves only whitespace, the version and the state hash
 # leaves every one of them unchanged
 REPORT_CONTENT_SHA256 = {
     "bell": "662a7e63fc4916d4f949772cba45eb5d64ee7567514bde195009476ba3e4a385",
-    "cluster4a": "464757b0e1ddfca94a006dcda2efd85708d5cbc1a20a48f2b7f14b4151ebe578",
-    "cluster4b": "77ef2e46866532d36b0ab01c7ed2b9fa436c3b52ab1a4a76f25171ee3b9e5139",
+    "cluster4a": "28a7c899cc98e2241e8ad9bd809a85f86e5938bd1b43e8f37ae90e65e28e3359",
+    "cluster4b": "52aa274c712c0f44df710318c6b7f6d0a958a3b4b455a560913f348cd2a6404f",
     "ghz2": "662a7e63fc4916d4f949772cba45eb5d64ee7567514bde195009476ba3e4a385",
     "ghz3": "c35b4cc326cff26daa7d1a783d7e51038d5165819b333f9c65bad2b31dae8ac9",
     "ghz4": "d9ac78502c3e38c2f0833f24e9fa274344ee2fad28d6a61bd2a301b119fa4a7c",
     "ghz5": "8644263101a89607eae6016ac926c60075380d5f45896dfabf18f21e42eebaec",
     "ghz6": "613f20e051d782dd19156ea840933cd5e8ab4e7469b9ee04173655e98ebceb43",
-    "w3": "d2e13c209a45bf3ae35155206680eeb2d5390f08a2aed32e6bce3762f4651085",
-    "w4": "0ca86cdc400199eed53c187068e72c69dd91c58c8760117e3b3ca7fdad7a2645",
-    "w5": "ab36bdf0c417047b26c369ca9fbcd058311a0c85b69c170f0e153899db770088",
-    "w6": "e05bdee0e775244c7cc9cb72f7eb306111826ee1f40acb8a56076d33b3909049",
-    "xstate": "40c2df504fe82163db0244e58d406afcfe2d615da72e14227ff8500ca9001ca2",
+    "w3": "5401b26131937adf1830b008e430363e08f05cdf5f48e8148762de8eb16273f4",
+    "w4": "b819bca676cef8a8fbc827b613762697ce5de57b28dece438c24e6bd43eacfbb",
+    "w5": "4155f3f57536531545ecb21763ce5a8affac2c583fdb54526f85979d7f3b6eeb",
+    "w6": "8dac33c1e9e3bc4acc119766097c6587d936ff23e8a89f9192c3b87d893d6c1c",
+    "xstate": "7334577cd32de28cae1a77f4571e8b6c5ff1d399e22bde4db4c1bbbbb885cc3e",
 }
 SEEDED_REPORT_CONTENT_SHA256 = {
-    ("coset", 1, 10, 2): "c6e9cd2a6441f8c8fb1829d2be291c7558345b93b15b07b76dedb1d9070a69a6",
-    ("coset", 2, 12, 3): "2144031f9c7af4c4d24e9f845b1d7a4980a001e2fd9f7b9f3d2ae983551dec82",
-    ("random", 5, 8, 12): "0c41f18f8cbbd2fdf7a06a78f78dd5147de4cd5611711eec342de5f96d138c1f",
-    ("random", 6, 9, 13): "6531fc612bfaf13d7bbe2bf91626ac9fa4b0459d39b99af41bd8691ecef1f560",
+    ("coset", 1, 10, 2): "d887bc9252cf29c56372e949fbca0013f32102b2aa111d5e77ed0e6f53d922c3",
+    ("coset", 2, 12, 3): "c3eb87c78a055e4c2edddce69d150eea61d83efa5b8d8820bcbcdbef3bba5b34",
+    ("random", 5, 8, 12): "9110e06db43dd45615ec452031d7ee3f327a1d7252efd73c3b3959321dafde06",
+    ("random", 6, 9, 13): "9cd18393757168b61f220c8a03ffade627c856217a49051d8506afd8e5b88be1",
 }
 
 
@@ -319,3 +328,46 @@ def test_report_content_is_pinned():
         assert _content_sha256(dump_report(analyze(fixture_state(name)))) == digest, name
     for case, digest in SEEDED_REPORT_CONTENT_SHA256.items():
         assert _content_sha256(_seeded_report(*case)) == digest, case
+
+
+def _sans_group_sha256(text):
+    """sha256 of a report's values and keys with the group block and
+    tool.version removed."""
+    data = json.loads(text)
+    del data["tool"]["version"], data["group"]
+    return hashlib.sha256(json.dumps(data, sort_keys=True, separators=(",", ":")).encode()).hexdigest()
+
+
+# digests of the same reports without their group block, recorded from lusym
+# 0.5.0: the 0.6.0 canonical group form changed the torus basis and generators
+# written, and nothing else in any report but the version
+REPORT_SANS_GROUP_SHA256 = {
+    "bell": "fc3925ab167184a5f5e30602886c71251ce56654aed42119fbcad8edb69c6896",
+    "cluster4a": "426cd65c99890c128642185ff1c0fa49565c8f1d0977c4e20e6d8ce301285226",
+    "cluster4b": "966c94bff5264c1099357b56749f8c17f1c4c64b10165d019ba62ea2b4b97e2f",
+    "ghz2": "fc3925ab167184a5f5e30602886c71251ce56654aed42119fbcad8edb69c6896",
+    "ghz3": "2ab34f7418196101b1479571ffb862e6a381face254fcbc3d276153000019c87",
+    "ghz4": "12f33ca01d9135b49a8eab4e4f552a1f89eac47a6f8f6a3e1a6754f3e81a4e97",
+    "ghz5": "ff4d53bb57d6e5880dd2c0ca67e032af3fb566033b92d85e9071206f61b0a96c",
+    "ghz6": "1a83579b1f7e5316bbcc681f4d35f940cd0b0c7c6b77c53ed03f4b47a65446f6",
+    "w3": "a7ec9344990ba1425a9678df14d3b0dbbf004c85a6fde90a8af53ca5d1b965ea",
+    "w4": "6440be6acaf15a4b076006a38dfcf36c2e22ea9342b836daaead119d65999134",
+    "w5": "d14fac3c16633fa150782bf42ea118518b0e6dfeb57543e190bc25a43f53c208",
+    "w6": "fd5b2e7589c95695e7fbd004ca9fa653c02df6c8230163a4c3db7eb18eafa81b",
+    "xstate": "09987c7a38b4d012fa5cad78bf2114ee4b67b3ed3b189303fa95ea70e835a8dd",
+}
+SEEDED_REPORT_SANS_GROUP_SHA256 = {
+    ("coset", 1, 10, 2): "2af364b1f76b82b45983ff13216b0d7cba628bec39d72959874a99cf24643ca5",
+    ("coset", 2, 12, 3): "10dc14704f952f99d418fe158bb096b2ccf776be308e277078af6f8d186364e4",
+    ("random", 5, 8, 12): "3d7687c29c99ef3c010f1090929b48d6d4c3b1d7ad4cebd7ce41c4bdc8d27ac3",
+    ("random", 6, 9, 13): "f0a8390b48517e04259ee81e087b2f1cd8cad7d68c21e4d916cc4a22d06bd899",
+}
+
+
+def test_report_outside_the_group_block_is_pinned():
+    assert sorted(REPORT_SANS_GROUP_SHA256) == sorted(REPORT_SHA256)
+    assert sorted(SEEDED_REPORT_SANS_GROUP_SHA256) == sorted(SEEDED_REPORT_SHA256)
+    for name, digest in REPORT_SANS_GROUP_SHA256.items():
+        assert _sans_group_sha256(dump_report(analyze(fixture_state(name)))) == digest, name
+    for case, digest in SEEDED_REPORT_SANS_GROUP_SHA256.items():
+        assert _sans_group_sha256(_seeded_report(*case)) == digest, case

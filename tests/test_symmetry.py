@@ -1,26 +1,30 @@
-import dataclasses
+import math
 import random
+import sys
 from fractions import Fraction
 
 import pytest
 
 from lusym import (
     DiagonalSymmetryGroup,
+    DimensionError,
     InternalError,
     PhaseVector,
     Support,
     apply_phase_element,
     group_contains,
     group_member,
-    groups_equal,
     qubit_action_profile,
+    smith_normal_form,
     solve_symmetry_group,
+    weight_vector,
 )
 from lusym.exactlinalg import IntMatrix, SmithDecomposition, rational_rank
+from lusym.fixtures import fixture_names, fixture_state
 from lusym.serialize import dump_group, load_group
 from lusym.symmetry import _check_solution, random_element, sign_rows
 
-from conftest import random_state_on, random_support
+from conftest import random_coset_support, random_state_on, random_support
 
 F = Fraction
 
@@ -93,11 +97,11 @@ def test_check_solution_rejects_tampered_group():
     _check_solution(rows, g)
     # phi_1 = 1/3 turn moves label 000 by 1/3: not a symmetry
     bad_gen = PhaseVector.make([F(1, 3), 0, 0], 0)
-    tampered = dataclasses.replace(g, finite_generators=(bad_gen,) + g.finite_generators[1:])
+    tampered = DiagonalSymmetryGroup.from_presentation(g.n, g.torus_basis, (bad_gen,) + g.finite_generators[1:])
     with pytest.raises(InternalError):
         _check_solution(rows, tampered)
     with pytest.raises(InternalError):
-        _check_solution(rows, dataclasses.replace(g, torus_basis=((1, 0, 0, 0),)))
+        _check_solution(rows, DiagonalSymmetryGroup.from_presentation(g.n, ((1, 0, 0, 0),), g.finite_generators))
 
 
 def test_solver_builds_no_transform_matrix(monkeypatch):
@@ -149,12 +153,12 @@ def test_group_member_bell_frozen():
 
 
 def test_group_member_degenerate_groups():
-    triv = DiagonalSymmetryGroup.trivial(2)
+    triv = DiagonalSymmetryGroup.from_presentation(2, (), ())
     assert group_member(triv, PhaseVector.make([0, 0], 0))
     assert group_member(triv, PhaseVector.make([1, 2], 3))
     assert not group_member(triv, PhaseVector.make([F(1, 2), 0], 0))
     identity = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
-    full = DiagonalSymmetryGroup(2, identity, ())
+    full = DiagonalSymmetryGroup.from_presentation(2, identity, ())
     assert full.torus_rank == 3
     assert group_member(full, PhaseVector.make([F(1, 7), F(3, 5)], F(1, 9)))
 
@@ -179,7 +183,7 @@ def test_group_contains_monotone_under_support_growth():
         g_big = solve_symmetry_group(big)
         # more labels, more constraints: the big support's group embeds in the small's
         assert group_contains(g_small, g_big)
-        if groups_equal(g_small, g_big):
+        if g_small == g_big:
             assert group_contains(g_big, g_small)
 
 
@@ -193,10 +197,10 @@ def test_group_contains_incomparable_pair():
 def test_is_maximal_and_dropped_generator():
     sup = Support.from_labels(["000", "110", "100", "010"])
     g = solve_symmetry_group(sup)
-    assert groups_equal(g, solve_symmetry_group(sup))
+    assert g == solve_symmetry_group(sup)
     assert len(g.finite_factors) == 2
-    smaller = dataclasses.replace(g, finite_generators=g.finite_generators[:1])
-    assert not groups_equal(smaller, solve_symmetry_group(sup))
+    smaller = DiagonalSymmetryGroup.from_presentation(g.n, g.torus_basis, g.finite_generators[:1])
+    assert smaller != solve_symmetry_group(sup)
     assert group_contains(g, smaller)
     assert not group_contains(smaller, g)
 
@@ -249,3 +253,135 @@ def test_qubit_action_profile_witness_brute_force():
                     break
             expected.append(witness)
         assert qubit_action_profile(sup, solve_symmetry_group(sup)).witnesses == tuple(expected)
+
+
+def _fixes(labels, group: DiagonalSymmetryGroup) -> bool:
+    """Brute force: each torus direction leaves every label's turn at zero and
+    each finite generator turns every label by a whole number of turns."""
+    return all(
+        sum(w * x for w, x in zip(weight_vector(lab) + (1,), vec)) == 0
+        for lab in labels
+        for vec in group.torus_basis
+    ) and all(gen.phase_turn(lab).denominator == 1 for lab in labels for gen in group.finite_generators)
+
+
+def _group_pairs(rng: random.Random, count: int) -> list[tuple[Support, Support]]:
+    """Supports on n <= 6 qubits paired with a subset, a superset, an
+    independent draw, and an extension by x ^ y ^ z whose sign row is
+    r_x - r_y + r_z, which leaves the group as it is."""
+    pairs = []
+    while len(pairs) < count:
+        n = rng.randint(2, 6)
+        sa = random_support(rng, n, 2**n)
+        x, y = rng.sample(sa.labels, 2)
+        z = "".join(b if a != b else rng.choice("01") for a, b in zip(x, y))
+        w = "".join(str(int(a) ^ int(b) ^ int(c)) for a, b, c in zip(x, y, z))
+        sub = Support.from_labels(rng.sample(sa.labels, rng.randint(1, len(sa.labels))))
+        other = random_support(rng, n, 2**n)
+        pairs += [
+            (sa, Support.from_labels(set(sa.labels) | {z, w})),
+            (Support.from_labels(set(sa.labels) | {z}), Support.from_labels(set(sa.labels) | {z, w})),
+            (sa, sub),
+            (sub, sa),
+            (sa, other),
+        ]
+    return pairs[:count]
+
+
+def test_containment_and_equality_agree_with_brute_force():
+    rng = random.Random(2029)
+    outcomes = set()
+    for sa, sb in _group_pairs(rng, 300):
+        ga, gb = solve_symmetry_group(sa), solve_symmetry_group(sb)
+        b_in_a, a_in_b = _fixes(sa.labels, gb), _fixes(sb.labels, ga)
+        assert group_contains(ga, gb) == b_in_a, (sa.labels, sb.labels)
+        assert group_contains(gb, ga) == a_in_b, (sa.labels, sb.labels)
+        assert (ga == gb) == (b_in_a and a_in_b), (sa.labels, sb.labels)
+        assert (hash(ga) == hash(gb)) or ga != gb
+        outcomes.add((b_in_a, a_in_b))
+    assert outcomes == {(True, True), (True, False), (False, True), (False, False)}
+
+
+def _power(gen: PhaseVector, k: int) -> PhaseVector:
+    return PhaseVector.from_numerators((k * x for x in gen.nums), gen.den)
+
+
+def test_presentations_of_one_group_are_equal_and_dump_the_same_bytes():
+    rng = random.Random(2039)
+    supports = [fixture_state(name).support() for name in fixture_names()]
+    supports += [random_support(rng, rng.randint(2, 6), 12) for _ in range(40)]
+    supports += [random_coset_support(rng, rng.randint(3, 8), rng.randint(1, 2)) for _ in range(10)]
+    powered = 0
+    for sup in supports:
+        g = solve_symmetry_group(sup)
+        n, basis, gens = g.n, list(g.torus_basis), list(g.finite_generators)
+        # a generator replaced by a power coprime to its order
+        coprime = list(gens)
+        if gens:
+            i = rng.randrange(len(gens))
+            k = next(k for k in range(2, gens[i].den + 2) if math.gcd(k, gens[i].den) == 1)
+            coprime[i] = _power(gens[i], k)
+            powered += coprime[i] != gens[i]
+        # a unimodular change of the torus basis: negate one direction, add
+        # a multiple of it to another
+        changed = [list(vec) for vec in basis]
+        if changed:
+            changed[0] = [-x for x in changed[0]]
+            for vec in changed[1:]:
+                vec[:] = [a + 3 * b for a, b in zip(vec, changed[0])]
+        extra = gens + [random_element(g, rng).compose(gens[0]) if gens else random_element(g, rng)]
+        presentations = [
+            (basis, gens[::-1]),
+            (basis, coprime),
+            (changed, gens),
+            (basis, extra),
+            (changed[::-1], coprime[::-1] + extra),
+        ]
+        for torus_basis, generators in presentations:
+            h = DiagonalSymmetryGroup.from_presentation(n, torus_basis, generators)
+            assert h == g and hash(h) == hash(g), sup.labels
+            assert dump_group(h) == dump_group(g), sup.labels
+            assert dump_group(load_group(dump_group(h))) == dump_group(g)
+    assert powered > 0
+
+
+def test_predicates_run_no_smith_form(monkeypatch):
+    # membership, containment and equality read the stored Hermite forms only
+    rng = random.Random(2053)
+    supports = [random_support(rng, 4, rng.choice([2, 4, 8])) for _ in range(30)]
+    groups = [solve_symmetry_group(sup) for sup in supports]
+    reloaded = [load_group(dump_group(g)) for g in groups]
+    elements = [random_element(g, rng) for g in groups]
+    contains = [[_fixes(sa.labels, gb) for gb in groups] for sa in supports]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a Smith normal form was computed")
+
+    for name, module in list(sys.modules.items()):
+        if name == "lusym" or name.startswith("lusym."):
+            for attr, value in list(vars(module).items()):
+                if value is smith_normal_form:
+                    monkeypatch.setattr(module, attr, refuse)
+    with pytest.raises(AssertionError, match="Smith"):
+        solve_symmetry_group(supports[0])
+    for i, (g, back, x) in enumerate(zip(groups, reloaded, elements)):
+        assert back == g and hash(back) == hash(g)
+        assert group_member(g, x) and group_member(back, x)
+        assert [group_contains(g, h) for h in groups] == contains[i]
+        assert [g == h for h in groups] == [contains[i][j] and contains[j][i] for j in range(len(groups))]
+    assert any(g != h and group_contains(g, h) for g in groups for h in groups)
+
+
+def test_wrongly_sized_presentations_are_refused():
+    gen = PhaseVector((1, 0, 0, 1), 2)  # three qubits, not two
+    with pytest.raises(DimensionError):
+        DiagonalSymmetryGroup.from_presentation(2, (), (gen,))
+    with pytest.raises(DimensionError):
+        DiagonalSymmetryGroup.from_presentation(2, ((1, -1, 0, 0),), ())
+    with pytest.raises(DimensionError):
+        DiagonalSymmetryGroup.from_presentation(2, ((1, -1),), ())
+    with pytest.raises(DimensionError):
+        DiagonalSymmetryGroup(2, ((1, 1, 1), (1, -1)))
+    bell = DiagonalSymmetryGroup.from_presentation(2, ((1, -1, 0),), (PhaseVector((1, 0, 1), 2),))
+    with pytest.raises(DimensionError):
+        group_member(bell, gen)
