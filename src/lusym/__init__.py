@@ -35,10 +35,9 @@ _EXPORTS = {
         "symmetrize_over_flips",
     ),
     "normalizer": (
-        "DefectPolynomial",
         "FlipGroup",
         "NormalizerDescription",
-        "balance_defect_polynomials",
+        "balance_defects",
         "compute_normalizer",
         "support_stabilizer_masks",
     ),

@@ -17,7 +17,7 @@ from .symmetry import DiagonalSymmetryGroup, sign_rows, solve_symmetry_group, to
 if TYPE_CHECKING:
     from .circuits import BalancedCircuit, CircuitCatalog
     from .invariants import SlGeneratorReport
-    from .normalizer import DefectPolynomial, NormalizerDescription
+    from .normalizer import NormalizerDescription
 
 DEFAULT_TOL = 1e-9
 DEFAULT_SAMPLES = 8
@@ -116,7 +116,6 @@ class AnalysisReport:
     monomial_values: tuple[complex, ...]
     sl_report: SlGeneratorReport
     normalizer: NormalizerDescription
-    defects: tuple[DefectPolynomial, ...]
     defect_values: tuple[float, ...]
     verification: SymmetryVerification
     generic: bool
@@ -153,7 +152,7 @@ def analyze(
     # imported here, so that verify_symmetry and compare_strata load none of them
     from .circuits import enumerate_circuits
     from .invariants import single_sl_generator_check
-    from .normalizer import balance_defect_polynomials, compute_normalizer
+    from .normalizer import balance_defects, compute_normalizer
 
     require_normalized(psi, tol)
     support = psi.support()
@@ -166,8 +165,7 @@ def analyze(
     values = _monomial_values(catalog.circuits, psi)
     sl_report = single_sl_generator_check(catalog)
     norm_desc = compute_normalizer(support, group)
-    defects = tuple(balance_defect_polynomials(support))
-    defect_values = tuple(d.evaluate(psi) for d in defects)
+    defect_values = balance_defects(psi)
     verification = verify_symmetry(psi, group, samples=samples, tol=tol, seed=seed)
 
     generic = all(abs(c) >= GENERIC_FLOOR for c in psi.amplitudes.values()) and all(
@@ -180,7 +178,6 @@ def analyze(
         monomial_values=values,
         sl_report=sl_report,
         normalizer=norm_desc,
-        defects=defects,
         defect_values=defect_values,
         verification=verification,
         generic=generic,

@@ -132,8 +132,8 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     print(f"single SL generator: {report.sl_report.holds} ({report.sl_report.reason})")
     print(f"normalizer flips: {', '.join(report.normalizer.flips.masks)} "
           f"(assumption_ok={report.normalizer.assumption_ok})")
-    for d, v in zip(report.defects, report.defect_values):
-        print(f"  defect qubit {d.qubit}: {v:.6g}")
+    for k, v in enumerate(report.defect_values, 1):
+        print(f"  defect qubit {k}: {v:.6g}")
     print(f"flags: generic={report.generic}, larger_symmetry_possible={report.larger_symmetry_possible}")
     v = report.verification
     print(f"verification: passed={v.passed}, max deviation {v.max_deviation:.3g} (tol {v.tol:g})")
@@ -168,7 +168,7 @@ def cmd_invariants(args: argparse.Namespace) -> int:
         monomial_from_circuit,
         symmetrize_over_flips,
     )
-    from .normalizer import balance_defect_polynomials, support_stabilizer_masks
+    from .normalizer import balance_defects, support_stabilizer_masks
 
     support, psi = _support_from_args(args)
     catalog = enumerate_circuits(support)
@@ -204,10 +204,7 @@ def cmd_invariants(args: argparse.Namespace) -> int:
         "flip_masks": flip_masks,
     }
     if psi is not None:
-        payload["defects"] = [
-            {"qubit": d.qubit, "value": d.evaluate(psi)}
-            for d in balance_defect_polynomials(support)
-        ]
+        payload["defects"] = [{"qubit": k, "value": v} for k, v in enumerate(balance_defects(psi), 1)]
     if args.json:
         sys.stdout.write(canonical_dumps(payload))
         return 0
@@ -251,7 +248,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     psi = _state_from_args(args)
     require_normalized(psi, args.tolerance)
     if args.group is not None:
-        group = load_group(_read_text(args.group))
+        group = load_group(_read_text(args.group), psi.n)
     else:
         group = solve_symmetry_group(psi.support())
     result = verify_symmetry(psi, group, samples=args.samples, tol=args.tolerance, seed=args.seed)

@@ -53,12 +53,6 @@ class IntMatrix:
     def identity(cls, n: int) -> "IntMatrix":
         return cls([[1 if i == j else 0 for j in range(n)] for i in range(n)])
 
-    @classmethod
-    def from_columns(cls, columns: Sequence[Sequence[int]]) -> "IntMatrix":
-        if not columns:
-            raise InputError("need at least one column")
-        return cls([[col[i] for col in columns] for i in range(len(columns[0]))])
-
     @property
     def rows(self) -> int:
         return len(self._data)

@@ -27,16 +27,6 @@ class FlipGroup:
     masks: tuple[str, ...]
     generators: tuple[str, ...]
 
-    @property
-    def n(self) -> int:
-        return len(self.masks[0])
-
-    def __len__(self) -> int:
-        return len(self.masks)
-
-    def __contains__(self, mask: str) -> bool:
-        return mask in set(self.masks)
-
 
 def _gf2_generators(values: list[int]) -> list[int]:
     """The masks, in the given order, that are independent of those before them."""
@@ -113,26 +103,23 @@ def compute_normalizer(support: Support, group: DiagonalSymmetryGroup) -> Normal
     )
 
 
-@dataclass(frozen=True)
-class DefectPolynomial:
-    """Per-qubit balance defect: sum of |c|^2 over labels with bit k = 0 minus
-    the same sum over bit k = 1. Zero exactly when qubit k's reduced state is
-    maximally mixed."""
+def balance_defects(psi: PureState) -> tuple[float, ...]:
+    """Per-qubit balance defects: entry k-1 is sum_s (-1)^{s_k} |c_s|^2, the
+    k-th component of the moment map of the diagonal torus. It vanishes exactly
+    when qubit k's reduced state is maximally mixed.
 
-    qubit: int
-    zero_labels: tuple[str, ...]
-    one_labels: tuple[str, ...]
-
-    def evaluate(self, psi: PureState) -> float:
-        plus = sum(abs(psi.amplitude(lab)) ** 2 for lab in self.zero_labels)
-        minus = sum(abs(psi.amplitude(lab)) ** 2 for lab in self.one_labels)
-        return plus - minus
-
-
-def balance_defect_polynomials(support: Support) -> list[DefectPolynomial]:
-    out = []
-    for k in range(1, support.n + 1):
-        zero = tuple(lab for lab in support.labels if lab[k - 1] == "0")
-        one = tuple(lab for lab in support.labels if lab[k - 1] == "1")
-        out.append(DefectPolynomial(qubit=k, zero_labels=zero, one_labels=one))
-    return out
+    One pass over the labels in support order feeds two sums per qubit, over
+    bit k = 0 and over bit k = 1, each starting from 0. Their difference is
+    bit for bit the difference of the two sums taken separately; one signed
+    running sum would round differently.
+    """
+    plus = [0] * psi.n
+    minus = [0] * psi.n
+    for label in sorted(psi.amplitudes, key=label_int):
+        weight = abs(psi.amplitude(label)) ** 2
+        for k, bit in enumerate(label):
+            if bit == "0":
+                plus[k] += weight
+            else:
+                minus[k] += weight
+    return tuple(p - m for p, m in zip(plus, minus))

@@ -15,7 +15,7 @@ from typing import TYPE_CHECKING, Any, Mapping
 
 from . import __version__
 from .analysis import GENERIC_FLOOR
-from .errors import InputError
+from .errors import DimensionError, InputError
 from .states import PhaseVector, PureState
 from .symmetry import DiagonalSymmetryGroup
 
@@ -37,6 +37,31 @@ def canonical_dumps(obj: Any) -> str:
 def _require(condition: bool, message: str) -> None:
     if not condition:
         raise InputError(message)
+
+
+def _unique_names(pairs: list[tuple[str, Any]]) -> dict:
+    obj = {}
+    for key, value in pairs:
+        if key in obj:
+            raise InputError(f"repeated name {key!r} in a JSON object")
+        obj[key] = value
+    return obj
+
+
+def _read_json(text: str) -> Any:
+    """Parse an input file. Malformed JSON, an integer too long to convert,
+    nesting too deep to parse and a name repeated in one object all raise
+    InputError."""
+    try:
+        return json.loads(text, object_pairs_hook=_unique_names)
+    except InputError:  # a repeated name, raised by the hook
+        raise
+    except json.JSONDecodeError as exc:
+        raise InputError(f"malformed JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}") from None
+    except ValueError as exc:  # int() refuses a literal beyond the digit limit
+        raise InputError(f"unreadable JSON number: {str(exc).split(';')[0]}") from None
+    except RecursionError:
+        raise InputError("JSON nested too deeply to read") from None
 
 
 def _is_int(x: Any) -> bool:
@@ -96,11 +121,7 @@ def dump_state(psi: PureState) -> str:
 
 
 def load_state(text: str) -> PureState:
-    try:
-        data = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise InputError(f"malformed JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}") from None
-    return state_from_dict(data)
+    return state_from_dict(_read_json(text))
 
 
 # ---------------------------------------------------------------- groups
@@ -115,12 +136,16 @@ def group_to_dict(group: DiagonalSymmetryGroup) -> dict:
     }
 
 
-def group_from_dict(data: Mapping) -> DiagonalSymmetryGroup:
+def group_from_dict(data: Mapping, qubits: int | None = None) -> DiagonalSymmetryGroup:
+    """The group a group file presents. Given `qubits`, the qubit count of the
+    state it is for, a group on another count is refused before it is built."""
     _require(isinstance(data, Mapping), "group must be a JSON object")
     for field in ("n", "torus_basis", "finite"):
         _require(field in data, f"group is missing field {field!r}")
     n = data["n"]
     _require(_is_int(n) and n >= 1, f"group field 'n' must be a positive integer, got {n!r}")
+    if qubits is not None and n != qubits:
+        raise DimensionError(f"group on {n} qubits, state on {qubits}")
     for field in ("torus_basis", "finite"):
         _require(isinstance(data[field], list), f"group field {field!r} must be a list")
     basis = []
@@ -152,12 +177,8 @@ def dump_group(group: DiagonalSymmetryGroup) -> str:
     return canonical_dumps(group_to_dict(group))
 
 
-def load_group(text: str) -> DiagonalSymmetryGroup:
-    try:
-        data = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise InputError(f"malformed JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}") from None
-    return group_from_dict(data)
+def load_group(text: str, qubits: int | None = None) -> DiagonalSymmetryGroup:
+    return group_from_dict(_read_json(text), qubits)
 
 
 # ---------------------------------------------------------------- report pieces
@@ -258,8 +279,8 @@ def report_to_dict(report: AnalysisReport) -> dict:
         },
         "normalizer": normalizer_to_dict(report.normalizer),
         "defects": [
-            {"qubit": d.qubit, "value": v, "vanishes": abs(v) < GENERIC_FLOOR}
-            for d, v in zip(report.defects, report.defect_values)
+            {"qubit": k, "value": v, "vanishes": abs(v) < GENERIC_FLOOR}
+            for k, v in enumerate(report.defect_values, 1)
         ],
         "flags": {
             "generic": report.generic,

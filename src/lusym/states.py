@@ -77,12 +77,6 @@ class Support:
     def __len__(self) -> int:
         return len(self.labels)
 
-    def __contains__(self, label: str) -> bool:
-        return label in set(self.labels)
-
-    def index(self, label: str) -> int:
-        return self.labels.index(label)
-
 
 @dataclass(frozen=True, eq=True)
 class PureState:

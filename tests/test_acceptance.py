@@ -34,7 +34,7 @@ from lusym.invariants import (
     bidegree_scaling_check,
     monomial_from_circuit,
 )
-from lusym.normalizer import balance_defect_polynomials, compute_normalizer
+from lusym.normalizer import balance_defects, compute_normalizer
 from lusym.serialize import dump_report
 from lusym.states import xor_labels
 from lusym.symmetry import random_element
@@ -212,8 +212,7 @@ def test_criterion_7_defects_agree_with_reduced_states():
     while len(states) < 150:
         sup = random_support(rng, rng.randint(1, 5), 8)
         psi = random_state_on(rng, sup)
-        vals = [p.evaluate(psi) for p in balance_defect_polynomials(sup)]
-        if all(abs(v) > 1e-6 for v in vals):
+        if all(abs(v) > 1e-6 for v in balance_defects(psi)):
             states.append(psi)
     # complement-closed supports with uniform moduli: every defect vanishes
     for _ in range(50):
@@ -234,11 +233,10 @@ def test_criterion_7_defects_agree_with_reduced_states():
         )
     assert len(states) == 200
     for psi in states:
-        for poly in balance_defect_polynomials(psi.support()):
-            defect = poly.evaluate(psi)
-            rho = reduced_density_matrix(psi, poly.qubit)
+        for k, defect in enumerate(balance_defects(psi), 1):
+            rho = reduced_density_matrix(psi, k)
             balanced = max(abs(rho[0][0] - 0.5), abs(rho[1][1] - 0.5)) <= 5e-11
-            assert (abs(defect) <= 1e-10) == balanced, (psi.support().labels, poly.qubit)
+            assert (abs(defect) <= 1e-10) == balanced, (psi.support().labels, k)
 
     print("criterion 7: PASS")
 

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import os
@@ -8,7 +9,7 @@ import pytest
 
 from lusym.cli import main
 from lusym.serialize import dump_group, dump_state
-from lusym import PureState, Support, fixture_state, solve_symmetry_group
+from lusym import DiagonalSymmetryGroup, PureState, Support, fixture_names, fixture_state, solve_symmetry_group
 
 
 def run_cli(capsys, *argv):
@@ -147,6 +148,45 @@ def test_verify_refuses_malformed_group_file(capsys, tmp_path, finite, torus_bas
     assert message in err
 
 
+def test_verify_refuses_a_group_on_another_qubit_count_before_building_it(capsys, tmp_path, monkeypatch):
+    # the trivial group on 2000 qubits is a 2001 x 2001 lattice; it must not be built
+    def refuse(*args, **kwargs):
+        raise AssertionError("the group was built")
+
+    monkeypatch.setattr(DiagonalSymmetryGroup, "from_presentation", refuse)
+    group_file = tmp_path / "group.json"
+    group_file.write_text('{"n":2000,"torus_basis":[],"finite":[]}')
+    code, _, err = run_cli(capsys, "verify", "--fixture", "bell", "--group", str(group_file))
+    assert code == 2
+    assert "group on 2000 qubits, state on 2" in err
+
+
+_HUGE = "1" * 4301
+
+
+@pytest.mark.parametrize(
+    "command, text",
+    [
+        ("analyze", '{"n":2,"amplitudes":{"00":[' + _HUGE + ',0],"11":[1,0]}}'),
+        ("verify", '{"n":2,"torus_basis":[],"finite":[{"order":' + _HUGE + ',"nums":[0,1,1]}]}'),
+        ("analyze", "[" * 100_000),
+        ("analyze", '{"n":2,"amplitudes":{"00":[1,0],"00":[0.7071067811865476,0],"11":[0.7071067811865476,0]}}'),
+        ("verify", '{"n":2,"torus_basis":[[1,-1,0]],"torus_basis":[],"finite":[{"order":2,"nums":[0,1,1]}]}'),
+    ],
+    ids=["huge-amplitude", "huge-order", "deep-nesting", "repeated-label", "repeated-group-key"],
+)
+def test_malformed_json_files_exit_2(tmp_path, command, text):
+    path = tmp_path / "input.json"
+    path.write_text(text)
+    argv = ["--input", str(path)] if command == "analyze" else ["--fixture", "bell", "--group", str(path)]
+    result = subprocess.run(
+        [sys.executable, "-m", "lusym.cli", command, *argv], capture_output=True, text=True, timeout=60
+    )
+    assert result.returncode == 2, result.stderr
+    assert result.stderr.startswith("error: ")
+    assert "Traceback" not in result.stderr
+
+
 def test_verify_needs_a_group_source(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["verify", "--fixture", "bell"])
@@ -276,6 +316,33 @@ def test_huge_amplitudes_fail_the_norm_check(capsys, tmp_path):
         code, _, err = run_cli(capsys, *argv, "--input", str(state_file))
         assert code == 2, argv
         assert "norm is inf" in err, argv
+
+
+# sha256 of `lusym invariants --fixture NAME --json` as written by lusym 0.6.0;
+# the defect values in it must not move by a bit
+INVARIANTS_JSON_SHA256 = {
+    "bell": "2c07901b3dc0099e25beec4105bededb9d1ecec3aab97583c756a2e7c24317d8",
+    "cluster4a": "dab06f6382d29a4da5306a04280c23e88fec4d35d2720f06483fc3e87739f02e",
+    "cluster4b": "3b301174c5e2abfd24060cdc00181452f6d5cfe1b3e29b4b78618bb4ad3cb8f2",
+    "ghz2": "2c07901b3dc0099e25beec4105bededb9d1ecec3aab97583c756a2e7c24317d8",
+    "ghz3": "9cf45eb19488384481ad5ccbbccc4a6331834e68df67b07cb692b152e7550dd2",
+    "ghz4": "34cf198dc55c4f4d20e5f5a505f73599a203ef682f42e3e6a3421e79a6441915",
+    "ghz5": "2fb783388c05232f5038b79ed88eb8e9289a2cd7c283f3904129cca505fc6869",
+    "ghz6": "55a0e858b4e65459e8838d76a38e3ffe1317bf768afb1962a040aff991c93967",
+    "w3": "0cf1d56836bd594fa0417861b4bbd470c8940747314b163f120fde1736986725",
+    "w4": "3cf4a5fad0e2c7e30ecc30a2a1c6e7fbaa64ffbba6a258ab013a544d01c27d57",
+    "w5": "b0974af91bce5b0b8e8508d795342f2504460cc9cb5e6f36a620b2ddfa5b9474",
+    "w6": "0c404a54e194d7665fa662b75f0436145ea2f063df8aae45bfd612a6311e11b5",
+    "xstate": "d72ff734d8b1d59fe19b91f579c8b6be9aa51e3f8672a9ec9337b80af35d4d3e",
+}
+
+
+def test_invariants_json_bytes_are_pinned(capsys):
+    assert sorted(INVARIANTS_JSON_SHA256) == sorted(fixture_names())
+    for name, digest in INVARIANTS_JSON_SHA256.items():
+        code, out, _ = run_cli(capsys, "invariants", "--fixture", name, "--json")
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest, name
 
 
 def test_json_output_deterministic(capsys):

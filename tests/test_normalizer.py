@@ -4,13 +4,15 @@ import pytest
 
 from lusym import (
     InternalError,
+    PureState,
     Support,
     compute_normalizer,
+    fixture_names,
     fixture_state,
     reduced_density_matrix,
     solve_symmetry_group,
 )
-from lusym.normalizer import _as_flip_group, balance_defect_polynomials, support_stabilizer_masks
+from lusym.normalizer import _as_flip_group, balance_defects, support_stabilizer_masks
 from lusym.states import xor_labels
 
 from conftest import conjugate, random_state_on, random_support
@@ -164,21 +166,39 @@ def test_phase_condition_rejects_on_proper_subgroup():
 
 def test_defect_polynomials_bell_and_w():
     bell = fixture_state("bell")
-    for poly in balance_defect_polynomials(bell.support()):
-        assert abs(poly.evaluate(bell)) < 1e-12
+    assert len(balance_defects(bell)) == 2
+    for value in balance_defects(bell):
+        assert abs(value) < 1e-12
 
     w3 = fixture_state("w3")
-    for poly in balance_defect_polynomials(w3.support()):
-        assert abs(poly.evaluate(w3) - 1 / 3) < 1e-12
+    assert len(balance_defects(w3)) == 3
+    for value in balance_defects(w3):
+        assert abs(value - 1 / 3) < 1e-12
 
 
-def test_defect_partition():
-    sup = Support.from_labels(["000", "110", "100", "010"])
-    polys = balance_defect_polynomials(sup)
-    assert [p.qubit for p in polys] == [1, 2, 3]
-    for p in polys:
-        assert sorted(p.zero_labels + p.one_labels) == sorted(sup.labels)
-    assert polys[2].one_labels == ()
+def _reference_defects(psi):
+    """Qubit k's sum of |c|^2 over the bit-0 labels minus the sum over the
+    bit-1 labels, each summed separately in support order."""
+    labels = psi.support().labels
+    return tuple(
+        sum(abs(psi.amplitude(lab)) ** 2 for lab in labels if lab[k] == "0")
+        - sum(abs(psi.amplitude(lab)) ** 2 for lab in labels if lab[k] == "1")
+        for k in range(psi.n)
+    )
+
+
+def test_defects_equal_the_two_sums_bit_for_bit():
+    rng = random.Random(2024)
+    states = [fixture_state(name) for name in fixture_names()]
+    for _ in range(100):
+        states.append(random_state_on(rng, random_support(rng, rng.randint(1, 8), 12)))
+    # qubit 3 is 0 on every label, so its bit-1 sum is empty
+    states.append(random_state_on(rng, Support.from_labels(["000", "110", "100", "010"])))
+    # a state built directly keeps its dict order; the sums still run in support order
+    forward = random_state_on(rng, random_support(rng, 5, 12, min_labels=6))
+    states.append(PureState(forward.n, dict(reversed(list(forward.amplitudes.items())))))
+    for psi in states:
+        assert [repr(v) for v in balance_defects(psi)] == [repr(v) for v in _reference_defects(psi)]
 
 
 def test_defect_matches_reduced_density_matrix():
@@ -186,7 +206,6 @@ def test_defect_matches_reduced_density_matrix():
     for _ in range(40):
         sup = random_support(rng, rng.randint(1, 4), 8)
         psi = random_state_on(rng, sup)
-        polys = balance_defect_polynomials(sup)
-        for p in polys:
-            rho = reduced_density_matrix(psi, p.qubit)
-            assert abs(p.evaluate(psi) - (rho[0][0].real - rho[1][1].real)) < 1e-10
+        for k, value in enumerate(balance_defects(psi), 1):
+            rho = reduced_density_matrix(psi, k)
+            assert abs(value - (rho[0][0].real - rho[1][1].real)) < 1e-10

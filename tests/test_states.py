@@ -39,7 +39,6 @@ def test_label_helpers():
 def test_support_ordering_and_index():
     sup = Support.from_labels(["11", "00", "01"])
     assert sup.labels == ("00", "01", "11")
-    assert sup.index("01") == 1
     with pytest.raises(InputError):
         Support.from_labels(["0", "00"])
     with pytest.raises(InputError):
