@@ -1,17 +1,19 @@
-"""End-to-end analysis: numeric verification, the full per-state report, and
-stratum comparison between supports.
+"""End-to-end analysis: verification of a group against a state, the full
+per-state report, and stratum comparison between supports.
 """
 
 from __future__ import annotations
 
+import cmath
 import math
 import random
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterable
+from operator import mul
+from typing import TYPE_CHECKING, Iterable, Sequence
 
 from .errors import DimensionError, InputError, InternalError
 from .exactlinalg import hermite_normal_form, lattice_member
-from .states import PureState, Support, apply_phase_element
+from .states import PhaseVector, PureState, Support, validate_label
 from .symmetry import DiagonalSymmetryGroup, sign_rows, solve_symmetry_group, torus_point
 
 if TYPE_CHECKING:
@@ -56,9 +58,16 @@ def _worst(deviations: list[float]) -> float:
     return max(deviations, default=0.0)
 
 
-def _deviation(psi: PureState, moved: PureState) -> float:
-    # a phase element keeps psi's labels, so moved has exactly those labels
-    return _worst([abs(c - moved.amplitudes[lab]) for lab, c in psi.amplitudes.items()])
+def _deviation(psi: PureState, rows: Sequence[Sequence[int]], g: PhaseVector) -> float:
+    """Largest |c - g.c| over psi's labels, whose sign rows are rows. A label's
+    turn t/d is exact, and a whole turn leaves c as it is: abs(c - c) is 0.0,
+    or NaN for a non-finite c."""
+    deviations = []
+    for row, c in zip(rows, psi.amplitudes.values()):
+        t = sum(map(mul, row, g.nums)) % g.den
+        moved = c if t == 0 else c * cmath.exp(2j * math.pi * (t / g.den))
+        deviations.append(abs(c - moved))
+    return _worst(deviations)
 
 
 def require_normalized(psi: PureState, tol: float) -> None:
@@ -76,29 +85,25 @@ def verify_symmetry(
     tol: float = DEFAULT_TOL,
     seed: int = 0,
 ) -> SymmetryVerification:
-    """Numerically confirm that the group fixes the state.
-
-    Every finite generator is applied once; the continuous part is probed at
-    `samples` random rational torus points drawn from a seeded generator.
+    """Check that the group fixes the state. Every finite generator is applied
+    once; the continuous part is probed at `samples` random rational torus
+    points drawn from a seeded generator. Each label's turn is decided exactly
+    from its sign row; floats run only for labels whose turn is not whole.
     """
     if group.n != psi.n:
         raise DimensionError(f"group on {group.n} qubits, state on {psi.n}")
+    if samples < 1:
+        raise InputError(f"samples must be >= 1, got {samples}")
+    rows = sign_rows(validate_label(label, psi.n) for label in psi.amplitudes)
     rng = random.Random(seed)
-    checks = []
-    for i, gen in enumerate(group.finite_generators):
-        checks.append(GeneratorCheck("finite", i, _deviation(psi, apply_phase_element(gen, psi))))
+    gens = group.finite_generators
+    checks = [GeneratorCheck("finite", i, _deviation(psi, rows, gen)) for i, gen in enumerate(gens)]
     if group.torus_rank > 0:
-        for s in range(samples):
-            point = torus_point(group, rng, 2**20)
-            checks.append(GeneratorCheck("torus", s, _deviation(psi, apply_phase_element(point, psi))))
+        points = (torus_point(group, rng, 2**20) for _ in range(samples))
+        checks += [GeneratorCheck("torus", s, _deviation(psi, rows, p)) for s, p in enumerate(points)]
     max_dev = _worst([c.deviation for c in checks])
     return SymmetryVerification(
-        passed=max_dev <= tol,
-        max_deviation=max_dev,
-        tol=tol,
-        samples=samples,
-        seed=seed,
-        checks=tuple(checks),
+        passed=max_dev <= tol, max_deviation=max_dev, tol=tol, samples=samples, seed=seed, checks=tuple(checks)
     )
 
 
@@ -142,13 +147,9 @@ def _monomial_values(circuits: Iterable[BalancedCircuit], psi: PureState) -> tup
     return tuple(values)
 
 
-def analyze(
-    psi: PureState,
-    tol: float = DEFAULT_TOL,
-    samples: int = DEFAULT_SAMPLES,
-    seed: int = 0,
-) -> AnalysisReport:
-    """Full deterministic analysis of a normalized sparse state."""
+def analyze(psi: PureState, tol: float = DEFAULT_TOL) -> AnalysisReport:
+    """Full deterministic analysis of a normalized sparse state. The solved
+    group is verified at DEFAULT_SAMPLES torus points from seed 0."""
     # imported here, so that verify_symmetry and compare_strata load none of them
     from .circuits import enumerate_circuits
     from .invariants import single_sl_generator_check
@@ -166,7 +167,7 @@ def analyze(
     sl_report = single_sl_generator_check(catalog)
     norm_desc = compute_normalizer(support, group)
     defect_values = balance_defects(psi)
-    verification = verify_symmetry(psi, group, samples=samples, tol=tol, seed=seed)
+    verification = verify_symmetry(psi, group, tol=tol)
 
     generic = all(abs(c) >= GENERIC_FLOOR for c in psi.amplitudes.values()) and all(
         abs(v) >= GENERIC_FLOOR for v in defect_values

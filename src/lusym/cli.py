@@ -96,19 +96,13 @@ def _samples(text: str) -> int:
     return value
 
 
-def _add_check_options(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--tolerance", type=_tolerance, default=DEFAULT_TOL)
-    parser.add_argument("--samples", type=_samples, default=DEFAULT_SAMPLES)
-    parser.add_argument("--seed", type=int, default=0)
-
-
 def _add_format_options(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--json", action="store_true", help="machine-readable output (default: text)")
 
 
 def cmd_analyze(args: argparse.Namespace) -> int:
     psi = _state_from_args(args)
-    report = analyze(psi, tol=args.tolerance, samples=args.samples, seed=args.seed)
+    report = analyze(psi, tol=args.tolerance)
     if args.json:
         sys.stdout.write(dump_report(report))
         return 0
@@ -293,7 +287,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("analyze", help="full report for a state")
     _add_source_options(p, with_support=False)
     _add_format_options(p)
-    _add_check_options(p)
+    p.add_argument("--tolerance", type=_tolerance, default=DEFAULT_TOL)
     p.set_defaults(func=cmd_analyze)
 
     p = sub.add_parser("circuits", help="balanced circuits of a support")
@@ -318,7 +312,9 @@ def build_parser() -> argparse.ArgumentParser:
     group_source.add_argument("--group", metavar="FILE", help="group JSON file")
     group_source.add_argument("--from-support", action="store_true",
                               help="solve the group from the state's own support")
-    _add_check_options(p)
+    p.add_argument("--tolerance", type=_tolerance, default=DEFAULT_TOL)
+    p.add_argument("--samples", type=_samples, default=DEFAULT_SAMPLES)
+    p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("compare", help="closure order of two supports' strata")

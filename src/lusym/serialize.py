@@ -8,7 +8,6 @@ layout, indented files of earlier versions included.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import math
 from typing import TYPE_CHECKING, Any, Mapping
@@ -112,6 +111,8 @@ def state_from_dict(data: Mapping) -> PureState:
 
 
 def state_hash(psi: PureState) -> str:
+    import hashlib  # here, so that `compare` and `verify` never load it
+
     digest = hashlib.sha256(canonical_dumps(state_to_dict(psi)).encode()).hexdigest()
     return f"sha256:{digest}"
 

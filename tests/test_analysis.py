@@ -1,3 +1,4 @@
+import cmath
 import math
 import random
 import sys
@@ -26,10 +27,13 @@ from lusym.analysis import (
     STRATA_B_CLOSURE_CONTAINS_A,
     STRATA_EQUAL,
     STRATA_INCOMPARABLE,
+    GeneratorCheck,
+    SymmetryVerification,
     _deviation,
 )
-from lusym.states import PhaseVector
-from lusym.symmetry import _annihilated_by, sign_rows
+from lusym.serialize import dump_report
+from lusym.states import PhaseVector, apply_phase_element
+from lusym.symmetry import _annihilated_by, sign_rows, torus_point
 
 from conftest import random_coset_support, random_state_on, random_support
 
@@ -74,18 +78,108 @@ def test_verify_detects_broken_symmetry():
 
 def test_deviation_propagates_nan():
     # built directly, since from_amplitudes rejects NaN; max() over labels in
-    # set order used to drop the NaN unless it happened to come first
+    # set order used to drop the NaN unless it happened to come first. Every
+    # label's turn is whole here, so a NaN must survive the unmoved path too.
     labels = [format(x, "03b") for x in range(8)]
     clean = {lab: complex(1 / math.sqrt(8)) for lab in labels}
     group = solve_symmetry_group(Support.from_labels(labels))
+    elements = [PhaseVector((0, 0, 0, 0), 1), *group.finite_generators]
     for bad in labels:
         for order in (labels, labels[::-1]):
             amps = {lab: complex(math.nan) if lab == bad else clean[lab] for lab in order}
             psi = PureState(3, amps)
-            assert math.isnan(_deviation(psi, PureState(3, clean)))
+            rows = sign_rows(psi.amplitudes)
+            assert all(math.isnan(_deviation(psi, rows, g)) for g in elements)
             v = verify_symmetry(psi, group, samples=2, seed=0)
             assert math.isnan(v.max_deviation)
             assert not v.passed
+
+
+def test_verify_refuses_fewer_than_one_sample():
+    # the full torus does not fix Bell; with no torus samples it used to pass
+    psi = fixture_state("bell")
+    full = DiagonalSymmetryGroup.from_presentation(2, [(1, 0, 0), (0, 1, 0), (0, 0, 1)], ())
+    assert not verify_symmetry(psi, full, samples=8).passed
+    for samples in (0, -3):
+        with pytest.raises(InputError, match="samples"):
+            verify_symmetry(psi, full, samples=samples)
+
+
+def _numeric_verify(psi, group, samples, tol, seed):
+    """verify_symmetry as it was before turns were read exactly: every check
+    moves the whole state in floats and compares it label by label."""
+
+    def worst(deviations):
+        if any(math.isnan(d) for d in deviations):
+            return math.nan
+        return max(deviations, default=0.0)
+
+    def deviation(moved):
+        return worst([abs(c - moved.amplitudes[lab]) for lab, c in psi.amplitudes.items()])
+
+    rng = random.Random(seed)
+    checks = []
+    for i, gen in enumerate(group.finite_generators):
+        checks.append(GeneratorCheck("finite", i, deviation(apply_phase_element(gen, psi))))
+    if group.torus_rank > 0:
+        for s in range(samples):
+            point = torus_point(group, rng, 2**20)
+            checks.append(GeneratorCheck("torus", s, deviation(apply_phase_element(point, psi))))
+    max_dev = worst([c.deviation for c in checks])
+    return SymmetryVerification(max_dev <= tol, max_dev, tol, samples, seed, tuple(checks))
+
+
+def _tampered_groups(group):
+    """The group, one with its first generator off by 1/den, and one with an
+    extra torus direction, e_1, that no sign row annihilates."""
+    n, torus, gens = group.n, group.torus_basis, group.finite_generators
+    if gens:
+        g = gens[0]
+        shifted = PhaseVector.from_numerators((g.nums[0] + 1, *g.nums[1:]), g.den)
+        off = DiagonalSymmetryGroup.from_presentation(n, torus, (shifted, *gens[1:]))
+    else:
+        off = DiagonalSymmetryGroup.from_presentation(n, torus, [PhaseVector.from_numerators([1] + [0] * n, 3)])
+    e1 = (1,) + (0,) * n
+    return [group, off, DiagonalSymmetryGroup.from_presentation(n, (*torus, e1), gens)]
+
+
+def test_exact_turns_match_numeric_verification():
+    rng = random.Random(1601)
+    states = [fixture_state(name) for name in fixture_names()]
+    for _ in range(12):
+        states.append(random_state_on(rng, random_support(rng, rng.randint(2, 7), 10)))
+    for n, dim in [(8, 2), (10, 2), (10, 3), (12, 3)]:
+        states.append(random_state_on(rng, random_coset_support(rng, n, dim)))
+    cases = failed = 0
+    for psi in states:
+        groups = _tampered_groups(solve_symmetry_group(psi.support()))
+        bad = rng.choice(list(psi.amplitudes))
+        variants = [psi] + [
+            PureState(psi.n, {**psi.amplitudes, bad: x})
+            for x in (complex(math.nan), complex(math.inf), complex(-math.inf), complex(-0.0, -0.5))
+        ]
+        for group in groups:
+            for state in variants:
+                for samples in (8, 64):
+                    seed = rng.randrange(1000)
+                    new = verify_symmetry(state, group, samples=samples, seed=seed)
+                    assert repr(new) == repr(_numeric_verify(state, group, samples, 1e-9, seed))
+                    cases += 1
+                    failed += not new.passed
+    # the tampered groups and the bad amplitudes do make checks fail
+    assert failed > cases // 2
+
+
+def test_analyze_runs_no_float_phase_on_whole_turns(monkeypatch):
+    states = {name: fixture_state(name) for name in fixture_names()}
+    expected = {name: dump_report(analyze(psi)) for name, psi in states.items()}
+
+    def no_exp(z):
+        raise AssertionError(f"cmath.exp({z!r}) on a solved group")
+
+    monkeypatch.setattr(cmath, "exp", no_exp)
+    for name, psi in states.items():
+        assert dump_report(analyze(psi)) == expected[name], name
 
 
 def test_verify_deterministic_across_runs():

@@ -283,11 +283,18 @@ def test_verify_rejects_nan_state_under_any_hash_seed(tmp_path):
         assert "finite" in result.stderr
 
 
-@pytest.mark.parametrize("command", ["analyze", "verify"])
 @pytest.mark.parametrize(
-    "flag, value", [("--tolerance", "-1"), ("--tolerance", "nan"), ("--samples", "0"), ("--samples", "-3")]
+    "flag, value, command",
+    [
+        ("--tolerance", "-1", "analyze"),
+        ("--tolerance", "nan", "analyze"),
+        ("--tolerance", "-1", "verify"),
+        ("--tolerance", "nan", "verify"),
+        ("--samples", "0", "verify"),
+        ("--samples", "-3", "verify"),
+    ],
 )
-def test_check_options_refuse_vacuous_values(capsys, command, flag, value):
+def test_check_options_refuse_vacuous_values(capsys, flag, value, command):
     argv = [command, "--fixture", "bell", flag, value]
     if command == "verify":
         argv.append("--from-support")
@@ -295,6 +302,28 @@ def test_check_options_refuse_vacuous_values(capsys, command, flag, value):
         main(argv)
     assert exc.value.code == 2
     assert flag in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flag, value", [("--samples", "3"), ("--seed", "1")])
+def test_analyze_refuses_removed_options(capsys, flag, value):
+    # analyze verifies the group it has just solved, where every deviation is
+    # 0.0; these options only sized that check, so analyze no longer takes them
+    with pytest.raises(SystemExit) as exc:
+        main(["analyze", "--fixture", "bell", flag, value])
+    assert exc.value.code == 2
+    assert flag in capsys.readouterr().err
+
+
+def test_check_options_by_command(capsys):
+    with pytest.raises(SystemExit):
+        main(["analyze", "--help"])
+    analyze_help = capsys.readouterr().out
+    assert "--tolerance" in analyze_help
+    assert "--samples" not in analyze_help and "--seed" not in analyze_help
+    with pytest.raises(SystemExit):
+        main(["verify", "--help"])
+    verify_help = capsys.readouterr().out
+    assert all(flag in verify_help for flag in ("--tolerance", "--samples", "--seed"))
 
 
 def test_unnormalized_state_rejected(capsys, tmp_path):
