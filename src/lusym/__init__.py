@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from importlib import import_module
 
-__version__ = "0.6.0"
+__version__ = "0.7.0"
 
 _EXPORTS = {
     "analysis": ("AnalysisReport", "SymmetryVerification", "analyze", "compare_strata", "verify_symmetry"),

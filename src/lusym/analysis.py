@@ -6,7 +6,6 @@ from __future__ import annotations
 
 import cmath
 import math
-import random
 from dataclasses import dataclass
 from operator import mul
 from typing import TYPE_CHECKING, Iterable, Sequence
@@ -14,7 +13,7 @@ from typing import TYPE_CHECKING, Iterable, Sequence
 from .errors import DimensionError, InputError, InternalError
 from .exactlinalg import hermite_normal_form, lattice_member
 from .states import PhaseVector, PureState, Support, validate_label
-from .symmetry import DiagonalSymmetryGroup, sign_rows, solve_symmetry_group, torus_point
+from .symmetry import DiagonalSymmetryGroup, sign_rows, solve_symmetry_group
 
 if TYPE_CHECKING:
     from .circuits import BalancedCircuit, CircuitCatalog
@@ -22,7 +21,6 @@ if TYPE_CHECKING:
     from .normalizer import NormalizerDescription
 
 DEFAULT_TOL = 1e-9
-DEFAULT_SAMPLES = 8
 
 # Thresholds for the genericity flag: a support amplitude or a balance defect
 # below this is treated as vanishing.
@@ -37,7 +35,7 @@ STRATA_INCOMPARABLE = "incomparable"
 @dataclass(frozen=True)
 class GeneratorCheck:
     kind: str  # "finite" or "torus"
-    index: int
+    index: int  # into group.finite_generators or group.torus_basis
     deviation: float
 
 
@@ -46,8 +44,6 @@ class SymmetryVerification:
     passed: bool
     max_deviation: float
     tol: float
-    samples: int
-    seed: int
     checks: tuple[GeneratorCheck, ...]
 
 
@@ -70,6 +66,16 @@ def _deviation(psi: PureState, rows: Sequence[Sequence[int]], g: PhaseVector) ->
     return _worst(deviations)
 
 
+def _torus_deviation(psi: PureState, rows: Sequence[Sequence[int]], direction: Sequence[int]) -> float:
+    """Largest |c - g.c| over psi's labels and every g = s.direction, s real.
+    A label with m = row . direction = 0 is fixed by all of them; any other
+    is sent to -c by s = 1/(2m), the farthest it can move."""
+    return _worst([
+        abs(c - c) if sum(map(mul, row, direction)) == 0 else abs(2 * c)
+        for row, c in zip(rows, psi.amplitudes.values())
+    ])
+
+
 def require_normalized(psi: PureState, tol: float) -> None:
     """Raise InputError unless the state has norm 1 within tol."""
     if not psi.is_normalized(tol):
@@ -79,32 +85,26 @@ def require_normalized(psi: PureState, tol: float) -> None:
 
 
 def verify_symmetry(
-    psi: PureState,
-    group: DiagonalSymmetryGroup,
-    samples: int = DEFAULT_SAMPLES,
-    tol: float = DEFAULT_TOL,
-    seed: int = 0,
+    psi: PureState, group: DiagonalSymmetryGroup, tol: float = DEFAULT_TOL
 ) -> SymmetryVerification:
-    """Check that the group fixes the state. Every finite generator is applied
-    once; the continuous part is probed at `samples` random rational torus
-    points drawn from a seeded generator. Each label's turn is decided exactly
-    from its sign row; floats run only for labels whose turn is not whole.
+    """Decide whether the group fixes the state, with one check per finite
+    generator and one per torus direction, each the largest deviation over
+    the labels. Each label's turn is read exactly from its sign row; floats
+    run only for labels a finite generator moves by a turn that is not whole.
     """
     if group.n != psi.n:
         raise DimensionError(f"group on {group.n} qubits, state on {psi.n}")
-    if samples < 1:
-        raise InputError(f"samples must be >= 1, got {samples}")
+    if not (math.isfinite(tol) and tol > 0):
+        raise InputError(f"tol must be finite and > 0, got {tol}")
     rows = sign_rows(validate_label(label, psi.n) for label in psi.amplitudes)
-    rng = random.Random(seed)
-    gens = group.finite_generators
-    checks = [GeneratorCheck("finite", i, _deviation(psi, rows, gen)) for i, gen in enumerate(gens)]
-    if group.torus_rank > 0:
-        points = (torus_point(group, rng, 2**20) for _ in range(samples))
-        checks += [GeneratorCheck("torus", s, _deviation(psi, rows, p)) for s, p in enumerate(points)]
+    checks = [
+        GeneratorCheck("finite", i, _deviation(psi, rows, gen)) for i, gen in enumerate(group.finite_generators)
+    ]
+    checks += [
+        GeneratorCheck("torus", i, _torus_deviation(psi, rows, vec)) for i, vec in enumerate(group.torus_basis)
+    ]
     max_dev = _worst([c.deviation for c in checks])
-    return SymmetryVerification(
-        passed=max_dev <= tol, max_deviation=max_dev, tol=tol, samples=samples, seed=seed, checks=tuple(checks)
-    )
+    return SymmetryVerification(passed=max_dev <= tol, max_deviation=max_dev, tol=tol, checks=tuple(checks))
 
 
 @dataclass(frozen=True)
@@ -148,8 +148,7 @@ def _monomial_values(circuits: Iterable[BalancedCircuit], psi: PureState) -> tup
 
 
 def analyze(psi: PureState, tol: float = DEFAULT_TOL) -> AnalysisReport:
-    """Full deterministic analysis of a normalized sparse state. The solved
-    group is verified at DEFAULT_SAMPLES torus points from seed 0."""
+    """Full deterministic analysis of a normalized sparse state."""
     # imported here, so that verify_symmetry and compare_strata load none of them
     from .circuits import enumerate_circuits
     from .invariants import single_sl_generator_check

@@ -246,8 +246,6 @@ def verification_to_dict(v: SymmetryVerification) -> dict:
         "passed": v.passed,
         "max_deviation": v.max_deviation,
         "tol": v.tol,
-        "samples": v.samples,
-        "seed": v.seed,
         "checks": [
             {"kind": c.kind, "index": c.index, "deviation": c.deviation} for c in v.checks
         ],

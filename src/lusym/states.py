@@ -134,6 +134,11 @@ class PureState:
         return PureState(self.n, {lab: factor * c for lab, c in self.amplitudes.items()})
 
 
+def _check_den(den: int) -> None:
+    if den < 1:
+        raise InputError(f"phase denominator den must be >= 1, got {den}")
+
+
 @dataclass(frozen=True)
 class PhaseVector:
     """A diagonal phase element: per-qubit turns phi_1..phi_n plus a global turn theta.
@@ -149,7 +154,8 @@ class PhaseVector:
     den: int
 
     def __post_init__(self) -> None:
-        if self.den < 1 or math.gcd(self.den, *self.nums) != 1:
+        _check_den(self.den)
+        if math.gcd(self.den, *self.nums) != 1:
             raise InputError(f"phase numerators {self.nums} over {self.den} are not in lowest terms")
         if not all(0 <= x < self.den for x in self.nums):
             raise InputError(f"phase numerators {self.nums} must lie in [0, {self.den})")
@@ -176,6 +182,7 @@ class PhaseVector:
     @classmethod
     def from_numerators(cls, nums: Iterable[int], den: int) -> "PhaseVector":
         """The element with turns nums[i] / den, each reduced to [0, 1)."""
+        _check_den(den)
         reduced = [x % den for x in nums]
         common = math.gcd(den, *reduced)
         return cls(tuple(x // common for x in reduced), den // common)

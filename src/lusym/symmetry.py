@@ -12,7 +12,6 @@ once, by Smith normal form. Membership and containment read the form alone.
 from __future__ import annotations
 
 import math
-import random
 from operator import mul
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
@@ -205,27 +204,3 @@ def qubit_action_profile(support: Support, group: DiagonalSymmetryGroup) -> Qubi
         witnesses.append(witness)
     return QubitActionProfile(trivial=tuple(trivial), witnesses=tuple(witnesses))
 
-
-def torus_point(group: DiagonalSymmetryGroup, rng: random.Random, denominator: int) -> PhaseVector:
-    """A random rational point of the torus part: each basis direction times
-    its own draw k/denominator, in basis order, reduced to [0, 1) turns.
-
-    The sum is taken over integers, as numerators of the shared denominator."""
-    total = [0] * (group.n + 1)
-    for vec in group.torus_basis:
-        k = rng.randrange(denominator)
-        for i, x in enumerate(vec):
-            total[i] += k * x
-    return PhaseVector.from_numerators(total, denominator)
-
-
-def random_element(
-    group: DiagonalSymmetryGroup, rng: random.Random, denominator: int = 2**16
-) -> PhaseVector:
-    """A random exact-rational element: random integer powers of the finite
-    generators plus a random rational point of the torus part."""
-    element = torus_point(group, rng, denominator)
-    for gen in group.finite_generators:
-        a = rng.randrange(gen.den)
-        element = element.compose(PhaseVector.from_numerators((a * x for x in gen.nums), gen.den))
-    return element

@@ -1,6 +1,6 @@
-"""Shared helpers for the test suite: seeded random supports and states, group
-conjugation by bit flips, a brute-force circuit oracle, and a schema validator
-wired to docs/schema/.
+"""Shared helpers for the test suite: seeded random supports and states,
+random group elements, group conjugation by bit flips, a brute-force circuit
+oracle, and a schema validator wired to docs/schema/.
 """
 
 import json
@@ -12,7 +12,7 @@ from itertools import combinations
 
 import pytest
 
-from lusym import DiagonalSymmetryGroup, IntMatrix, PureState, Support, rational_rank
+from lusym import DiagonalSymmetryGroup, IntMatrix, PhaseVector, PureState, Support, rational_rank
 
 SCHEMA_DIR = pathlib.Path(__file__).resolve().parent.parent / "docs" / "schema"
 SRC_DIR = pathlib.Path(__file__).resolve().parent.parent / "src"
@@ -59,6 +59,31 @@ def random_state_on(rng: random.Random, support: Support) -> PureState:
         amps[lab] = c
     norm = sum(abs(c) ** 2 for c in amps.values()) ** 0.5
     return PureState.from_amplitudes({k: v / norm for k, v in amps.items()})
+
+
+def torus_point(group: DiagonalSymmetryGroup, rng: random.Random, denominator: int) -> PhaseVector:
+    """A random rational point of the torus part: each basis direction times
+    its own draw k/denominator, in basis order, reduced to [0, 1) turns.
+
+    The sum is taken over integers, as numerators of the shared denominator."""
+    total = [0] * (group.n + 1)
+    for vec in group.torus_basis:
+        k = rng.randrange(denominator)
+        for i, x in enumerate(vec):
+            total[i] += k * x
+    return PhaseVector.from_numerators(total, denominator)
+
+
+def random_element(
+    group: DiagonalSymmetryGroup, rng: random.Random, denominator: int = 2**16
+) -> PhaseVector:
+    """A random exact-rational element: random integer powers of the finite
+    generators plus a random rational point of the torus part."""
+    element = torus_point(group, rng, denominator)
+    for gen in group.finite_generators:
+        a = rng.randrange(gen.den)
+        element = element.compose(PhaseVector.from_numerators((a * x for x in gen.nums), gen.den))
+    return element
 
 
 def conjugate(group: DiagonalSymmetryGroup, mask: str) -> DiagonalSymmetryGroup:

@@ -37,12 +37,12 @@ from lusym.invariants import (
 from lusym.normalizer import balance_defects, compute_normalizer
 from lusym.serialize import dump_report
 from lusym.states import xor_labels
-from lusym.symmetry import random_element
 
 from conftest import (
     all_labels,
     brute_force_circuit_members,
     conjugate,
+    random_element,
     random_state_on,
     random_support,
 )
@@ -114,7 +114,8 @@ def test_criterion_3_solved_groups_fix_random_states():
         sup = random_support(rng, rng.randint(1, 6), 8)
         psi = random_state_on(rng, sup)
         group = solve_symmetry_group(sup)
-        v = verify_symmetry(psi, group, samples=4, tol=1e-9, seed=rng.randrange(10**6))
+        rng.randrange(10**6)  # once the torus-sample seed; still drawn, so the supports stay the same
+        v = verify_symmetry(psi, group, tol=1e-9)
         assert v.passed, (sup.labels, v.max_deviation)
         assert v.max_deviation <= 1e-9
 

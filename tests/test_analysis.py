@@ -28,25 +28,24 @@ from lusym.analysis import (
     STRATA_EQUAL,
     STRATA_INCOMPARABLE,
     GeneratorCheck,
-    SymmetryVerification,
     _deviation,
 )
 from lusym.serialize import dump_report
 from lusym.states import PhaseVector, apply_phase_element
-from lusym.symmetry import _annihilated_by, sign_rows, torus_point
+from lusym.symmetry import _annihilated_by, sign_rows
 
-from conftest import random_coset_support, random_state_on, random_support
+from conftest import random_coset_support, random_state_on, random_support, torus_point
 
 
 def test_verify_bell_exact():
     psi = fixture_state("bell")
     group = solve_symmetry_group(psi.support())
-    v = verify_symmetry(psi, group, samples=8, seed=0)
+    v = verify_symmetry(psi, group)
     assert v.passed
     assert v.max_deviation < 1e-12
     kinds = [c.kind for c in v.checks]
     assert kinds.count("finite") == 1
-    assert kinds.count("torus") == 8
+    assert kinds.count("torus") == 1
 
 
 def test_verify_no_torus_part():
@@ -54,7 +53,7 @@ def test_verify_no_torus_part():
     psi = PureState.from_amplitudes({lab: math.sqrt(1 / 8) for lab in labels})
     group = solve_symmetry_group(psi.support())
     assert group.torus_rank == 0
-    v = verify_symmetry(psi, group, samples=8, seed=1)
+    v = verify_symmetry(psi, group)
     assert v.passed
     assert all(c.kind == "finite" for c in v.checks)
     assert len(v.checks) == len(group.finite_generators)
@@ -71,7 +70,7 @@ def test_verify_detects_broken_symmetry():
         }
     )
     group = solve_symmetry_group(Support.from_labels(["00", "11"]))
-    v = verify_symmetry(psi, group, samples=8, tol=1e-6, seed=0)
+    v = verify_symmetry(psi, group, tol=1e-6)
     assert not v.passed
     assert v.max_deviation > 1e-4
 
@@ -90,43 +89,30 @@ def test_deviation_propagates_nan():
             psi = PureState(3, amps)
             rows = sign_rows(psi.amplitudes)
             assert all(math.isnan(_deviation(psi, rows, g)) for g in elements)
-            v = verify_symmetry(psi, group, samples=2, seed=0)
+            v = verify_symmetry(psi, group)
             assert math.isnan(v.max_deviation)
             assert not v.passed
 
 
-def test_verify_refuses_fewer_than_one_sample():
-    # the full torus does not fix Bell; with no torus samples it used to pass
+def test_verify_refuses_a_vacuous_tolerance():
+    # the full torus does not fix Bell; with tol=inf it used to pass anyway
     psi = fixture_state("bell")
     full = DiagonalSymmetryGroup.from_presentation(2, [(1, 0, 0), (0, 1, 0), (0, 0, 1)], ())
-    assert not verify_symmetry(psi, full, samples=8).passed
-    for samples in (0, -3):
-        with pytest.raises(InputError, match="samples"):
-            verify_symmetry(psi, full, samples=samples)
+    v = verify_symmetry(psi, full)
+    assert not v.passed
+    assert v.max_deviation == pytest.approx(math.sqrt(2))
+    for tol in (math.inf, math.nan, 0.0, -1e-9):
+        with pytest.raises(InputError, match="tol"):
+            verify_symmetry(psi, full, tol=tol)
 
 
-def _numeric_verify(psi, group, samples, tol, seed):
-    """verify_symmetry as it was before turns were read exactly: every check
-    moves the whole state in floats and compares it label by label."""
-
-    def worst(deviations):
-        if any(math.isnan(d) for d in deviations):
-            return math.nan
-        return max(deviations, default=0.0)
-
-    def deviation(moved):
-        return worst([abs(c - moved.amplitudes[lab]) for lab, c in psi.amplitudes.items()])
-
-    rng = random.Random(seed)
-    checks = []
-    for i, gen in enumerate(group.finite_generators):
-        checks.append(GeneratorCheck("finite", i, deviation(apply_phase_element(gen, psi))))
-    if group.torus_rank > 0:
-        for s in range(samples):
-            point = torus_point(group, rng, 2**20)
-            checks.append(GeneratorCheck("torus", s, deviation(apply_phase_element(point, psi))))
-    max_dev = worst([c.deviation for c in checks])
-    return SymmetryVerification(max_dev <= tol, max_dev, tol, samples, seed, tuple(checks))
+def _float_deviation(psi, moved):
+    """Largest |c - moved c| over the labels, label by label in floats, as
+    verification worked before turns were read exactly."""
+    deviations = [abs(c - moved.amplitudes[lab]) for lab, c in psi.amplitudes.items()]
+    if any(math.isnan(d) for d in deviations):
+        return math.nan
+    return max(deviations, default=0.0)
 
 
 def _tampered_groups(group):
@@ -160,12 +146,27 @@ def test_exact_turns_match_numeric_verification():
         ]
         for group in groups:
             for state in variants:
-                for samples in (8, 64):
-                    seed = rng.randrange(1000)
-                    new = verify_symmetry(state, group, samples=samples, seed=seed)
-                    assert repr(new) == repr(_numeric_verify(state, group, samples, 1e-9, seed))
-                    cases += 1
-                    failed += not new.passed
+                v = verify_symmetry(state, group)
+                # finite checks: bit for bit the float loop over moved states
+                finite = tuple(
+                    GeneratorCheck("finite", i, _float_deviation(state, apply_phase_element(gen, state)))
+                    for i, gen in enumerate(group.finite_generators)
+                )
+                assert repr(v.checks[: len(finite)]) == repr(finite)
+                torus = v.checks[len(finite) :]
+                assert [(c.kind, c.index) for c in torus] == [("torus", i) for i in range(group.torus_rank)]
+                if all(cmath.isfinite(c) for c in state.amplitudes.values()):
+                    # every |c| is far above tol, so a label that moves at all fails
+                    assert v.passed == _annihilated_by(sign_rows(state.amplitudes), group)
+                    # each torus check is the supremum over its whole subgroup
+                    worst = max((c.deviation for c in torus), default=0.0)
+                    for _ in range(8):
+                        moved = apply_phase_element(torus_point(group, rng, 2**20), state)
+                        assert _float_deviation(state, moved) <= worst
+                else:
+                    assert not v.passed
+                cases += 1
+                failed += not v.passed
     # the tampered groups and the bad amplitudes do make checks fail
     assert failed > cases // 2
 
@@ -183,8 +184,8 @@ def test_analyze_runs_no_float_phase_on_whole_turns(monkeypatch):
 
 
 def test_verify_deterministic_across_runs():
-    # a state that is not symmetric gives nonzero, seed-dependent deviations,
-    # which is where determinism is actually observable
+    # a state that is not symmetric gives nonzero deviations, which is where
+    # determinism is actually observable
     eps = 1e-3
     norm = math.sqrt(1 + eps**2)
     psi = PureState.from_amplitudes(
@@ -194,12 +195,13 @@ def test_verify_deterministic_across_runs():
             "01": eps / norm,
         }
     )
+    reordered = PureState(psi.n, dict(reversed(psi.amplitudes.items())))
+    assert list(reordered.amplitudes) != list(psi.amplitudes)
     group = solve_symmetry_group(Support.from_labels(["00", "11"]))
-    v1 = verify_symmetry(psi, group, samples=6, tol=1e-6, seed=3)
-    v2 = verify_symmetry(psi, group, samples=6, tol=1e-6, seed=3)
-    assert v1 == v2
-    v3 = verify_symmetry(psi, group, samples=6, tol=1e-6, seed=4)
-    assert [c.deviation for c in v1.checks] != [c.deviation for c in v3.checks]
+    v1 = verify_symmetry(psi, group, tol=1e-6)
+    assert not v1.passed and v1.max_deviation > 0
+    assert verify_symmetry(psi, group, tol=1e-6) == v1
+    assert verify_symmetry(reordered, group, tol=1e-6) == v1
 
 
 def test_analyze_bell_report():

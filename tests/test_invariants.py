@@ -31,9 +31,7 @@ from lusym.invariants import (
     monomial_from_circuit,
     single_sl_generator_check,
 )
-from lusym.symmetry import random_element
-
-from conftest import random_state_on, random_support
+from conftest import random_element, random_state_on, random_support
 
 F = Fraction
 

@@ -233,22 +233,22 @@ def test_report_dict_matches_schema(schema_validator):
         schema_validator("report.schema.json", payload)
 
 
-# sha256 of dump_report(analyze(fixture_state(name))) as written by lusym 0.6.0;
+# sha256 of dump_report(analyze(fixture_state(name))) as written by lusym 0.7.0;
 # any change to the report bytes must come with a version bump and new hashes
 REPORT_SHA256 = {
-    "bell": "91ff325046a4e86836d5d14c6d1605c0747ee3a4798d3df7ef7847d547797239",
-    "cluster4a": "9c49280a1c7984cb871010e09d3916a86cd050bde8fafa52e6e0b7511ef14830",
-    "cluster4b": "98291e200148d397cc796025b4ca48df89b0083c9a8aec70b10c6eca15317648",
-    "ghz2": "91ff325046a4e86836d5d14c6d1605c0747ee3a4798d3df7ef7847d547797239",
-    "ghz3": "fe3947c5347eee0163df7bd5f944437612828b000530bcc63230370ea2a00c5d",
-    "ghz4": "872932769893c7d118322047abec30521837f1fdef5005a0076ece6228be8d17",
-    "ghz5": "fa2bbc4c0a3e83c6af3224c024a54e35d514c8ca3a0a4f6a64b88f9be5312821",
-    "ghz6": "a1617d31e0bd313b95e48856c97523c94a9e3f80e6e769a0017f9274e9adadd1",
-    "w3": "ce3f55a7175378ef841ee9294701006b9b81c085c3de228a2fe2be91f996a3c4",
-    "w4": "bae1a45dad7edd3255f9984ff59d2635ac27cac1b321419110cdef061b1c206a",
-    "w5": "2b9ec0ac9452e79d9f47088f96c57fc539de8ed1d138327fb0e5c0d4d073684d",
-    "w6": "d628bc198edfb041742f743af38c95ae9f4a2a4f73d13ff9a64359e345a0dbb2",
-    "xstate": "07951df88cfdb5d4cf3bc1ec6d8d6b8fc9330124577bace0c2dbfbddb9ce5495",
+    "bell": "716b02d36fa4dada5eae1495f8a018e42276eb97839b43899d506317e6323c2d",
+    "cluster4a": "1eb8a30a31e634af478a19399283877924aa5fd84fb140afcd0e466ff29f9b6d",
+    "cluster4b": "1506eeb6f237d24858ff735b80ba9b0f940b15f38bc3b0cc4877544e6dcdd938",
+    "ghz2": "716b02d36fa4dada5eae1495f8a018e42276eb97839b43899d506317e6323c2d",
+    "ghz3": "daf8f45023b8417729a064e3517a40eb617e995b9398a65e53b4763fa1e4b264",
+    "ghz4": "9b2959ea099eac057897c5103e8231cd61488c9d58baf444e23ca338976eb5e7",
+    "ghz5": "0f58a65164db550dffc1c56107cd05ac3894783c67800b4d1901750e20e5c7b2",
+    "ghz6": "1f290e4757cf91ae21e9358e10eb750477343baaa031e3af1bc1650e5dfa069c",
+    "w3": "76d4852df39010015ef326b5e9f223686afd795894e65979c2a530510023dc90",
+    "w4": "ec41cafbe909f662f58cc4c23080a09af95998ec4073d7353802de6883a44120",
+    "w5": "7e18a67ca37ed69de6d9e0f0a1ba0e7f30c12f5fa40ff39039896a614301c91e",
+    "w6": "fcef5034830cd16bc300b242161ff374f8c629213f1d45c1b1994e4c43bccab0",
+    "xstate": "a111be625a87eeffdb33d9e890df06b3f893603958496ed4cb596f231372f280",
 }
 
 
@@ -260,14 +260,14 @@ def test_report_bytes_are_pinned():
 
 
 # sha256 of dump_report for seeded states beyond the fixtures, written by lusym
-# 0.6.0: cosets with a torus of rank 7 and 8, and random supports whose groups
+# 0.7.0: cosets with a torus of rank 7 and 8, and random supports whose groups
 # have eight and nine finite factors. Built with the conftest helpers, so a
 # change to those helpers changes the inputs and fails this test too.
 SEEDED_REPORT_SHA256 = {
-    ("coset", 1, 10, 2): "2f23be74e15531c0f0a33ab63915f453a033b30af20db34fe4a55b110744de6f",
-    ("coset", 2, 12, 3): "bfbe176fb328df7f5b24a877802e1aed0411e948a1e4c29056a2f15c3092d5f2",
-    ("random", 5, 8, 12): "ab8c31fda37275b03f2c9064a385f4592682cbafa0e8816dbdfc9a698d772299",
-    ("random", 6, 9, 13): "2ab1e273742705a6147e596b4a49811b8b103a6755cfd9cf91372c5fc0e1adb0",
+    ("coset", 1, 10, 2): "0a3196551e51b5a79c845e953513b470c2c622ae4f833402afad1f60eaf56b7e",
+    ("coset", 2, 12, 3): "281520d17a2fab34688a3cb5f79bd1ddc7c79dfdcf0c5f393fe74b33bfeb28ce",
+    ("random", 5, 8, 12): "7435e5fe728a3085cdf999d402f148dca51403393e8b9cda7f5737fe3850c989",
+    ("random", 6, 9, 13): "34786a78e7ea063a16afaf8acf2198901ad2a78f1c22d5df1b2f6e10e8afdec0",
 }
 
 
@@ -295,29 +295,29 @@ def _content_sha256(text):
     return hashlib.sha256(json.dumps(data, sort_keys=True, separators=(",", ":")).encode()).hexdigest()
 
 
-# content digests of the reports pinned above, recorded from lusym 0.6.0: a
+# content digests of the reports pinned above, recorded from lusym 0.7.0: a
 # format change that moves only whitespace, the version and the state hash
 # leaves every one of them unchanged
 REPORT_CONTENT_SHA256 = {
-    "bell": "662a7e63fc4916d4f949772cba45eb5d64ee7567514bde195009476ba3e4a385",
-    "cluster4a": "28a7c899cc98e2241e8ad9bd809a85f86e5938bd1b43e8f37ae90e65e28e3359",
-    "cluster4b": "52aa274c712c0f44df710318c6b7f6d0a958a3b4b455a560913f348cd2a6404f",
-    "ghz2": "662a7e63fc4916d4f949772cba45eb5d64ee7567514bde195009476ba3e4a385",
-    "ghz3": "c35b4cc326cff26daa7d1a783d7e51038d5165819b333f9c65bad2b31dae8ac9",
-    "ghz4": "d9ac78502c3e38c2f0833f24e9fa274344ee2fad28d6a61bd2a301b119fa4a7c",
-    "ghz5": "8644263101a89607eae6016ac926c60075380d5f45896dfabf18f21e42eebaec",
-    "ghz6": "613f20e051d782dd19156ea840933cd5e8ab4e7469b9ee04173655e98ebceb43",
-    "w3": "5401b26131937adf1830b008e430363e08f05cdf5f48e8148762de8eb16273f4",
-    "w4": "b819bca676cef8a8fbc827b613762697ce5de57b28dece438c24e6bd43eacfbb",
-    "w5": "4155f3f57536531545ecb21763ce5a8affac2c583fdb54526f85979d7f3b6eeb",
-    "w6": "8dac33c1e9e3bc4acc119766097c6587d936ff23e8a89f9192c3b87d893d6c1c",
-    "xstate": "7334577cd32de28cae1a77f4571e8b6c5ff1d399e22bde4db4c1bbbbb885cc3e",
+    "bell": "309dcb4e17544acfa60033d00399eb2143778f34145e06942c517e8b8f288621",
+    "cluster4a": "91475b45f86aed0fd8844610e6a74b1599d67b50a797affb68e1da4878090e6a",
+    "cluster4b": "6a2b14f86c9f36dcabfb70ff48428908792614c89b9f26f35d355d0e704d091d",
+    "ghz2": "309dcb4e17544acfa60033d00399eb2143778f34145e06942c517e8b8f288621",
+    "ghz3": "c70f1b5c24bc5a6539f36d573eceae0a3d22f1c42bfd0525dec8c5fab8731560",
+    "ghz4": "1fdcb932824c953e627280be5d72d6269f8542af2065938fbc0774d01d32503b",
+    "ghz5": "5a4fbe098b500650343aa866bd3267373efc9efebd3cf3d1e554564cca8f340f",
+    "ghz6": "e02002d7297c012a206b4801fd3e795815ac532b4b687b377b48195aa4147c87",
+    "w3": "ba6a934e28df5c111bf977d5578d058cc91003325a9103e86ae747cff0a655a0",
+    "w4": "3f5eeb710de2a39ca63c1694e0762d2b7ba8d8370294ea5cee2e9c9effc55791",
+    "w5": "0e90888cbe78ee029b2a339931889e52ae99fbb7f6d4012f95eef1bb03118bd8",
+    "w6": "f01598c93cd3e5288e333f3a95395700520a3f0a53a41139515088366d2b05da",
+    "xstate": "405dd16e7e9dbe22b5c3e0b71f2cc260f3e70afc2c31ad4584b27f07434596ef",
 }
 SEEDED_REPORT_CONTENT_SHA256 = {
-    ("coset", 1, 10, 2): "d887bc9252cf29c56372e949fbca0013f32102b2aa111d5e77ed0e6f53d922c3",
-    ("coset", 2, 12, 3): "c3eb87c78a055e4c2edddce69d150eea61d83efa5b8d8820bcbcdbef3bba5b34",
-    ("random", 5, 8, 12): "9110e06db43dd45615ec452031d7ee3f327a1d7252efd73c3b3959321dafde06",
-    ("random", 6, 9, 13): "9cd18393757168b61f220c8a03ffade627c856217a49051d8506afd8e5b88be1",
+    ("coset", 1, 10, 2): "5dd5d0ee0d49f327908fe44a828e5ddcde2375ec1a7856fb9d9b4a44901afd19",
+    ("coset", 2, 12, 3): "7f8d21b6851749967911e5cb6ad357b68e30908ba26a58493fc14a8bdcb70c54",
+    ("random", 5, 8, 12): "8d38abb2f4c8eb315729077ab0f4aa8eb0058612944fa661325318c5b66ce01d",
+    ("random", 6, 9, 13): "cf6e7e7acf1c19d183aec7d17b0e1cafc5d02d479a0d04ac2d0348c245a6d580",
 }
 
 
@@ -330,37 +330,76 @@ def test_report_content_is_pinned():
         assert _content_sha256(_seeded_report(*case)) == digest, case
 
 
-def _sans_group_sha256(text):
-    """sha256 of a report's values and keys with the group block and
-    tool.version removed."""
+def _sans_sha256(text, *blocks):
+    """sha256 of a report's values and keys with tool.version and the named
+    top-level blocks removed."""
     data = json.loads(text)
-    del data["tool"]["version"], data["group"]
+    del data["tool"]["version"]
+    for block in blocks:
+        del data[block]
     return hashlib.sha256(json.dumps(data, sort_keys=True, separators=(",", ":")).encode()).hexdigest()
 
 
-# digests of the same reports without their group block, recorded from lusym
-# 0.5.0: the 0.6.0 canonical group form changed the torus basis and generators
-# written, and nothing else in any report but the version
+# digests of the same reports without their verification block, recorded from
+# lusym 0.6.0: the 0.7.0 exact verification changed that block, with one torus
+# check per direction and no samples or seed, and nothing else in any report
+# but the version
+REPORT_SANS_VERIFICATION_SHA256 = {
+    "bell": "8b2bcc9445d8a4f8cf2d62a5fb57fef50b41f514c6a8f32d90600960d2d240ed",
+    "cluster4a": "83caef96113819819fbadf8ff386cd35642d0fa4a22857982f7f7b728ba42970",
+    "cluster4b": "fc4bec88bf6d31f911def9ae591bea994ae33628748de78a1e68001871b5ceed",
+    "ghz2": "8b2bcc9445d8a4f8cf2d62a5fb57fef50b41f514c6a8f32d90600960d2d240ed",
+    "ghz3": "131acbf48b699277463c4073eb2c2770e84132a9ea27ff8f66c760a0949c45ff",
+    "ghz4": "ef9056d2c418c83056c8ba6abbd3bdc84a0e2171a1d520f50fefa462254c78b6",
+    "ghz5": "cd7f6042f737aa5bddcdeb3a3729f4ffdc761d453092b0f4308fd60131de372c",
+    "ghz6": "20a71da00a312fdc3ac90d9775c8e0be9f450bf00d90af9e5678fbe292a9372f",
+    "w3": "5455be7be58818503b95a6216d49cf0b70da767c5e980bcc06d60004a31027aa",
+    "w4": "6deb58c65395fd268dc20f7933d7021ae34feadc5c36c69d88a023c4bbe34893",
+    "w5": "f91ccfdf1cb6afbbe529ea97b70969e3658fdf2d75abb4922d78e375715188b7",
+    "w6": "3ddc2b57e4fd2d37724d0bc3b08db9c5dcf18ff1a13eb74734d40f397a806f41",
+    "xstate": "4bb1b94b81ba1c3aad30bb129511e12e6fe75df917aa5f1ed6e92519f43900e7",
+}
+SEEDED_REPORT_SANS_VERIFICATION_SHA256 = {
+    ("coset", 1, 10, 2): "ff3b787a55f2bea017e28d984d4ff8cb9c5e58386f8af0a2c7303886a7f751a1",
+    ("coset", 2, 12, 3): "a700562e192bf818d332ec60708c73900ccb74afe5406411c968e917cd1829e2",
+    ("random", 5, 8, 12): "b95c6842e5b9a1d65b99029380da392ed3a60235e08e676369ddcfeba5ae1a6d",
+    ("random", 6, 9, 13): "08d8aacc588618eebf21eaa0524e1575d3ce90efd510a5d3887e24ed50ce27c8",
+}
+
+
+def test_report_outside_the_verification_block_is_pinned():
+    assert sorted(REPORT_SANS_VERIFICATION_SHA256) == sorted(REPORT_SHA256)
+    assert sorted(SEEDED_REPORT_SANS_VERIFICATION_SHA256) == sorted(SEEDED_REPORT_SHA256)
+    for name, digest in REPORT_SANS_VERIFICATION_SHA256.items():
+        assert _sans_sha256(dump_report(analyze(fixture_state(name))), "verification") == digest, name
+    for case, digest in SEEDED_REPORT_SANS_VERIFICATION_SHA256.items():
+        assert _sans_sha256(_seeded_report(*case), "verification") == digest, case
+
+
+# digests of the same reports without their group and verification blocks,
+# recorded from lusym 0.5.0: beside the version, the 0.6.0 canonical group form
+# changed only the group block, and the 0.7.0 exact verification only the
+# verification block
 REPORT_SANS_GROUP_SHA256 = {
-    "bell": "fc3925ab167184a5f5e30602886c71251ce56654aed42119fbcad8edb69c6896",
-    "cluster4a": "426cd65c99890c128642185ff1c0fa49565c8f1d0977c4e20e6d8ce301285226",
-    "cluster4b": "966c94bff5264c1099357b56749f8c17f1c4c64b10165d019ba62ea2b4b97e2f",
-    "ghz2": "fc3925ab167184a5f5e30602886c71251ce56654aed42119fbcad8edb69c6896",
-    "ghz3": "2ab34f7418196101b1479571ffb862e6a381face254fcbc3d276153000019c87",
-    "ghz4": "12f33ca01d9135b49a8eab4e4f552a1f89eac47a6f8f6a3e1a6754f3e81a4e97",
-    "ghz5": "ff4d53bb57d6e5880dd2c0ca67e032af3fb566033b92d85e9071206f61b0a96c",
-    "ghz6": "1a83579b1f7e5316bbcc681f4d35f940cd0b0c7c6b77c53ed03f4b47a65446f6",
-    "w3": "a7ec9344990ba1425a9678df14d3b0dbbf004c85a6fde90a8af53ca5d1b965ea",
-    "w4": "6440be6acaf15a4b076006a38dfcf36c2e22ea9342b836daaead119d65999134",
-    "w5": "d14fac3c16633fa150782bf42ea118518b0e6dfeb57543e190bc25a43f53c208",
-    "w6": "fd5b2e7589c95695e7fbd004ca9fa653c02df6c8230163a4c3db7eb18eafa81b",
-    "xstate": "09987c7a38b4d012fa5cad78bf2114ee4b67b3ed3b189303fa95ea70e835a8dd",
+    "bell": "6a5489844d6cc5dd66c17542827de3ef01c696380a43b7c0dee85d9aa30b5657",
+    "cluster4a": "d86acf7a663b660ee2176aca1a6ba3bc34fcba4230089f23fe0d096f7a12a2be",
+    "cluster4b": "03048a57dca71a3bfb3c286806459ecfea683b474b26a407f0f081da97fe4ae3",
+    "ghz2": "6a5489844d6cc5dd66c17542827de3ef01c696380a43b7c0dee85d9aa30b5657",
+    "ghz3": "d25ee2ff3f847389af482ad8f3bcadbcdb32771f7043fa050d448bd687b7a235",
+    "ghz4": "4fc95a660e26e6c27ae9f4e0ead1069a09a324be91e0e2e55834d65223eaff05",
+    "ghz5": "ff439a6221a2a5356a8cfd1c9efd58a4701552658e84b2f43e93c275c2644ecd",
+    "ghz6": "4387f2f67de3108dfbb68e99191ae2f66f433d42919f1333de295dd76c484c06",
+    "w3": "8638e5212a88866792ffce3d09bea80fe8cb9b775f4b30ec500f872927ee031c",
+    "w4": "05c9384d72d7bca2698797d918cbacbf9db65181f998e67a2b62de5997e52672",
+    "w5": "9cc1a90d79d3c6e90c092612daba90b5cf8b526a86b161eaf64664be7e9b386b",
+    "w6": "46313c7aaa783ce875455ab85ad300b055295bba95cb51d236672d6c002bacf4",
+    "xstate": "33d96ad3677f0efdb1d3d5202465845eb0edcdf203181e786569efa1812af54e",
 }
 SEEDED_REPORT_SANS_GROUP_SHA256 = {
-    ("coset", 1, 10, 2): "2af364b1f76b82b45983ff13216b0d7cba628bec39d72959874a99cf24643ca5",
-    ("coset", 2, 12, 3): "10dc14704f952f99d418fe158bb096b2ccf776be308e277078af6f8d186364e4",
-    ("random", 5, 8, 12): "3d7687c29c99ef3c010f1090929b48d6d4c3b1d7ad4cebd7ce41c4bdc8d27ac3",
-    ("random", 6, 9, 13): "f0a8390b48517e04259ee81e087b2f1cd8cad7d68c21e4d916cc4a22d06bd899",
+    ("coset", 1, 10, 2): "6595c6ab0ca5003b9c7974f2e628d3efca776152f01808ca22532701653b2f50",
+    ("coset", 2, 12, 3): "5ee0d26d263df1d66b24d765253827e1a422f4cdef8ab5179a03a43858557ff9",
+    ("random", 5, 8, 12): "d8e9cfa84f50cff0557a6683a208cc5e6d72f91928acfa89d0fb83612e2df6b5",
+    ("random", 6, 9, 13): "d07ef1874e471a9af13c53906a67bc6afa996d3114a1cce6eee1cc66b9c4b540",
 }
 
 
@@ -368,6 +407,6 @@ def test_report_outside_the_group_block_is_pinned():
     assert sorted(REPORT_SANS_GROUP_SHA256) == sorted(REPORT_SHA256)
     assert sorted(SEEDED_REPORT_SANS_GROUP_SHA256) == sorted(SEEDED_REPORT_SHA256)
     for name, digest in REPORT_SANS_GROUP_SHA256.items():
-        assert _sans_group_sha256(dump_report(analyze(fixture_state(name)))) == digest, name
+        assert _sans_sha256(dump_report(analyze(fixture_state(name))), "group", "verification") == digest, name
     for case, digest in SEEDED_REPORT_SANS_GROUP_SHA256.items():
-        assert _sans_group_sha256(_seeded_report(*case)) == digest, case
+        assert _sans_sha256(_seeded_report(*case), "group", "verification") == digest, case

@@ -17,9 +17,8 @@ from lusym import (
     solve_symmetry_group,
 )
 from lusym.states import label_int, validate_label, weight_vector, xor_labels
-from lusym.symmetry import random_element, torus_point
 
-from conftest import random_coset_support, random_state_on, random_support
+from conftest import random_coset_support, random_element, random_state_on, random_support, torus_point
 
 
 def test_label_helpers():
@@ -125,7 +124,7 @@ def _applied_by_phase_turn(g, psi):
     }
 
 
-# 2**20 is the torus sampling denominator; the last two exceed 2**64, where a
+# 2**20 is the tests' torus_point denominator; the last two exceed 2**64, where a
 # float of the numerator alone no longer holds it exactly
 DENOMINATORS = (1, 2, 3, 7, 24, 2**20, 3 * 2**20, 2**64 + 13, 2**70 - 1)
 
@@ -205,13 +204,19 @@ def test_phase_vector_equality_is_equality_of_values():
     for nums, den, message in [
         ((2, 0, 0), 4, "lowest terms"),
         ((0, 0, 0), 2, "lowest terms"),
-        ((1, 0, 0), 0, "lowest terms"),
-        ((1, 0, 0), -2, "lowest terms"),
+        ((1, 0, 0), 0, "den must be >= 1, got 0"),
+        ((1, 0, 0), -2, "den must be >= 1, got -2"),
         ((3, 0, 1), 2, r"\[0, 2\)"),
         ((-1, 0, 0), 2, r"\[0, 2\)"),
     ]:
         with pytest.raises(InputError, match=message):
             PhaseVector(nums, den)
+
+
+def test_from_numerators_refuses_a_denominator_below_one():
+    for den in (0, -2):
+        with pytest.raises(InputError, match=f"den must be >= 1, got {den}"):
+            PhaseVector.from_numerators((1, 0, 0), den)
 
 
 def _torus_point_by_fractions(group, rng, denominator):

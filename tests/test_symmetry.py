@@ -22,9 +22,9 @@ from lusym import (
 from lusym.exactlinalg import IntMatrix, SmithDecomposition, rational_rank
 from lusym.fixtures import fixture_names, fixture_state
 from lusym.serialize import dump_group, load_group
-from lusym.symmetry import _check_solution, random_element, sign_rows
+from lusym.symmetry import _check_solution, sign_rows
 
-from conftest import random_coset_support, random_state_on, random_support
+from conftest import random_coset_support, random_element, random_state_on, random_support
 
 F = Fraction
 
