@@ -76,8 +76,14 @@ def _torus_deviation(psi: PureState, rows: Sequence[Sequence[int]], direction: S
     ])
 
 
+def _require_tol(tol: float) -> None:
+    if not (math.isfinite(tol) and tol > 0):
+        raise InputError(f"tol must be finite and > 0, got {tol}")
+
+
 def require_normalized(psi: PureState, tol: float) -> None:
-    """Raise InputError unless the state has norm 1 within tol."""
+    """Raise InputError unless tol is finite and > 0 and the state has norm 1 within tol."""
+    _require_tol(tol)
     if not psi.is_normalized(tol):
         raise InputError(
             f"state norm is {psi.norm():.12f}, not 1 within {tol:.0e}; normalize it first"
@@ -94,8 +100,7 @@ def verify_symmetry(
     """
     if group.n != psi.n:
         raise DimensionError(f"group on {group.n} qubits, state on {psi.n}")
-    if not (math.isfinite(tol) and tol > 0):
-        raise InputError(f"tol must be finite and > 0, got {tol}")
+    _require_tol(tol)
     rows = sign_rows(validate_label(label, psi.n) for label in psi.amplitudes)
     checks = [
         GeneratorCheck("finite", i, _deviation(psi, rows, gen)) for i, gen in enumerate(group.finite_generators)

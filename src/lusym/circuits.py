@@ -17,18 +17,29 @@ whose dual rows are independent, the complement of S has r+1 members and
 rank r, so it holds exactly one circuit; the kernel vectors vanishing on S
 form one line, and that line's support is the circuit. Every circuit C
 arises so, with S any basis of the dual rows outside C; hence |C| <= r+1.
+
+A label s and its complement s XOR 1^n have opposite sign vectors, so they
+are parallel elements of the matroid: {s, s XOR 1^n} is a circuit with
+relation (1, 1), no other circuit holds both, and either can replace the
+other in any circuit with its relation entry negated. The later label of each
+pair is left out of the search and its circuits are lifted afterwards. The
+search works in compressed coordinates: a row chosen at pivot p has cleared p
+from every mark and later row, so p is dropped and each level works on one
+coordinate fewer; the last two levels need only two entries per row.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import combinations, compress
 from math import gcd, lcm
 from operator import mul
 
 from .errors import InternalError
 from .exactlinalg import normalize_int_vector
 from .states import Support, weight_vector
+
+_COMPLEMENT = str.maketrans("01", "10")
 
 
 @dataclass(frozen=True)
@@ -105,35 +116,32 @@ def _systematic_kernel(
     return pivots, free, D, Q
 
 
-def _greedy_bases(
-    rest: list[list[int]], echelon: list, marks: list[list[int]], still: int, out: list
-) -> None:
-    """Append to `out` every echelon [(row, pivot), ...] that completes `echelon`
-    by `still` rows of `rest` taken in order as the greedy basis of the
-    hyperplane they span.
+def _search(rest: list[list[int]], marks: list[list[int]], still: int, echelon: list, out: list) -> None:
+    """Append to `out` a leaf (echelon, c) for every echelon [(row, pivot), ...]
+    that completes `echelon` by `still` rows of `rest` taken in order as the
+    greedy basis of the hyperplane they span; c = [-y, x] spans the kernel of
+    the last row (x, y), which lives on two coordinates, or is [1] when there
+    is no row to add.
 
-    Rows of `rest` and `marks` are reduced against `echelon`; zero rows are
-    dropped from `rest` (they lie in every completion). A row of `rest` that is
-    independent but skipped joins `marks`, and every mark must stay outside the
-    final span; that makes the greedy basis, and so each hyperplane, unique.
+    Rows of `rest` and `marks` are reduced against `echelon` and kept on the
+    still+1 coordinates it has not pivoted on; zero rows are dropped from
+    `rest` (they lie in every completion). A row of `rest` that is independent
+    but skipped joins `marks`, and every mark must stay outside the final
+    span; that makes the greedy basis, and so each hyperplane, unique.
     `marks` belongs to the call, which extends it.
     """
-    if not still:
-        out.append(echelon)
+    if still == 0:
+        out.append((echelon, [1]))
         return
     if still == 1:
-        # The echelon has t-2 rows and reduced rows are zero at its pivots, so
-        # they live on the two other coordinates. There a row completes the
-        # hyperplane unless a mark or an earlier row is parallel to it, which
-        # primitive directions decide with no further reduction.
-        pivots = {p for _, p in echelon}
-        i, j = (m for m in range(len(echelon) + 2) if m not in pivots)
-        seen = {_direction(w[i], w[j]) for w in marks}
-        for v in rest:
-            d = _direction(v[i], v[j])
-            if d not in seen:
-                seen.add(d)
-                out.append(echelon + [(v, i if v[i] else j)])
+        # a row completes the hyperplane unless a mark or an earlier row is parallel to it
+        for x, y in rest:
+            for x2, y2 in marks:
+                if x * y2 == y * x2:
+                    break
+            else:
+                marks.append((x, y))
+                out.append((echelon, [-y, x]))
         return
     for q in range(len(rest) - still + 1):
         v = rest[q]
@@ -141,8 +149,35 @@ def _greedy_bases(
         while not v[p]:
             p += 1
         a = v[p]
-        # Reduce the marks, then the later rows, by v: _eliminate inlined, as
-        # the innermost loop of the search. A mark is only tested for zero and
+        if still == 2:
+            # the last two levels inline: marks and later rows reduce to their two
+            # entries off the pivot, then face the parallel test of still == 1
+            i, j = (1, 2) if p == 0 else (0, 2) if p == 1 else (0, 1)
+            vi, vj = v[i], v[j]
+            seen = []
+            for w in marks:
+                b = w[p]
+                x, y = a * w[i] - b * vi, a * w[j] - b * vj
+                if not (x or y):
+                    break  # a mark fell into the span
+                seen.append((x, y))
+            else:
+                chain = echelon + [(v, p)]
+                for w in rest[q + 1 :]:
+                    b = w[p]
+                    x, y = a * w[i] - b * vi, a * w[j] - b * vj
+                    if not (x or y):
+                        continue
+                    for x2, y2 in seen:
+                        if x * y2 == y * x2:
+                            break
+                    else:
+                        seen.append((x, y))
+                        out.append((chain, [-y, x]))
+            marks.append(v)
+            continue
+        # Reduce the marks, then the later rows, by v, and drop coordinate p,
+        # where all of them are now zero. A mark is only tested for zero and
         # reduced further, so it keeps its common factor; its entries grow
         # additively in bit length over at most t levels.
         reduced = []
@@ -150,8 +185,11 @@ def _greedy_bases(
             b = w[p]
             if b:
                 w = [a * s - b * t for s, t in zip(w, v)]
+                del w[p]
                 if not any(w):
                     break  # a mark fell into the span
+            else:
+                w = w[:p] + w[p + 1 :]
             reduced.append(w)
         else:
             later = []
@@ -159,80 +197,82 @@ def _greedy_bases(
                 b = w[p]
                 if b:
                     w = [a * s - b * t for s, t in zip(w, v)]
+                    del w[p]
                     g = gcd(*w)
                     if not g:
                         continue
                     if g > 1:
                         w = [s // g for s in w]
+                else:
+                    w = w[:p] + w[p + 1 :]
                 later.append(w)
-            _greedy_bases(later, echelon + [(v, p)], reduced, still - 1, out)
+            _search(later, reduced, still - 1, echelon + [(v, p)], out)
         marks.append(v)
-
-
-def _direction(x: int, y: int) -> tuple[int, int]:
-    """The primitive integer pair on the line through (x, y) != (0, 0), first
-    nonzero entry positive."""
-    g = gcd(x, y)
-    if x < 0 or not x and y < 0:
-        g = -g
-    return x // g, y // g
-
-
-def _null_vector(echelon: list, t: int) -> list[int]:
-    """Integer spanning vector of the common kernel of t-1 independent echelon rows in Z^t."""
-    pivots = {p for _, p in echelon}
-    c = [0] * t
-    c[next(i for i in range(t) if i not in pivots)] = 1
-    for v, p in reversed(echelon):
-        s = sum(map(mul, v, c))
-        if s % v[p]:
-            c = [x * v[p] for x in c]
-            s *= v[p]
-        c[p] = -s // v[p]
-    return c
 
 
 def enumerate_circuits(support: Support) -> CircuitCatalog:
     """All circuits of the support's sign vectors, in lexicographic member order.
 
-    Each circuit C is found from one set S of k-1 labels outside it: the
-    greedy basis of the dual rows outside C, taking free columns first and
-    then pivot columns. A free label in S only sets its coordinate of c to
-    zero, so the search picks the live free coordinates T = C & F
-    (1 <= |T| <= r+1) outright and searches only the pivot rows Q[p, T],
-    depth first, for the rest of S. A row skipped while independent must stay
-    outside the final span, which makes S unique: every circuit is reached
-    at exactly one leaf. A full-rank support (k = 0, such as W_n) has no free
-    coordinate and so no circuits. All arithmetic is exact fraction-free
-    integer elimination.
+    The later label of each complement pair is left out of the search, whose
+    circuits are then lifted to the full support. Each circuit C of the rest
+    is found from one set S of k-1 labels outside it: the greedy basis of the
+    dual rows outside C, taking free columns first and then pivot columns. A
+    free label in S only sets its coordinate of c to zero, so the search picks
+    the live free coordinates T = C & F (1 <= |T| <= r+1) outright and
+    searches only the pivot rows Q[p, T], depth first, for the rest of S. A
+    row skipped while independent must stay outside the final span, which
+    makes S unique: every circuit is reached at exactly one leaf. A full-rank
+    support (k = 0, such as W_n) has no free coordinate and so no circuits.
+    All arithmetic is exact fraction-free integer elimination.
     """
-    pivots, free, D, Q = _systematic_kernel([weight_vector(label) for label in support.labels])
+    labels = support.labels
+    index = {label: i for i, label in enumerate(labels)}
+    # the earlier label of each complement pair -> the later one
+    twin = {i: j for i, label in enumerate(labels) if (j := index.get(label.translate(_COMPLEMENT), -1)) > i}
+    kept = [i for i in range(len(labels)) if i not in twin.values()]
+    pivots, free, D, Q = _systematic_kernel([weight_vector(labels[i]) for i in kept])
     r, k = len(pivots), len(free)
+    # kernel coordinates as indices into the whole support
+    pivots, free = [kept[j] for j in pivots], [kept[j] for j in free]
     found: dict[tuple[int, ...], tuple[int, ...]] = {}
     for t in range(1, min(k, r + 1) + 1):
         # the live labels' own dual rows, unit vectors in c[T]: they start as
         # marks, so every c_m with m in T stays nonzero
         units = [[int(m == i) for i in range(t)] for m in range(t)]
         for live in combinations(range(k), t):
-            QT = [[row[m] for m in live] for row in Q]
-            echelons: list = []
-            _greedy_bases([row for row in QT if any(row)], [], list(units), t - 1, echelons)
-            for echelon in echelons:
-                c = _null_vector(echelon, t)
-                y = {free[m]: D * x for m, x in zip(live, c)}
-                for i, row in enumerate(QT):
-                    yp = sum(map(mul, row, c))
-                    if yp:
-                        y[pivots[i]] = yp
-                members = tuple(sorted(y))
-                found[members] = normalize_int_vector([y[j] for j in members])
+            rows = [(pivots[i], z) for i, row in enumerate(Q) if any(z := [row[m] for m in live])]
+            leaves: list = []
+            _search([z for _, z in rows], list(units), t - 1, [], leaves)
+            for echelon, c in leaves:
+                # back-substitution: each echelon row fixes the entry of c at
+                # its pivot, and its entries before the pivot are zero
+                for v, p in reversed(echelon):
+                    a = v[p]
+                    s = sum(map(mul, v[p + 1 :], c[p:]))
+                    if s % a:
+                        c = [x * a for x in c]
+                        s *= a
+                    c.insert(p, -s // a)
+                y = [0] * len(labels)
+                for m, x in zip(live, c):
+                    y[free[m]] = D * x
+                for j, z in rows:
+                    y[j] = sum(map(mul, z, c))
+                found[tuple(compress(range(len(y)), y))] = normalize_int_vector(list(compress(y, y)))
+
+    # lift the circuits to the left-out twins, one complement pair at a time
+    for i, j in twin.items():
+        for members, z in list(found.items()):
+            if i in members:
+                entries = sorted((j, -x) if m == i else (m, x) for m, x in zip(members, z))
+                sign = 1 if entries[0][1] > 0 else -1
+                found[tuple(m for m, _ in entries)] = tuple(sign * x for _, x in entries)
+        found[i, j] = (1, 1)
 
     circuits = tuple(
-        BalancedCircuit(tuple(support.labels[i] for i in members), found[members])
-        for members in sorted(found)
+        BalancedCircuit(tuple(labels[i] for i in members), found[members]) for members in sorted(found)
     )
     for c in circuits:
         if len(c.member_labels) > support.n + 1:
             raise InternalError("circuit larger than n+1 members")
     return CircuitCatalog(support=support, circuits=circuits)
-

@@ -47,6 +47,19 @@ def random_coset_support(rng: random.Random, n: int, dim: int) -> Support:
     return Support.from_labels(format(x ^ s, f"0{n}b") for s in span)
 
 
+def complement_rich_support(rng: random.Random, n: int, L: int, pairs: int) -> Support:
+    """L labels on n qubits holding at least `pairs` complement pairs {s, s XOR 1^n},
+    whose sign vectors are opposite."""
+    full = (1 << n) - 1
+    chosen: set = set()
+    while len(chosen) < 2 * pairs:
+        x = rng.getrandbits(n)
+        chosen |= {x, x ^ full}
+    while len(chosen) < L:
+        chosen.add(rng.getrandbits(n))
+    return Support.from_labels(format(x, f"0{n}b") for x in chosen)
+
+
 def random_state_on(rng: random.Random, support: Support) -> PureState:
     """Generic complex amplitudes on the given support, normalized, with every
     modulus bounded away from zero so genericity assumptions hold."""

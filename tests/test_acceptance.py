@@ -258,7 +258,7 @@ def test_criterion_8_smith_normal_form_exact():
     print("criterion 8: PASS")
 
 
-def test_criterion_9_reports_are_deterministic():
+def test_criterion_9_reports_are_deterministic(tmp_path):
     for name in fixture_names():
         psi = fixture_state(name)
         first = dump_report(analyze(psi, tol=1e-9))
@@ -267,13 +267,22 @@ def test_criterion_9_reports_are_deterministic():
         json.loads(first)  # well-formed
 
     # byte-identical across separate processes under two fixed hash seeds; on
-    # the coset support the flip masks pass through sets on their way out
+    # the coset support the flip masks pass through sets on their way out, and
+    # circuits are lifted through dicts to the complements left out of the search
     coset = "01010,10010,01101,10101"
+    closed = "0000,1111,0001,1110,0010,1101,0100,1011,0111,1000,0011,1100"
+    paired = ["00000", "11111", "00110", "11001", "01011", "10100", "01110", "00011", "11000"]
+    amps = {lab: complex(1 + k, 2 - k % 3) for k, lab in enumerate(paired)}
+    norm = math.sqrt(sum(abs(c) ** 2 for c in amps.values()))
+    state_file = tmp_path / "paired.json"
+    state_file.write_text(json.dumps({"n": 5, "amplitudes": {k: [c.real / norm, c.imag / norm] for k, c in amps.items()}}))
     for argv in (
         ["analyze", "--fixture", "bell", "--json"],
         ["analyze", "--fixture", "xstate", "--json"],
         ["normalizer", "--support", coset, "--json"],
         ["invariants", "--support", coset, "--json"],
+        ["circuits", "--support", closed, "--json"],
+        ["analyze", "--input", str(state_file), "--json"],
     ):
         runs = [
             subprocess.run(

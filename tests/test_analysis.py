@@ -6,6 +6,7 @@ import sys
 import pytest
 
 import lusym.analysis
+import lusym.circuits
 from lusym import (
     DiagonalSymmetryGroup,
     InputError,
@@ -230,6 +231,20 @@ def test_analyze_generic_state():
 def test_analyze_rejects_unnormalized():
     with pytest.raises(InputError):
         analyze(PureState.from_amplitudes({"00": 1.0, "11": 1.0}))
+
+
+def test_analyze_refuses_a_vacuous_tolerance_before_any_stage(monkeypatch):
+    # a bad tol used to be reported as an unnormalized state (NaN, -1.0), or
+    # refused only after circuits, invariants and normalizer had run (inf)
+    def no_stage(*args):
+        raise AssertionError("a stage ran before the tolerance was checked")
+
+    monkeypatch.setattr(lusym.circuits, "enumerate_circuits", no_stage)
+    monkeypatch.setattr(lusym.analysis, "solve_symmetry_group", no_stage)
+    psi = fixture_state("bell")
+    for tol in (math.nan, math.inf, -math.inf, 0.0, -1.0):
+        with pytest.raises(InputError, match=f"^tol must be finite and > 0, got {tol}$"):
+            analyze(psi, tol=tol)
 
 
 def test_analyze_theta_continuous_state():

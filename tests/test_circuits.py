@@ -13,7 +13,8 @@ from lusym import (
 )
 from lusym.states import weight_vector
 
-from conftest import all_labels, brute_force_circuit_members, random_support
+from conftest import all_labels, brute_force_circuit_members, complement_rich_support, random_support
+from oracles import circuits_070
 
 
 def test_bell_circuit():
@@ -187,3 +188,55 @@ def test_workload_sized_catalogs_are_pinned():
     for sup in _workload_sized_supports():
         h.update(repr(enumerate_circuits(sup).circuits).encode())
     assert h.hexdigest() == CATALOG_SHA256
+
+
+def _complement_closed(rng: random.Random, n: int, size: int) -> Support:
+    full = (1 << n) - 1
+    base = rng.sample(range(1 << n), size)
+    return Support.from_labels(format(x, f"0{n}b") for x in {y ^ m for y in base for m in (0, full)})
+
+
+def _coset_through_all_ones(rng: random.Random, n: int, dim: int) -> Support:
+    """A coset x ^ F of a flip subgroup F that contains 1^n: every label's
+    complement is in the support."""
+    span = {0, (1 << n) - 1}
+    while len(span) < 2**dim:
+        m = rng.getrandbits(n)
+        span |= {s ^ m for s in span}
+    x = rng.getrandbits(n)
+    return Support.from_labels(format(x ^ s, f"0{n}b") for s in span)
+
+
+def test_matches_the_070_search_on_complement_pairs():
+    # the search leaves the later label of each complement pair out and lifts
+    # its circuits back; the 0.7.0 search took every label, pairs included
+    rng = random.Random(1229)
+    supports = [_complement_closed(rng, n, rng.randint(1, min(7, 2 ** (n - 1)))) for n in range(2, 9) for _ in range(6)]
+    supports += [_coset_through_all_ones(rng, n, dim) for n in range(3, 11) for dim in (1, 2, 3) if dim <= n - 1]
+    supports += [Support.from_labels([s, s.translate(str.maketrans("01", "10"))]) for s in ("0", "01", "0110", "10100")]
+    supports += [Support.from_labels([s]) for s in ("0", "1", "101", "0000")]
+    supports += [Support.from_labels(format(1 << i, f"0{n}b") for i in range(n)) for n in (2, 3, 8)]
+    for n in (6, 7):
+        supports += [complement_rich_support(rng, n, 14, rng.randint(3, 6)) for _ in range(8)]
+    for sup in supports:
+        assert enumerate_circuits(sup).circuits == circuits_070(sup), sup.labels
+
+
+def _complement_rich_workload_supports():
+    # dense-circuits shapes with 3 to 6 complement pairs each
+    rng = random.Random(1223)
+    for n, L in [(6, 14), (7, 14), (8, 13), (9, 13), (10, 13)]:
+        for _ in range(8):
+            yield complement_rich_support(rng, n, L, rng.randint(3, 6))
+
+
+# sha256 over repr(enumerate_circuits(s).circuits) on the supports above, as
+# found by the search of lusym 0.7.0, which searched both labels of each pair
+COMPLEMENT_RICH_SHA256 = "4ec34deab310abbbcfe51b82959a517198c6d656f4974ed4e9a34c83c5f9fd27"
+
+
+def test_complement_rich_catalogs_are_pinned():
+    h = hashlib.sha256()
+    for sup in _complement_rich_workload_supports():
+        h.update(repr(enumerate_circuits(sup).circuits).encode())
+    assert h.hexdigest() == COMPLEMENT_RICH_SHA256
