@@ -14,7 +14,13 @@ __version__ = "0.7.0"
 
 _EXPORTS = {
     "analysis": ("AnalysisReport", "SymmetryVerification", "analyze", "compare_strata", "verify_symmetry"),
-    "circuits": ("BalancedCircuit", "CircuitCatalog", "enumerate_circuits"),
+    "circuits": (
+        "BalancedCircuit",
+        "CircuitCatalog",
+        "SlGeneratorReport",
+        "enumerate_circuits",
+        "single_sl_generator_check",
+    ),
     "errors": ("DimensionError", "InputError", "InternalError"),
     "exactlinalg": ("IntMatrix", "SmithDecomposition", "rational_rank", "smith_normal_form"),
     "fixtures": ("fixture_names", "fixture_state"),
@@ -23,7 +29,6 @@ _EXPORTS = {
         "FlipRejection",
         "InvariantMonomial",
         "InvariantSum",
-        "SlGeneratorReport",
         "abs_square_generators",
         "bidegree_scaling_check",
         "evaluate",
@@ -31,7 +36,6 @@ _EXPORTS = {
         "flip_monomial",
         "is_sl_type",
         "monomial_from_circuit",
-        "single_sl_generator_check",
         "symmetrize_over_flips",
     ),
     "normalizer": (

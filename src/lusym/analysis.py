@@ -6,9 +6,8 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
 from operator import mul
-from typing import TYPE_CHECKING, Iterable, Sequence
+from typing import TYPE_CHECKING, Iterable, NamedTuple, Sequence
 
 from .errors import DimensionError, InputError, InternalError
 from .exactlinalg import hermite_normal_form, lattice_member
@@ -16,8 +15,7 @@ from .states import PhaseVector, PureState, Support, validate_label
 from .symmetry import DiagonalSymmetryGroup, sign_rows, solve_symmetry_group
 
 if TYPE_CHECKING:
-    from .circuits import BalancedCircuit, CircuitCatalog
-    from .invariants import SlGeneratorReport
+    from .circuits import BalancedCircuit, CircuitCatalog, SlGeneratorReport
     from .normalizer import NormalizerDescription
 
 DEFAULT_TOL = 1e-9
@@ -32,15 +30,13 @@ STRATA_B_CLOSURE_CONTAINS_A = "b_closure_contains_a"
 STRATA_INCOMPARABLE = "incomparable"
 
 
-@dataclass(frozen=True)
-class GeneratorCheck:
+class GeneratorCheck(NamedTuple):
     kind: str  # "finite" or "torus"
     index: int  # into group.finite_generators or group.torus_basis
     deviation: float
 
 
-@dataclass(frozen=True)
-class SymmetryVerification:
+class SymmetryVerification(NamedTuple):
     passed: bool
     max_deviation: float
     tol: float
@@ -112,8 +108,7 @@ def verify_symmetry(
     return SymmetryVerification(passed=max_dev <= tol, max_deviation=max_dev, tol=tol, checks=tuple(checks))
 
 
-@dataclass(frozen=True)
-class AnalysisReport:
+class AnalysisReport(NamedTuple):
     """Everything the package can say about one state.
 
     Each fact is stored once: the support is catalog.support, and
@@ -155,8 +150,7 @@ def _monomial_values(circuits: Iterable[BalancedCircuit], psi: PureState) -> tup
 def analyze(psi: PureState, tol: float = DEFAULT_TOL) -> AnalysisReport:
     """Full deterministic analysis of a normalized sparse state."""
     # imported here, so that verify_symmetry and compare_strata load none of them
-    from .circuits import enumerate_circuits
-    from .invariants import single_sl_generator_check
+    from .circuits import enumerate_circuits, single_sl_generator_check
     from .normalizer import balance_defects, compute_normalizer
 
     require_normalized(psi, tol)

@@ -30,10 +30,10 @@ coordinate fewer; the last two levels need only two entries per row.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations, compress
 from math import gcd, lcm
 from operator import mul
+from typing import NamedTuple
 
 from .errors import InternalError
 from .exactlinalg import normalize_int_vector
@@ -42,8 +42,7 @@ from .states import Support, weight_vector
 _COMPLEMENT = str.maketrans("01", "10")
 
 
-@dataclass(frozen=True)
-class BalancedCircuit:
+class BalancedCircuit(NamedTuple):
     """A circuit of the support's sign-vector configuration.
 
     member_labels follow support order; relation is the unique integer
@@ -65,8 +64,7 @@ class BalancedCircuit:
         return sum(self.relation)
 
 
-@dataclass(frozen=True)
-class CircuitCatalog:
+class CircuitCatalog(NamedTuple):
     support: Support
     circuits: tuple[BalancedCircuit, ...]
 
@@ -76,6 +74,41 @@ class CircuitCatalog:
         the support's sign vectors."""
         return any(c.positive for c in self.circuits)
 
+
+class SlGeneratorReport(NamedTuple):
+    """Outcome of the single-circuit hypothesis check on a catalog."""
+
+    holds: bool
+    degree: int | None
+    reason: str
+
+
+def single_sl_generator_check(catalog: CircuitCatalog) -> SlGeneratorReport:
+    """When the support has exactly one circuit, positive and SL-type, the
+    scaling-invariant bidegrees on the support are exhausted by (r*d, 0).
+
+    A positive relation has no negative entry, so its monomial has bidegree
+    (d_order, 0) and is SL-type: positivity is the whole test."""
+    circuits = catalog.circuits
+    if len(circuits) != 1:
+        return SlGeneratorReport(
+            holds=False,
+            degree=None,
+            reason=f"support has {len(circuits)} circuits, need exactly 1",
+        )
+    only = circuits[0]
+    if not only.positive:
+        return SlGeneratorReport(
+            holds=False, degree=None, reason="the single circuit is not positive"
+        )
+    return SlGeneratorReport(
+        holds=True,
+        degree=only.d_order,
+        reason=(
+            f"single positive circuit of degree {only.d_order}; SL-type bidegrees "
+            f"on this support are (r*{only.d_order}, 0)"
+        ),
+    )
 
 def _eliminate(x: list[int], v: list[int], p: int) -> list[int]:
     """x with entry p cleared by a fraction-free step against v (v[p] != 0),

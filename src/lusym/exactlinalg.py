@@ -10,7 +10,6 @@ this module, so results are decidable and reproducible bit for bit.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import gcd
 from typing import Iterable, Sequence
 
@@ -351,6 +350,8 @@ def determinant(a: IntMatrix) -> int:
 
 def rational_rank(a: IntMatrix) -> int:
     """Rank over the rationals by Gaussian elimination with Fraction arithmetic."""
+    from fractions import Fraction  # here: every CLI command loads this module, none calls this function
+
     rows = [[Fraction(x) for x in row] for row in a.row_tuples()]
     rank = 0
     for c in range(a.cols):

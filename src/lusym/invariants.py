@@ -16,13 +16,12 @@ admissibility condition on the bidegree holds.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping, NamedTuple, Sequence, Union
 
-from .circuits import BalancedCircuit, CircuitCatalog
+from .circuits import BalancedCircuit, SlGeneratorReport, single_sl_generator_check  # noqa: F401 (re-exported)
 from .errors import DimensionError, InputError
-from .states import PureState, Support, label_int, validate_label, xor_labels
+from .states import PureState, Support, Value, label_int, validate_label, xor_labels
 
 
 class Bidegree(NamedTuple):
@@ -30,29 +29,29 @@ class Bidegree(NamedTuple):
     b: int
 
 
-@dataclass(frozen=True)
-class InvariantMonomial:
+class InvariantMonomial(Value):
     """Product of amplitudes and conjugated amplitudes over distinct labels.
 
     terms are (label, plain_exponent, conj_exponent), sorted by label value,
     with no term entirely zero.
     """
 
-    terms: tuple[tuple[str, int, int], ...]
+    __slots__ = _key = ("terms",)
 
-    def __post_init__(self) -> None:
-        if not self.terms:
+    def __init__(self, terms: tuple[tuple[str, int, int], ...]) -> None:
+        if not terms:
             raise InputError("monomial needs at least one term")
-        width = len(self.terms[0][0])
-        for label, p, q in self.terms:
+        width = len(terms[0][0])
+        for label, p, q in terms:
             validate_label(label, width)
             if p < 0 or q < 0 or (p == 0 and q == 0):
                 raise InputError(f"bad exponents ({p},{q}) for label {label!r}")
-        labels = [t[0] for t in self.terms]
+        labels = [t[0] for t in terms]
         if len(set(labels)) != len(labels):
             raise InputError("duplicate label in monomial")
         if labels != sorted(labels, key=label_int):
             raise InputError("monomial terms must be sorted by label value")
+        self._set(terms=terms)
 
     @property
     def bidegree(self) -> Bidegree:
@@ -67,8 +66,7 @@ class InvariantMonomial:
         return cls(tuple(sorted(terms, key=lambda t: label_int(t[0]))))
 
 
-@dataclass(frozen=True)
-class FlipRejection:
+class FlipRejection(NamedTuple):
     """Typed refusal to symmetrize: the named mask breaks admissibility."""
 
     mask: str
@@ -76,8 +74,7 @@ class FlipRejection:
     reason: str
 
 
-@dataclass(frozen=True)
-class InvariantSum:
+class InvariantSum(NamedTuple):
     """Sum of spin-flipped copies of a monomial, one term per mask."""
 
     monomials: tuple[InvariantMonomial, ...]
@@ -219,40 +216,3 @@ def bidegree_scaling_check(
     predicted = (factor**a) * (factor.conjugate() ** b) * evaluate(m, psi)
     scale = max(abs(direct), abs(predicted), 1e-300)
     return abs(direct - predicted) / scale <= tol
-
-
-@dataclass(frozen=True)
-class SlGeneratorReport:
-    """Outcome of the single-circuit hypothesis check on a catalog."""
-
-    holds: bool
-    degree: int | None
-    reason: str
-
-
-def single_sl_generator_check(catalog: CircuitCatalog) -> SlGeneratorReport:
-    """When the support has exactly one circuit, positive and SL-type, the
-    scaling-invariant bidegrees on the support are exhausted by (r*d, 0).
-
-    A positive relation has no negative entry, so its monomial has bidegree
-    (d_order, 0) and is SL-type: positivity is the whole test."""
-    circuits = catalog.circuits
-    if len(circuits) != 1:
-        return SlGeneratorReport(
-            holds=False,
-            degree=None,
-            reason=f"support has {len(circuits)} circuits, need exactly 1",
-        )
-    only = circuits[0]
-    if not only.positive:
-        return SlGeneratorReport(
-            holds=False, degree=None, reason="the single circuit is not positive"
-        )
-    return SlGeneratorReport(
-        holds=True,
-        degree=only.d_order,
-        reason=(
-            f"single positive circuit of degree {only.d_order}; SL-type bidegrees "
-            f"on this support are (r*{only.d_order}, 0)"
-        ),
-    )

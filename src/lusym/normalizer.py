@@ -13,15 +13,14 @@ therefore exactly the support-stabilizing masks.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import InternalError
 from .states import PureState, Support, label_int
 from .symmetry import DiagonalSymmetryGroup, QubitActionProfile, qubit_action_profile
 
 
-@dataclass(frozen=True)
-class FlipGroup:
+class FlipGroup(NamedTuple):
     """A group of bit-flip masks under XOR, with a GF(2) generating set."""
 
     masks: tuple[str, ...]
@@ -75,8 +74,7 @@ def support_stabilizer_masks(support: Support) -> FlipGroup:
     return _as_flip_group(kept, support.n)
 
 
-@dataclass(frozen=True)
-class NormalizerDescription:
+class NormalizerDescription(NamedTuple):
     """Diagonal torus times spin-flip group, with the non-triviality flag.
 
     The torus part is always the full diagonal group, so only the flips are

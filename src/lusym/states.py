@@ -10,11 +10,14 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
-from fractions import Fraction
-from typing import Iterable, Mapping
+from typing import TYPE_CHECKING, Iterable, Mapping, NamedTuple
 
 from .errors import DimensionError, InputError
+
+# fractions is imported only where a Fraction is built, so that `analyze --json`,
+# `verify` and `compare` never load it
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 # Amplitudes smaller than this are rejected outright: a label either belongs to
 # the support or it does not, and silently dropping near-zeros would change the
@@ -50,12 +53,51 @@ def weight_vector(label: str) -> tuple[int, ...]:
     return tuple(1 if ch == "0" else -1 for ch in label)
 
 
-@dataclass(frozen=True)
-class Support:
+class Value:
+    """Base of the immutable value types. A subclass names its attributes in
+    __slots__, in repr order, and its constructor arguments in _key: they alone
+    decide equality and hashing, and pickling and copying call the constructor
+    with them again."""
+
+    __slots__ = ()
+    _key: tuple[str, ...] = ()
+
+    def _set(self, **values) -> None:
+        for name, value in values.items():
+            object.__setattr__(self, name, value)
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self._key)
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"{type(self).__name__} is immutable: cannot set {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"{type(self).__name__} is immutable: cannot delete {name!r}")
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __reduce__(self):
+        return type(self), self._values()
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__name__}({fields})"
+
+
+class Support(Value):
     """A nonempty set of equal-length basis labels, stored sorted by value."""
 
-    n: int
-    labels: tuple[str, ...]
+    __slots__ = _key = ("n", "labels")
+
+    def __init__(self, n: int, labels: tuple[str, ...]) -> None:
+        self._set(n=n, labels=labels)
 
     @classmethod
     def from_labels(cls, labels: Iterable[str]) -> "Support":
@@ -78,8 +120,7 @@ class Support:
         return len(self.labels)
 
 
-@dataclass(frozen=True, eq=True)
-class PureState:
+class PureState(NamedTuple):
     """Sparse pure state: mapping from basis labels to complex amplitudes."""
 
     n: int
@@ -131,7 +172,7 @@ class PureState:
     def scaled(self, factor: complex) -> "PureState":
         if abs(factor) == 0.0:
             raise InputError("cannot scale a state by zero")
-        return PureState(self.n, {lab: factor * c for lab, c in self.amplitudes.items()})
+        return PureState.from_amplitudes({lab: factor * c for lab, c in self.amplitudes.items()})
 
 
 def _check_den(den: int) -> None:
@@ -139,8 +180,7 @@ def _check_den(den: int) -> None:
         raise InputError(f"phase denominator den must be >= 1, got {den}")
 
 
-@dataclass(frozen=True)
-class PhaseVector:
+class PhaseVector(Value):
     """A diagonal phase element: per-qubit turns phi_1..phi_n plus a global turn theta.
 
     The unitary it denotes multiplies the amplitude of label s by
@@ -150,15 +190,15 @@ class PhaseVector:
     are equal objects and den is the element's order in the torus.
     """
 
-    nums: tuple[int, ...]
-    den: int
+    __slots__ = _key = ("nums", "den")
 
-    def __post_init__(self) -> None:
-        _check_den(self.den)
-        if math.gcd(self.den, *self.nums) != 1:
-            raise InputError(f"phase numerators {self.nums} over {self.den} are not in lowest terms")
-        if not all(0 <= x < self.den for x in self.nums):
-            raise InputError(f"phase numerators {self.nums} must lie in [0, {self.den})")
+    def __init__(self, nums: tuple[int, ...], den: int) -> None:
+        _check_den(den)
+        if math.gcd(den, *nums) != 1:
+            raise InputError(f"phase numerators {nums} over {den} are not in lowest terms")
+        if not all(0 <= x < den for x in nums):
+            raise InputError(f"phase numerators {nums} must lie in [0, {den})")
+        self._set(nums=nums, den=den)
 
     @property
     def n(self) -> int:
@@ -170,11 +210,13 @@ class PhaseVector:
 
     @property
     def theta(self) -> Fraction:
-        return Fraction(self.nums[-1], self.den)
+        return self.as_tuple()[-1]
 
     @classmethod
     def make(cls, phis: Iterable[Fraction | int], theta: Fraction | int) -> "PhaseVector":
         """The element with the given turns, each reduced to [0, 1)."""
+        from fractions import Fraction
+
         vals = [Fraction(p) for p in phis] + [Fraction(theta)]
         den = math.lcm(*(x.denominator for x in vals))
         return cls.from_numerators((x.numerator * (den // x.denominator) for x in vals), den)
@@ -188,10 +230,14 @@ class PhaseVector:
         return cls(tuple(x // common for x in reduced), den // common)
 
     def as_tuple(self) -> tuple[Fraction, ...]:
+        from fractions import Fraction
+
         return tuple(Fraction(x, self.den) for x in self.nums)
 
     def phase_turn(self, label: str) -> Fraction:
         """Exact phase in turns contributed to the given basis label."""
+        from fractions import Fraction
+
         validate_label(label, self.n)
         signs = weight_vector(label) + (1,)
         return Fraction(sum(x * sign for x, sign in zip(self.nums, signs)), self.den)

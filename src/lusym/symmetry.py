@@ -13,12 +13,11 @@ from __future__ import annotations
 
 import math
 from operator import mul
-from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .errors import DimensionError, InternalError
 from .exactlinalg import IntMatrix, hermite_normal_form, lattice_member, normalize_int_vector, smith_normal_form
-from .states import PhaseVector, Support, label_int, weight_vector
+from .states import PhaseVector, Support, Value, label_int, weight_vector
 
 
 def sign_rows(labels: Iterable[str]) -> tuple[tuple[int, ...], ...]:
@@ -27,8 +26,7 @@ def sign_rows(labels: Iterable[str]) -> tuple[tuple[int, ...], ...]:
     return tuple(weight_vector(label) + (1,) for label in labels)
 
 
-@dataclass(frozen=True)
-class DiagonalSymmetryGroup:
+class DiagonalSymmetryGroup(Value):
     """Closed subgroup {x : c . x integral for every c in Lambda} of the
     diagonal torus in (phi_1..phi_n, theta) coordinates.
 
@@ -43,14 +41,12 @@ class DiagonalSymmetryGroup:
     primitive, so d_i is the generator's order.
     """
 
-    n: int
-    characters: tuple[tuple[int, ...], ...]
-    torus_basis: tuple[tuple[int, ...], ...] = field(init=False, compare=False)
-    finite_generators: tuple[PhaseVector, ...] = field(init=False, compare=False)
+    __slots__ = ("n", "characters", "torus_basis", "finite_generators")
+    _key = ("n", "characters")
 
-    def __post_init__(self) -> None:
-        rows = tuple(self.characters)
-        if any(len(row) != self.n + 1 for row in rows):
+    def __init__(self, n: int, characters: Iterable[Sequence[int]]) -> None:
+        rows = tuple(characters)
+        if any(len(row) != n + 1 for row in rows):
             raise DimensionError("character rows must have n+1 entries")
         characters = hermite_normal_form(rows)
         if characters:
@@ -63,10 +59,8 @@ class DiagonalSymmetryGroup:
                 if d > 1
             )
         else:  # Lambda = {0}: the full torus
-            torus_basis, finite_generators = IntMatrix.identity(self.n + 1).row_tuples(), ()
-        object.__setattr__(self, "characters", characters)
-        object.__setattr__(self, "torus_basis", torus_basis)
-        object.__setattr__(self, "finite_generators", finite_generators)
+            torus_basis, finite_generators = IntMatrix.identity(n + 1).row_tuples(), ()
+        self._set(n=n, characters=characters, torus_basis=torus_basis, finite_generators=finite_generators)
 
     @classmethod
     def from_presentation(
@@ -163,8 +157,7 @@ def group_contains(h1: DiagonalSymmetryGroup, h2: DiagonalSymmetryGroup) -> bool
     return all(lattice_member(h2.characters, row) for row in h1.characters)
 
 
-@dataclass(frozen=True)
-class QubitActionProfile:
+class QubitActionProfile(NamedTuple):
     """Which qubits the whole group acts on only by +-1.
 
     trivial[k-1] is True when every generator keeps phi_k in {0, 1/2} turns.

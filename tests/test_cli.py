@@ -412,11 +412,27 @@ def test_cli_import_leaves_numpy_out():
     assert result.returncode == 0, result.stderr
 
 
-LOADED_LUSYM_MODULES = (
+LOADED_MODULES = (
     "import sys; from lusym.cli import main; code = main(sys.argv[1:]); "
-    "print(*sorted(m for m in sys.modules if m.startswith('lusym')), file=sys.stderr); "
-    "sys.exit(code)"
+    "print(*sorted(sys.modules), file=sys.stderr); sys.exit(code)"
 )
+
+# dataclasses (with the inspect it loads) and fractions cost a cold process
+# more than the work of a small analysis; only text analyze, which prints
+# Fraction turns, loads fractions
+UNNEEDED_AT_START_UP = {"dataclasses", "inspect", "fractions"}
+
+
+def _loaded_modules(argv: list[str]) -> set[str]:
+    # a fresh process, so modules that other tests imported do not count
+    result = subprocess.run(
+        [sys.executable, "-c", LOADED_MODULES, *argv],
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert result.returncode == 0, result.stderr
+    return set(result.stderr.split())
 
 
 @pytest.mark.parametrize(
@@ -429,20 +445,21 @@ LOADED_LUSYM_MODULES = (
     ids=["compare", "verify-from-support", "verify-group-file"],
 )
 def test_compare_and_verify_load_no_circuit_code(tmp_path, argv):
-    # a fresh process, so modules that other tests imported do not count
     group_file = tmp_path / "g.json"
     group_file.write_text(dump_group(solve_symmetry_group(fixture_state("ghz4").support())))
-    argv = [str(group_file) if a == "GROUP" else a for a in argv]
-    result = subprocess.run(
-        [sys.executable, "-c", LOADED_LUSYM_MODULES, *argv],
-        capture_output=True,
-        text=True,
-        timeout=60,
-    )
-    assert result.returncode == 0, result.stderr
-    loaded = set(result.stderr.split())
+    loaded = _loaded_modules([str(group_file) if a == "GROUP" else a for a in argv])
     assert "lusym.analysis" in loaded
     assert not loaded & {"lusym.circuits", "lusym.invariants", "lusym.normalizer"}
+    assert not loaded & UNNEEDED_AT_START_UP
+
+
+def test_json_analyze_loads_no_invariants_dataclasses_or_fractions():
+    # analyze needs only the single-circuit check from the invariant layer,
+    # and that lives with the circuits
+    loaded = _loaded_modules(["analyze", "--fixture", "bell", "--json"])
+    assert {"lusym.analysis", "lusym.circuits", "lusym.normalizer"} <= loaded
+    assert not loaded & UNNEEDED_AT_START_UP
+    assert "lusym.invariants" not in loaded
 
 
 def test_lazy_package_exports_every_public_name():

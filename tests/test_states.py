@@ -13,6 +13,7 @@ from lusym import (
     PureState,
     Support,
     apply_phase_element,
+    fixture_state,
     reduced_density_matrix,
     solve_symmetry_group,
 )
@@ -61,6 +62,19 @@ def test_pure_state_validation():
 def test_pure_state_rejects_non_finite(bad):
     with pytest.raises(InputError, match="finite"):
         PureState.from_amplitudes({"00": 0.6, "11": bad})
+
+
+@pytest.mark.parametrize(
+    "factor, match",
+    [(math.nan, "finite"), (math.inf, "finite"), (-math.inf, "finite"), (1e-300, "floor"), (0.0, "zero")],
+)
+def test_scaled_state_passes_the_amplitude_checks(factor, match):
+    psi = fixture_state("bell")
+    with pytest.raises(InputError, match=match):
+        psi.scaled(factor)
+    doubled = psi.scaled(2.0)
+    assert doubled == PureState.from_amplitudes({lab: 2.0 * c for lab, c in psi.amplitudes.items()})
+    assert math.isclose(doubled.norm(), 2.0)
 
 
 def test_phase_vector_turns():
