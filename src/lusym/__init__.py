@@ -22,7 +22,7 @@ _EXPORTS = {
         "single_sl_generator_check",
     ),
     "errors": ("DimensionError", "InputError", "InternalError"),
-    "exactlinalg": ("IntMatrix", "SmithDecomposition", "rational_rank", "smith_normal_form"),
+    "exactlinalg": ("IntMatrix", "SmithDecomposition", "smith_normal_form"),
     "fixtures": ("fixture_names", "fixture_state"),
     "invariants": (
         "Bidegree",
@@ -30,9 +30,7 @@ _EXPORTS = {
         "InvariantMonomial",
         "InvariantSum",
         "abs_square_generators",
-        "bidegree_scaling_check",
         "evaluate",
-        "evaluate_exact",
         "flip_monomial",
         "is_sl_type",
         "monomial_from_circuit",
@@ -49,7 +47,6 @@ _EXPORTS = {
         "PhaseVector",
         "PureState",
         "Support",
-        "apply_phase_element",
         "reduced_density_matrix",
         "weight_vector",
     ),

@@ -49,10 +49,14 @@ def _state_from_args(args: argparse.Namespace) -> PureState:
     return fixture_state(args.fixture)
 
 
+def _parse_support(text: str) -> Support:
+    """A support from comma-separated labels; blanks around and between them are dropped."""
+    return Support.from_labels([part.strip() for part in text.split(",") if part.strip()])
+
+
 def _support_from_args(args: argparse.Namespace) -> tuple[Support, PureState | None]:
     if args.support is not None:
-        labels = [part.strip() for part in args.support.split(",") if part.strip()]
-        return Support.from_labels(labels), None
+        return _parse_support(args.support), None
     psi = _state_from_args(args)
     return psi.support(), psi
 
@@ -246,8 +250,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 
 def cmd_compare(args: argparse.Namespace) -> int:
-    sup_a = Support.from_labels([p.strip() for p in args.support_a.split(",") if p.strip()])
-    sup_b = Support.from_labels([p.strip() for p in args.support_b.split(",") if p.strip()])
+    sup_a, sup_b = _parse_support(args.support_a), _parse_support(args.support_b)
     verdict = compare_strata(sup_a, sup_b)
     if args.json:
         sys.stdout.write(canonical_dumps({

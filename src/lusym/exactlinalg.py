@@ -1,11 +1,11 @@
-"""Exact integer and rational linear algebra.
+"""Exact integer linear algebra.
 
-Smith normal form with both transformation matrices, the row Hermite normal
-form with lattice membership, determinants and rational ranks. The Smith
-elimination carries only the column transform v; the row transform u is
-replayed on demand from a log of the row operations. Everything runs on
-Python ints and fractions.Fraction; no floating point enters any routine in
-this module, so results are decidable and reproducible bit for bit.
+Smith normal form with both transformation matrices, and the row Hermite
+normal form with lattice membership. The Smith elimination carries only the
+column transform v; the row transform u is replayed on demand from a log of
+the row operations. Everything runs on Python ints; no floating point enters
+any routine in this module, so results are decidable and reproducible bit for
+bit.
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ from __future__ import annotations
 from math import gcd
 from typing import Iterable, Sequence
 
-from .errors import DimensionError, InputError
+from .errors import InputError
 
 
 _INT_ONLY = {int}
@@ -63,23 +63,9 @@ class IntMatrix:
     def row_tuples(self) -> tuple[tuple[int, ...], ...]:
         return self._data
 
-    def column(self, j: int) -> tuple[int, ...]:
-        return tuple(row[j] for row in self._data)
-
-    def transpose(self) -> "IntMatrix":
-        return IntMatrix([self.column(j) for j in range(self.cols)])
-
     def __getitem__(self, key: tuple[int, int]) -> int:
         i, j = key
         return self._data[i][j]
-
-    def __matmul__(self, other: "IntMatrix") -> "IntMatrix":
-        if self.cols != other.rows:
-            raise DimensionError(f"cannot multiply {self.rows}x{self.cols} by {other.rows}x{other.cols}")
-        ot = other.transpose()
-        return IntMatrix(
-            [[sum(a * b for a, b in zip(row, col)) for col in ot.row_tuples()] for row in self._data]
-        )
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, IntMatrix) and self._data == other._data
@@ -97,7 +83,7 @@ _SWAP, _SUB, _NEG = range(3)
 
 
 class SmithDecomposition:
-    """Unimodular u, v and diagonal d with u @ a @ v == d.
+    """Unimodular u, v and diagonal d with u a v = d.
 
     The solver reads only v's columns and the invariant factors. u is replayed
     from the elimination's row operations, and u, d and v are wrapped as
@@ -183,7 +169,7 @@ def _smallest_nonzero(a: list[list[int]], t: int, m: int, n: int) -> tuple[int, 
 def smith_normal_form(a: IntMatrix) -> SmithDecomposition:
     """Compute the Smith normal form of an integer matrix.
 
-    Returns u, d, v with u @ a @ v == d, u and v unimodular, d diagonal with
+    Returns u, d, v with u a v = d, u and v unimodular, d diagonal with
     non-negative entries satisfying d[i] | d[i+1]. Pivots are chosen as the
     smallest nonzero entry in absolute value, which keeps intermediate growth
     modest on the small matrices this package produces.
@@ -323,50 +309,6 @@ def lattice_member(hnf: Sequence[Sequence[int]], row: Sequence[int]) -> bool:
         if q:
             r = [x - q * y for x, y in zip(r, h)]
     return not any(r)
-
-
-def determinant(a: IntMatrix) -> int:
-    """Exact determinant via fraction-free Bareiss elimination."""
-    if a.rows != a.cols:
-        raise DimensionError("determinant requires a square matrix")
-    n = a.rows
-    M = [list(row) for row in a.row_tuples()]
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if M[k][k] == 0:
-            swap = next((i for i in range(k + 1, n) if M[i][k]), None)
-            if swap is None:
-                return 0
-            M[k], M[swap] = M[swap], M[k]
-            sign = -sign
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                M[i][j] = (M[i][j] * M[k][k] - M[i][k] * M[k][j]) // prev
-            M[i][k] = 0
-        prev = M[k][k]
-    return sign * M[n - 1][n - 1]
-
-
-def rational_rank(a: IntMatrix) -> int:
-    """Rank over the rationals by Gaussian elimination with Fraction arithmetic."""
-    from fractions import Fraction  # here: every CLI command loads this module, none calls this function
-
-    rows = [[Fraction(x) for x in row] for row in a.row_tuples()]
-    rank = 0
-    for c in range(a.cols):
-        pivot = next((i for i in range(rank, len(rows)) if rows[i][c]), None)
-        if pivot is None:
-            continue
-        rows[rank], rows[pivot] = rows[pivot], rows[rank]
-        pv = rows[rank][c]
-        rows[rank] = [x / pv for x in rows[rank]]
-        for i in range(len(rows)):
-            if i != rank and rows[i][c]:
-                f = rows[i][c]
-                rows[i] = [x - f * y for x, y in zip(rows[i], rows[rank])]
-        rank += 1
-    return rank
 
 
 def normalize_int_vector(v: Sequence[int]) -> tuple[int, ...]:

@@ -16,8 +16,7 @@ admissibility condition on the bidegree holds.
 
 from __future__ import annotations
 
-from fractions import Fraction
-from typing import Iterable, Mapping, NamedTuple, Sequence, Union
+from typing import Iterable, NamedTuple, Sequence, Union
 
 from .circuits import BalancedCircuit, SlGeneratorReport, single_sl_generator_check  # noqa: F401 (re-exported)
 from .errors import DimensionError, InputError
@@ -38,7 +37,8 @@ class InvariantMonomial(Value):
 
     __slots__ = _key = ("terms",)
 
-    def __init__(self, terms: tuple[tuple[str, int, int], ...]) -> None:
+    def __init__(self, terms: Iterable[tuple[str, int, int]]) -> None:
+        terms = tuple(map(tuple, terms))
         if not terms:
             raise InputError("monomial needs at least one term")
         width = len(terms[0][0])
@@ -166,53 +166,3 @@ def evaluate(obj: Union[InvariantMonomial, InvariantSum], psi: PureState) -> com
         c = psi.amplitude(label)
         value *= c**p * c.conjugate() ** q
     return value
-
-
-ExactComplex = tuple[Fraction, Fraction]
-
-
-def _cmul(x: ExactComplex, y: ExactComplex) -> ExactComplex:
-    return (x[0] * y[0] - x[1] * y[1], x[0] * y[1] + x[1] * y[0])
-
-
-def _cpow(x: ExactComplex, k: int) -> ExactComplex:
-    out: ExactComplex = (Fraction(1), Fraction(0))
-    for _ in range(k):
-        out = _cmul(out, x)
-    return out
-
-
-def evaluate_exact(
-    obj: Union[InvariantMonomial, InvariantSum],
-    amplitudes: Mapping[str, ExactComplex],
-) -> ExactComplex:
-    """Exact rational value when every amplitude is given as a pair of Fractions."""
-    if isinstance(obj, InvariantSum):
-        total: ExactComplex = (Fraction(0), Fraction(0))
-        for mono in obj.monomials:
-            re, im = evaluate_exact(mono, amplitudes)
-            total = (total[0] + re, total[1] + im)
-        return total
-    value: ExactComplex = (Fraction(1), Fraction(0))
-    for label, p, q in obj.terms:
-        c = amplitudes.get(label)
-        if c is None:
-            return (Fraction(0), Fraction(0))
-        c = (Fraction(c[0]), Fraction(c[1]))
-        value = _cmul(value, _cpow(c, p))
-        value = _cmul(value, _cpow((c[0], -c[1]), q))
-    return value
-
-
-def bidegree_scaling_check(
-    m: Union[InvariantMonomial, InvariantSum],
-    psi: PureState,
-    factor: complex,
-    tol: float = 1e-10,
-) -> bool:
-    """Does evaluate on factor*psi equal factor^a conj(factor)^b times evaluate on psi?"""
-    a, b = m.bidegree
-    direct = evaluate(m, psi.scaled(factor))
-    predicted = (factor**a) * (factor.conjugate() ** b) * evaluate(m, psi)
-    scale = max(abs(direct), abs(predicted), 1e-300)
-    return abs(direct - predicted) / scale <= tol

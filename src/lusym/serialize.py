@@ -168,7 +168,7 @@ def group_from_dict(data: Mapping, qubits: int | None = None) -> DiagonalSymmetr
         )
         # PhaseVector refuses nums off [0, order), and its lowest-terms rule makes
         # order the generator's exact order
-        gens.append(PhaseVector(tuple(nums), order))
+        gens.append(PhaseVector(nums, order))
     group = DiagonalSymmetryGroup.from_presentation(n, basis, gens)
     _require(group.torus_rank == len(basis), "'torus_basis' vectors must be nonzero and linearly independent")
     return group

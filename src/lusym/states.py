@@ -96,8 +96,8 @@ class Support(Value):
 
     __slots__ = _key = ("n", "labels")
 
-    def __init__(self, n: int, labels: tuple[str, ...]) -> None:
-        self._set(n=n, labels=labels)
+    def __init__(self, n: int, labels: Iterable[str]) -> None:
+        self._set(n=n, labels=tuple(sorted(labels, key=label_int)))
 
     @classmethod
     def from_labels(cls, labels: Iterable[str]) -> "Support":
@@ -111,7 +111,7 @@ class Support(Value):
         n = len(lst[0])
         if len(set(lst)) != len(lst):
             raise InputError("support labels must be distinct")
-        return cls(n=n, labels=tuple(sorted(lst, key=label_int)))
+        return cls(n=n, labels=lst)
 
     def __iter__(self):
         return iter(self.labels)
@@ -192,8 +192,9 @@ class PhaseVector(Value):
 
     __slots__ = _key = ("nums", "den")
 
-    def __init__(self, nums: tuple[int, ...], den: int) -> None:
+    def __init__(self, nums: Iterable[int], den: int) -> None:
         _check_den(den)
+        nums = tuple(nums)
         if math.gcd(den, *nums) != 1:
             raise InputError(f"phase numerators {nums} over {den} are not in lowest terms")
         if not all(0 <= x < den for x in nums):
@@ -233,55 +234,6 @@ class PhaseVector(Value):
         from fractions import Fraction
 
         return tuple(Fraction(x, self.den) for x in self.nums)
-
-    def phase_turn(self, label: str) -> Fraction:
-        """Exact phase in turns contributed to the given basis label."""
-        from fractions import Fraction
-
-        validate_label(label, self.n)
-        signs = weight_vector(label) + (1,)
-        return Fraction(sum(x * sign for x, sign in zip(self.nums, signs)), self.den)
-
-    def compose(self, other: "PhaseVector") -> "PhaseVector":
-        if other.n != self.n:
-            raise DimensionError("cannot compose phase elements on different qubit counts")
-        den = math.lcm(self.den, other.den)
-        a, b = den // self.den, den // other.den
-        return PhaseVector.from_numerators(
-            (x * a + y * b for x, y in zip(self.nums, other.nums)), den
-        )
-
-    def inverse(self) -> "PhaseVector":
-        return PhaseVector.from_numerators((-x for x in self.nums), self.den)
-
-    def negated_on(self, mask: str) -> "PhaseVector":
-        """Conjugated element under bit flips at the masked qubits: those phis
-        change sign, theta is unchanged."""
-        validate_label(mask, self.n)
-        return PhaseVector.from_numerators(
-            (-x if m == "1" else x for x, m in zip(self.nums, mask + "0")), self.den
-        )
-
-
-def apply_phase_element(g: PhaseVector, psi: PureState) -> PureState:
-    """Apply a diagonal phase element to a state; norm-preserving by construction.
-
-    The turn of each label is summed exactly as an integer t over the element's
-    common denominator d. The float (t % d) / d is the correctly rounded value
-    of the reduced turn, so the result equals evaluating `phase_turn` exactly.
-    """
-    if g.n != psi.n:
-        raise DimensionError(f"phase element is on {g.n} qubits, state on {psi.n}")
-    nums, d = g.nums, g.den
-    phis = nums[:-1]
-    # sum_k phi_k (-1)^{s_k} + theta = (sum_k phi_k + theta) - 2 sum_{k: s_k = 1} phi_k
-    base = sum(nums)
-    out = {}
-    for label, c in psi.amplitudes.items():
-        validate_label(label, g.n)
-        t = base - 2 * sum(p for p, ch in zip(phis, label) if ch == "1")
-        out[label] = c * cmath.exp(2j * math.pi * ((t % d) / d))
-    return PureState(psi.n, out)
 
 
 def reduced_density_matrix(

@@ -4,15 +4,17 @@ oracle, and a schema validator wired to docs/schema/.
 """
 
 import json
+import math
 import os
 import pathlib
 import random
 from functools import lru_cache
 from itertools import combinations
 
+import numpy as np
 import pytest
 
-from lusym import DiagonalSymmetryGroup, IntMatrix, PhaseVector, PureState, Support, rational_rank
+from lusym import DiagonalSymmetryGroup, PhaseVector, PureState, Support
 
 SCHEMA_DIR = pathlib.Path(__file__).resolve().parent.parent / "docs" / "schema"
 SRC_DIR = pathlib.Path(__file__).resolve().parent.parent / "src"
@@ -91,24 +93,32 @@ def random_element(
     group: DiagonalSymmetryGroup, rng: random.Random, denominator: int = 2**16
 ) -> PhaseVector:
     """A random exact-rational element: random integer powers of the finite
-    generators plus a random rational point of the torus part."""
-    element = torus_point(group, rng, denominator)
-    for gen in group.finite_generators:
-        a = rng.randrange(gen.den)
-        element = element.compose(PhaseVector.from_numerators((a * x for x in gen.nums), gen.den))
-    return element
+    generators plus a random rational point of the torus part.
+
+    The numerators are summed over the common denominator of all the parts."""
+    point = torus_point(group, rng, denominator)
+    powers = [(rng.randrange(gen.den), gen) for gen in group.finite_generators]
+    den = math.lcm(point.den, *(gen.den for _, gen in powers))
+    total = [x * (den // point.den) for x in point.nums]
+    for a, gen in powers:
+        total = [t + a * (den // gen.den) * x for t, x in zip(total, gen.nums)]
+    return PhaseVector.from_numerators(total, den)
 
 
 def conjugate(group: DiagonalSymmetryGroup, mask: str) -> DiagonalSymmetryGroup:
     """The group conjugated by bit flips at the masked qubits: the masked phis
     of every torus direction and finite generator change sign."""
     flip = [ch == "1" for ch in mask] + [False]
+
+    def negated(vec):
+        return tuple(-x if f else x for x, f in zip(vec, flip))
+
     return DiagonalSymmetryGroup.from_presentation(
         n=group.n,
-        torus_basis=tuple(
-            tuple(-x if f else x for x, f in zip(vec, flip)) for vec in group.torus_basis
+        torus_basis=tuple(negated(vec) for vec in group.torus_basis),
+        finite_generators=tuple(
+            PhaseVector.from_numerators(negated(gen.nums), gen.den) for gen in group.finite_generators
         ),
-        finite_generators=tuple(gen.negated_on(mask) for gen in group.finite_generators),
     )
 
 
@@ -118,7 +128,7 @@ def sign_vector(label: str) -> tuple:
 
 @lru_cache(maxsize=200_000)
 def _rank_of(vectors: frozenset) -> int:
-    return rational_rank(IntMatrix(sorted(vectors)))
+    return int(np.linalg.matrix_rank(np.array(sorted(vectors))))
 
 
 def brute_force_circuit_members(support: Support) -> set:

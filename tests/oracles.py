@@ -6,17 +6,33 @@ live free coordinates, a depth-first search for greedy bases of the dual rows
 over all t coordinates, with gcd-normalized directions at the last level and
 a null vector by back-substitution. It searches complement pairs s, s XOR 1^n
 like any other labels. The package's search must return the same catalog.
+
+`apply_phase_element(g, psi)` moves a state by a phase element in floating
+point, the reference for `verify_symmetry`'s finite checks. `evaluate_exact`
+evaluates a monomial or flip sum on amplitudes given as pairs of Fractions,
+the exact reference for `evaluate`. `bidegree_scaling_check` is the
+acceptance predicate for bidegrees. `int_product` multiplies integer matrices
+as numpy object arrays, exactly, for the Smith identity u a v = d.
 """
 
 from __future__ import annotations
 
+import cmath
+import math
+from fractions import Fraction
+from functools import reduce
 from itertools import combinations
 from math import gcd, lcm
-from operator import mul
+from operator import matmul, mul
+from typing import Mapping, Union
+
+import numpy as np
 
 from lusym.circuits import BalancedCircuit
-from lusym.exactlinalg import normalize_int_vector
-from lusym.states import Support, weight_vector
+from lusym.errors import DimensionError
+from lusym.exactlinalg import IntMatrix, normalize_int_vector
+from lusym.invariants import InvariantMonomial, InvariantSum, evaluate
+from lusym.states import PhaseVector, PureState, Support, validate_label, weight_vector
 
 
 def _eliminate(x, v, p):
@@ -136,3 +152,80 @@ def circuits_070(support: Support) -> tuple[BalancedCircuit, ...]:
         BalancedCircuit(tuple(support.labels[i] for i in members), found[members])
         for members in sorted(found)
     )
+
+
+def apply_phase_element(g: PhaseVector, psi: PureState) -> PureState:
+    """Apply a diagonal phase element to a state; norm-preserving by construction.
+
+    The turn of each label is summed exactly as an integer t over the element's
+    common denominator d. The float (t % d) / d is the correctly rounded value
+    of the reduced turn, so the result equals evaluating the exact turn.
+    """
+    if g.n != psi.n:
+        raise DimensionError(f"phase element is on {g.n} qubits, state on {psi.n}")
+    nums, d = g.nums, g.den
+    phis = nums[:-1]
+    # sum_k phi_k (-1)^{s_k} + theta = (sum_k phi_k + theta) - 2 sum_{k: s_k = 1} phi_k
+    base = sum(nums)
+    out = {}
+    for label, c in psi.amplitudes.items():
+        validate_label(label, g.n)
+        t = base - 2 * sum(p for p, ch in zip(phis, label) if ch == "1")
+        out[label] = c * cmath.exp(2j * math.pi * ((t % d) / d))
+    return PureState(psi.n, out)
+
+
+ExactComplex = tuple[Fraction, Fraction]
+
+
+def _cmul(x: ExactComplex, y: ExactComplex) -> ExactComplex:
+    return (x[0] * y[0] - x[1] * y[1], x[0] * y[1] + x[1] * y[0])
+
+
+def _cpow(x: ExactComplex, k: int) -> ExactComplex:
+    out: ExactComplex = (Fraction(1), Fraction(0))
+    for _ in range(k):
+        out = _cmul(out, x)
+    return out
+
+
+def evaluate_exact(
+    obj: Union[InvariantMonomial, InvariantSum],
+    amplitudes: Mapping[str, ExactComplex],
+) -> ExactComplex:
+    """Exact rational value when every amplitude is given as a pair of Fractions."""
+    if isinstance(obj, InvariantSum):
+        total: ExactComplex = (Fraction(0), Fraction(0))
+        for mono in obj.monomials:
+            re, im = evaluate_exact(mono, amplitudes)
+            total = (total[0] + re, total[1] + im)
+        return total
+    value: ExactComplex = (Fraction(1), Fraction(0))
+    for label, p, q in obj.terms:
+        c = amplitudes.get(label)
+        if c is None:
+            return (Fraction(0), Fraction(0))
+        c = (Fraction(c[0]), Fraction(c[1]))
+        value = _cmul(value, _cpow(c, p))
+        value = _cmul(value, _cpow((c[0], -c[1]), q))
+    return value
+
+
+def bidegree_scaling_check(
+    m: Union[InvariantMonomial, InvariantSum],
+    psi: PureState,
+    factor: complex,
+    tol: float = 1e-10,
+) -> bool:
+    """Does evaluate on factor*psi equal factor^a conj(factor)^b times evaluate on psi?"""
+    a, b = m.bidegree
+    direct = evaluate(m, psi.scaled(factor))
+    predicted = (factor**a) * (factor.conjugate() ** b) * evaluate(m, psi)
+    scale = max(abs(direct), abs(predicted), 1e-300)
+    return abs(direct - predicted) / scale <= tol
+
+
+def int_product(*matrices: IntMatrix) -> tuple[tuple[int, ...], ...]:
+    """The exact product of integer matrices, as rows of Python ints."""
+    out = reduce(matmul, (np.array(m.row_tuples(), dtype=object) for m in matrices))
+    return tuple(tuple(map(int, row)) for row in out)

@@ -32,10 +32,11 @@ from lusym.analysis import (
     _deviation,
 )
 from lusym.serialize import dump_report
-from lusym.states import PhaseVector, apply_phase_element
+from lusym.states import PhaseVector
 from lusym.symmetry import _annihilated_by, sign_rows
 
 from conftest import random_coset_support, random_state_on, random_support, torus_point
+from oracles import apply_phase_element
 
 
 def test_verify_bell_exact():

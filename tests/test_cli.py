@@ -224,6 +224,27 @@ def test_compare_json(capsys, schema_validator):
     assert payload["verdict"] == "b_closure_contains_a"
 
 
+@pytest.mark.parametrize("labels", [" , ", "00,1", "00,00", "00,2x"], ids=["empty", "ragged", "repeated", "non-binary"])
+@pytest.mark.parametrize(
+    "template",
+    [
+        ["circuits", "--support", "LABELS"],
+        ["compare", "--support-a", "LABELS", "--support-b", "00"],
+        ["compare", "--support-a", "00", "--support-b", "LABELS"],
+    ],
+    ids=["circuits", "compare-a", "compare-b"],
+)
+def test_bad_label_lists_exit_2(capsys, template, labels):
+    code, out, err = run_cli(capsys, *[labels if a == "LABELS" else a for a in template])
+    assert code == 2 and not out and err
+
+
+def test_label_lists_drop_blanks(capsys):
+    code, out, _ = run_cli(capsys, "compare", "--support-a", " 00 , 11,", "--support-b", "11,,00", "--json")
+    assert code == 0
+    assert json.loads(out)["support_a"] == json.loads(out)["support_b"] == ["00", "11"]
+
+
 def test_analyze_accepts_state_file(capsys, tmp_path):
     psi = fixture_state("cluster4b")
     state_file = tmp_path / "state.json"
@@ -460,6 +481,14 @@ def test_json_analyze_loads_no_invariants_dataclasses_or_fractions():
     assert {"lusym.analysis", "lusym.circuits", "lusym.normalizer"} <= loaded
     assert not loaded & UNNEEDED_AT_START_UP
     assert "lusym.invariants" not in loaded
+
+
+def test_json_invariants_loads_no_fractions():
+    # the exact Fraction evaluation of monomials is a test oracle, not a
+    # runtime path, so the invariants layer builds no Fraction
+    loaded = _loaded_modules(["invariants", "--fixture", "ghz4", "--json"])
+    assert {"lusym.invariants", "lusym.circuits"} <= loaded
+    assert not loaded & UNNEEDED_AT_START_UP
 
 
 def test_lazy_package_exports_every_public_name():

@@ -12,7 +12,6 @@ from lusym import (
     PhaseVector,
     PureState,
     Support,
-    apply_phase_element,
     enumerate_circuits,
     evaluate,
     fixture_state,
@@ -24,14 +23,13 @@ from lusym.invariants import (
     InvariantMonomial,
     InvariantSum,
     abs_square_generators,
-    bidegree_scaling_check,
-    evaluate_exact,
     flip_monomial,
     is_sl_type,
     monomial_from_circuit,
     single_sl_generator_check,
 )
 from conftest import random_element, random_state_on, random_support
+from oracles import apply_phase_element, bidegree_scaling_check, evaluate_exact
 
 F = Fraction
 

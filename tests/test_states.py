@@ -2,6 +2,7 @@ import cmath
 import math
 import random
 from fractions import Fraction
+from operator import mul
 
 import numpy as np
 import pytest
@@ -12,7 +13,6 @@ from lusym import (
     PhaseVector,
     PureState,
     Support,
-    apply_phase_element,
     fixture_state,
     reduced_density_matrix,
     solve_symmetry_group,
@@ -20,6 +20,7 @@ from lusym import (
 from lusym.states import label_int, validate_label, weight_vector, xor_labels
 
 from conftest import random_coset_support, random_element, random_state_on, random_support, torus_point
+from oracles import apply_phase_element
 
 
 def test_label_helpers():
@@ -77,26 +78,19 @@ def test_scaled_state_passes_the_amplitude_checks(factor, match):
     assert math.isclose(doubled.norm(), 2.0)
 
 
+def _turn(g, label):
+    """A label's exact turn: its sign row (w_s, 1) against the numerators, over den."""
+    return Fraction(sum(map(mul, weight_vector(label) + (1,), g.nums)), g.den)
+
+
 def test_phase_vector_turns():
     g = PhaseVector.make([Fraction(1, 2), 0], Fraction(1, 2))
+    assert (g.nums, g.den) == ((1, 0, 1), 2)
     # label 00: both signs +1, so 1/2 + 0 + 1/2 = 1 full turn
-    assert g.phase_turn("00") == 1
-    assert g.phase_turn("10") == 0
+    assert _turn(g, "00") == 1
+    assert _turn(g, "10") == 0
     g2 = PhaseVector.make([Fraction(1, 4), Fraction(1, 3)], 0)
-    assert g2.phase_turn("01") == Fraction(1, 4) - Fraction(1, 3)
-
-
-def test_phase_vector_group_ops():
-    g = PhaseVector.make([Fraction(3, 4), Fraction(1, 3)], Fraction(5, 6))
-    e = g.compose(g.inverse())
-    assert e.phis == (Fraction(0), Fraction(0)) and e.theta == 0
-    flipped = g.negated_on("10")
-    assert flipped.phis == (Fraction(1, 4), Fraction(1, 3))
-    assert flipped.theta == g.theta
-    # conjugation is an involution
-    assert flipped.negated_on("10") == g
-    with pytest.raises(DimensionError):
-        g.compose(PhaseVector.make([0], 0))
+    assert _turn(g2, "01") == Fraction(1, 4) - Fraction(1, 3)
 
 
 def test_apply_phase_element_exact_values():
@@ -114,18 +108,13 @@ def test_apply_phase_element_properties():
     for _ in range(30):
         sup = random_support(rng, rng.randint(1, 4), 6)
         psi = random_state_on(rng, sup)
-        g = PhaseVector.make(
-            [Fraction(rng.randrange(24), 24) for _ in range(sup.n)],
-            Fraction(rng.randrange(24), 24),
-        )
-        h = PhaseVector.make(
-            [Fraction(rng.randrange(24), 24) for _ in range(sup.n)],
-            Fraction(rng.randrange(24), 24),
-        )
+        x = [rng.randrange(24) for _ in range(sup.n + 1)]
+        y = [rng.randrange(24) for _ in range(sup.n + 1)]
+        g, h = PhaseVector.from_numerators(x, 24), PhaseVector.from_numerators(y, 24)
         out = apply_phase_element(g, psi)
         assert abs(out.norm() - psi.norm()) < 1e-12
         lhs = apply_phase_element(h, out)
-        rhs = apply_phase_element(g.compose(h), psi)
+        rhs = apply_phase_element(PhaseVector.from_numerators(map(sum, zip(x, y)), 24), psi)
         for lab in sup.labels:
             assert cmath.isclose(lhs.amplitude(lab), rhs.amplitude(lab), abs_tol=1e-12)
 
@@ -133,7 +122,7 @@ def test_apply_phase_element_properties():
 def _applied_by_phase_turn(g, psi):
     """The reference: each label's exact turn, reduced to [0, 1), then exp."""
     return {
-        lab: c * cmath.exp(2j * math.pi * float(g.phase_turn(lab) % 1))
+        lab: c * cmath.exp(2j * math.pi * float(_turn(g, lab) % 1))
         for lab, c in psi.amplitudes.items()
     }
 
@@ -176,7 +165,7 @@ def test_apply_phase_element_is_bit_exact():
         finite += len(g.finite_generators)
         elements += [(torus_point(g, rng, 2**20), psi), (random_element(g, rng), psi)]
     # every element is stored in [0, 1) turns, but a label's turn leaves that range
-    turns = [g.phase_turn(label) for g, psi in elements for label in psi.amplitudes]
+    turns = [_turn(g, label) for g, psi in elements for label in psi.amplitudes]
     assert any(t < 0 for t in turns) and any(t >= 1 for t in turns)
     assert any(x.denominator > 2**64 for g, _ in elements for x in g.as_tuple())
     assert finite > 0
@@ -193,15 +182,20 @@ def test_integer_form_matches_fraction_arithmetic():
         # make reduces each turn to [0, 1)
         assert g.as_tuple() == tuple(a % 1 for a in x)
         assert (g.phis, g.theta) == (tuple(a % 1 for a in x[:-1]), x[-1] % 1)
+        # from_numerators reduces integer sums, negations and flips of the
+        # numerators as Fraction arithmetic reduces the turns
         mask = "".join(rng.choice("01") for _ in range(n))
-        assert g.compose(h).as_tuple() == tuple((a + b) % 1 for a, b in zip(x, y))
-        assert g.inverse().as_tuple() == tuple(-a % 1 for a in x)
-        assert g.negated_on(mask).as_tuple() == tuple(
+        den = math.lcm(g.den, h.den)
+        summed = (a * (den // g.den) + b * (den // h.den) for a, b in zip(g.nums, h.nums))
+        assert PhaseVector.from_numerators(summed, den).as_tuple() == tuple((a + b) % 1 for a, b in zip(x, y))
+        assert PhaseVector.from_numerators((-a for a in g.nums), g.den).as_tuple() == tuple(-a % 1 for a in x)
+        flipped = (-a if m == "1" else a for a, m in zip(g.nums, mask + "0"))
+        assert PhaseVector.from_numerators(flipped, g.den).as_tuple() == tuple(
             -a % 1 if m == "1" else a % 1 for a, m in zip(x, mask + "0")
         )
         label = "".join(rng.choice("01") for _ in range(n))
         signs = [1 if ch == "0" else -1 for ch in label] + [1]
-        assert g.phase_turn(label) == sum(a % 1 * s for a, s in zip(x, signs))
+        assert _turn(g, label) == sum(a % 1 * s for a, s in zip(x, signs))
         assert g.den == math.lcm(*(a.denominator for a in x))
 
 

@@ -2,7 +2,9 @@ import math
 import random
 import sys
 from fractions import Fraction
+from operator import mul
 
+import numpy as np
 import pytest
 
 from lusym import (
@@ -11,7 +13,6 @@ from lusym import (
     InternalError,
     PhaseVector,
     Support,
-    apply_phase_element,
     group_contains,
     group_member,
     qubit_action_profile,
@@ -19,12 +20,13 @@ from lusym import (
     solve_symmetry_group,
     weight_vector,
 )
-from lusym.exactlinalg import IntMatrix, SmithDecomposition, rational_rank
+from lusym.exactlinalg import SmithDecomposition
 from lusym.fixtures import fixture_names, fixture_state
 from lusym.serialize import dump_group, load_group
 from lusym.symmetry import _check_solution, sign_rows
 
 from conftest import random_coset_support, random_element, random_state_on, random_support
+from oracles import apply_phase_element
 
 F = Fraction
 
@@ -75,14 +77,14 @@ def test_solution_is_exact_on_random_supports():
         sup = random_support(rng, rng.randint(1, 5), 8)
         g = solve_symmetry_group(sup)
         rows = sign_rows(sup)
-        assert g.torus_rank + rational_rank(IntMatrix(rows)) == sup.n + 1
+        assert g.torus_rank + np.linalg.matrix_rank(np.array(rows)) == sup.n + 1
         for vec in g.torus_basis:
             assert all(sum(a * x for a, x in zip(row, vec)) == 0 for row in rows)
             nz = [x for x in vec if x]
             assert nz and nz[0] > 0
         for gen in g.finite_generators:
-            for lab in sup.labels:
-                assert gen.phase_turn(lab).denominator == 1
+            for row in rows:
+                assert sum(map(mul, row, gen.nums)) % gen.den == 0
         # the defining property, numerically, on a generic state
         psi = random_state_on(rng, sup)
         elt = random_element(g, rng)
@@ -135,7 +137,7 @@ def test_group_member_agrees_with_phase_turns():
                 x = PhaseVector.make(
                     [F(rng.randrange(den), den) for _ in range(sup.n)], F(rng.randrange(den), den)
                 )
-            expected = all(x.phase_turn(lab).denominator == 1 for lab in sup.labels)
+            expected = all(sum(map(mul, row, x.nums)) % x.den == 0 for row in sign_rows(sup))
             assert group_member(g, x) == expected, (sup.labels, x)
             assert group_member(reloaded, x) == expected, (sup.labels, x)
             verdicts.append(expected)
@@ -258,11 +260,10 @@ def test_qubit_action_profile_witness_brute_force():
 def _fixes(labels, group: DiagonalSymmetryGroup) -> bool:
     """Brute force: each torus direction leaves every label's turn at zero and
     each finite generator turns every label by a whole number of turns."""
-    return all(
-        sum(w * x for w, x in zip(weight_vector(lab) + (1,), vec)) == 0
-        for lab in labels
-        for vec in group.torus_basis
-    ) and all(gen.phase_turn(lab).denominator == 1 for lab in labels for gen in group.finite_generators)
+    rows = [weight_vector(lab) + (1,) for lab in labels]
+    return all(sum(map(mul, row, vec)) == 0 for row in rows for vec in group.torus_basis) and all(
+        sum(map(mul, row, gen.nums)) % gen.den == 0 for row in rows for gen in group.finite_generators
+    )
 
 
 def _group_pairs(rng: random.Random, count: int) -> list[tuple[Support, Support]]:
@@ -329,7 +330,7 @@ def test_presentations_of_one_group_are_equal_and_dump_the_same_bytes():
             changed[0] = [-x for x in changed[0]]
             for vec in changed[1:]:
                 vec[:] = [a + 3 * b for a, b in zip(vec, changed[0])]
-        extra = gens + [random_element(g, rng).compose(gens[0]) if gens else random_element(g, rng)]
+        extra = gens + [random_element(g, rng)]
         presentations = [
             (basis, gens[::-1]),
             (basis, coprime),

@@ -115,6 +115,24 @@ def test_value_constructors_refuse_bad_input(build):
         build()
 
 
+@pytest.mark.parametrize(
+    "built, expected",
+    [
+        (PhaseVector([1, 0, 1], 2), PhaseVector((1, 0, 1), 2)),
+        (Support(2, ["11", "00"]), Support.from_labels(["00", "11"])),
+        (InvariantMonomial([("00", 1, 1)]), InvariantMonomial((("00", 1, 1),))),
+        (InvariantMonomial([["00", 1, 0], ["11", 0, 1]]), InvariantMonomial((("00", 1, 0), ("11", 0, 1)))),
+    ],
+    ids=["PhaseVector", "Support", "InvariantMonomial", "InvariantMonomial-list-terms"],
+)
+def test_list_arguments_build_the_tuple_built_value(built, expected):
+    # the constructors store tuples, and a Support sorts its labels by value
+    assert built == expected and hash(built) == hash(expected)
+    assert repr(built) == repr(expected)
+    clone = pickle.loads(pickle.dumps(built))
+    assert clone == expected and hash(clone) == hash(expected)
+
+
 # recorded before the records and value types stopped being dataclasses
 PINNED_REPRS = {
     "GeneratorCheck": "GeneratorCheck(kind='finite', index=0, deviation=0.0)",
