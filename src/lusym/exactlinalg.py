@@ -63,10 +63,6 @@ class IntMatrix:
     def row_tuples(self) -> tuple[tuple[int, ...], ...]:
         return self._data
 
-    def __getitem__(self, key: tuple[int, int]) -> int:
-        i, j = key
-        return self._data[i][j]
-
     def __eq__(self, other: object) -> bool:
         return isinstance(other, IntMatrix) and self._data == other._data
 

@@ -9,6 +9,7 @@ import lusym.analysis
 import lusym.circuits
 from lusym import (
     DiagonalSymmetryGroup,
+    DimensionError,
     InputError,
     InternalError,
     PureState,
@@ -246,6 +247,16 @@ def test_analyze_refuses_a_vacuous_tolerance_before_any_stage(monkeypatch):
     for tol in (math.nan, math.inf, -math.inf, 0.0, -1.0):
         with pytest.raises(InputError, match=f"^tol must be finite and > 0, got {tol}$"):
             analyze(psi, tol=tol)
+
+
+def test_analyze_refuses_labels_off_the_qubit_count_before_any_stage(monkeypatch):
+    # no stage may solve a group on another qubit count than the state's
+    def no_stage(*args):
+        raise AssertionError("a stage ran before the labels were checked")
+
+    monkeypatch.setattr(lusym.analysis, "solve_symmetry_group", no_stage)
+    with pytest.raises(DimensionError, match="^label '0' has 1 bits, expected 2$"):
+        analyze(PureState(2, {"0": 1}))
 
 
 def test_analyze_theta_continuous_state():

@@ -7,6 +7,7 @@ import sys
 
 import pytest
 
+import lusym.cli
 from lusym.cli import main
 from lusym.serialize import dump_group, dump_state
 from lusym import DiagonalSymmetryGroup, PureState, Support, fixture_names, fixture_state, solve_symmetry_group
@@ -362,6 +363,15 @@ def test_unnormalized_state_rejected(capsys, tmp_path):
     code, _, err = run_cli(capsys, "analyze", "--input", str(state_file))
     assert code == 2
     assert "norm" in err
+
+
+@pytest.mark.parametrize("argv", [["analyze"], ["verify", "--from-support"]])
+def test_labels_off_the_qubit_count_exit_2(capsys, monkeypatch, argv):
+    # no state file reaches this state, so the library one is handed over
+    monkeypatch.setattr(lusym.cli, "_state_from_args", lambda args: PureState(2, {"0": 1}))
+    code, _, err = run_cli(capsys, *argv, "--fixture", "bell")
+    assert code == 2
+    assert "expected 2" in err
 
 
 def test_huge_amplitudes_fail_the_norm_check(capsys, tmp_path):

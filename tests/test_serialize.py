@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+import lusym.analysis
 from lusym import (
     DiagonalSymmetryGroup,
     InputError,
@@ -15,7 +16,9 @@ from lusym import (
     fixture_names,
     fixture_state,
     solve_symmetry_group,
+    verify_symmetry,
 )
+from lusym.analysis import DEFAULT_TOL
 from lusym.serialize import (
     canonical_dumps,
     dump_group,
@@ -252,7 +255,12 @@ REPORT_SHA256 = {
 }
 
 
-def test_report_bytes_are_pinned():
+def test_report_bytes_are_pinned(monkeypatch):
+    # the verification block comes from the solve, not from the amplitudes
+    def refuse(*args, **kwargs):
+        raise AssertionError("analyze called verify_symmetry")
+
+    monkeypatch.setattr(lusym.analysis, "verify_symmetry", refuse)
     assert sorted(REPORT_SHA256) == sorted(fixture_names())
     for name, digest in REPORT_SHA256.items():
         text = dump_report(analyze(fixture_state(name)))
@@ -271,13 +279,17 @@ SEEDED_REPORT_SHA256 = {
 }
 
 
-def _seeded_report(kind, seed, n, size):
+def _seeded_state(kind, seed, n, size):
     rng = random.Random(seed)
     if kind == "coset":
         support = random_coset_support(rng, n, size)
     else:
         support = random_support(rng, n, size, min_labels=size)
-    return dump_report(analyze(random_state_on(rng, support)))
+    return random_state_on(rng, support)
+
+
+def _seeded_report(kind, seed, n, size):
+    return dump_report(analyze(_seeded_state(kind, seed, n, size)))
 
 
 @pytest.mark.parametrize("kind, seed, n, size", sorted(SEEDED_REPORT_SHA256))
@@ -285,6 +297,17 @@ def test_seeded_report_bytes_are_pinned(kind, seed, n, size):
     text = _seeded_report(kind, seed, n, size)
     digest = SEEDED_REPORT_SHA256[kind, seed, n, size]
     assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("tol", [DEFAULT_TOL, 1e-6])
+def test_report_verification_is_what_verify_symmetry_decides(tol):
+    # analyze reads the block off the solve's exact self-check; the oracle
+    # evaluates every check against the amplitudes
+    states = [fixture_state(name) for name in sorted(REPORT_SHA256)]
+    states += [_seeded_state(*case) for case in sorted(SEEDED_REPORT_SHA256)]
+    for psi in states:
+        report = analyze(psi, tol)
+        assert report.verification == verify_symmetry(psi, report.group, tol), psi
 
 
 def _content_sha256(text):
