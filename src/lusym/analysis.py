@@ -188,14 +188,31 @@ def analyze(psi: PureState, tol: float = DEFAULT_TOL) -> AnalysisReport:
     )
 
 
+def _gf2_reduced(y: int, basis: list[int]) -> int:
+    """y reduced by GF(2) basis masks with distinct leading bits, as in
+    normalizer._gf2_generators: 0 exactly when y lies in their span."""
+    for b in basis:
+        y = min(y, y ^ b)
+    return y
+
+
 def _in_sign_lattice(support: Support, labels: Iterable[str]) -> bool:
     """Do the sign rows of the labels lie in Λ, the row lattice of the support's
-    sign rows? Only labels outside the support are tested, and Λ is brought to
-    Hermite normal form only when there is one."""
+    sign rows? Only labels outside the support are tested. A label t whose
+    t ^ s0 leaves the GF(2) span of the s ^ s0 is refuted mod 2, and Λ is
+    brought to Hermite normal form only when every outside label passes."""
     own = set(support.labels)
-    extra = sign_rows(lab for lab in labels if lab not in own)
-    if not extra:
+    outside = [lab for lab in labels if lab not in own]
+    if not outside:
         return True
+    s0, *rest = (int(lab, 2) for lab in support.labels)
+    basis: list[int] = []
+    for x in rest:
+        if y := _gf2_reduced(x ^ s0, basis):
+            basis.append(y)
+    if any(_gf2_reduced(int(lab, 2) ^ s0, basis) for lab in outside):
+        return False
+    extra = sign_rows(outside)
     rows = sign_rows(support)
     hnf = hermite_normal_form(rows)
     if not all(lattice_member(hnf, row) for row in rows):
@@ -210,9 +227,15 @@ def compare_strata(support_a: Support, support_b: Support) -> str:
     contains the strata of larger groups. A support's group is the annihilator
     of Λ, the integer row lattice of its sign rows (w_s, 1), so by Pontryagin
     duality G_a ⊆ G_b exactly when Λ_b ⊆ Λ_a: when every sign row of b lies
-    in Λ_a. The verdict is decided on the lattices alone, through the Hermite
-    normal form of Λ_a or Λ_b, and no group is solved. A nested pair b ⊂ a
-    needs only Λ_b's form and a's extra rows reduced against it.
+    in Λ_a. The verdict is decided on the lattices alone and no group is
+    solved. Each direction is first tested mod 2: w = 1 - 2s, so
+    Σ μ_s (w_s, 1) = (w_t, 1) exactly when Σ μ_s = 1 and Σ μ_s s = t, and a
+    sign row in Λ_S makes t an integer affine combination of S's labels. Mod 2,
+    t ^ s0 then lies in the GF(2) span of the s ^ s0 (s0 any label of S). A
+    label outside that span refutes the direction with no form built; only a
+    direction whose outside labels all pass brings Λ_a or Λ_b to Hermite
+    normal form. A nested pair b ⊂ a needs at most Λ_b's form and a's extra
+    rows reduced against it.
     """
     if support_a.n != support_b.n:
         raise DimensionError("supports live on different qubit counts")

@@ -32,11 +32,12 @@ from lusym.analysis import (
     GeneratorCheck,
     _deviation,
 )
+from lusym.exactlinalg import hermite_normal_form, lattice_member
 from lusym.serialize import dump_report
 from lusym.states import PhaseVector
 from lusym.symmetry import _annihilated_by, sign_rows
 
-from conftest import random_coset_support, random_state_on, random_support, torus_point
+from conftest import all_labels, random_coset_support, random_state_on, random_support, torus_point
 from oracles import apply_phase_element
 
 
@@ -441,15 +442,109 @@ def test_compare_strata_solves_no_group(monkeypatch):
     assert [compare_strata(a, b) for a, b in pairs] == expected
 
 
+# 110 lies in the GF(2) affine span of b but its sign row is not in Λ_b:
+# a = b + {110} passes the parity test and needs Λ_b's Hermite form
+PARITY_PASSING_B = Support.from_labels(["000", "011", "101"])
+PARITY_PASSING_A = Support.from_labels(["000", "011", "101", "110"])
+
+
 def test_compare_strata_self_check_trips_on_a_broken_form(monkeypatch):
     # with the last basis row of each Hermite form dropped, the lattice is too
-    # small to hold every sign row of its own support: exit 3, not a verdict
+    # small to hold every sign row of its own support: exit 3, not a verdict.
+    # The pair passes the parity test, so the form is built and checked
     real = lusym.analysis.hermite_normal_form
     monkeypatch.setattr(lusym.analysis, "hermite_normal_form", lambda rows: real(rows)[:-1])
-    ghz = Support.from_labels(["0000", "1111"])
-    full = Support.from_labels([format(x, "04b") for x in range(16)])
     with pytest.raises(InternalError, match="Hermite normal form"):
-        compare_strata(full, ghz)
+        compare_strata(PARITY_PASSING_A, PARITY_PASSING_B)
+
+
+def _counting_forms(monkeypatch) -> list:
+    """Patch analysis's Hermite form to record the rows of each form it builds."""
+    built = []
+
+    def counted(rows):
+        built.append(rows)
+        return hermite_normal_form(rows)
+
+    monkeypatch.setattr(lusym.analysis, "hermite_normal_form", counted)
+    return built
+
+
+def _gf2_affine_span(values: list[int]) -> set[int]:
+    # every s0 ^ (xor of a subset of the differences s ^ s0), by closure
+    s0 = values[0]
+    span = {s0}
+    for v in values[1:]:
+        span |= {x ^ v ^ s0 for x in span}
+    return span
+
+
+def _parity_cases():
+    # every support of n <= 3 against every label, and seeded supports of
+    # n = 4-8 against up to 16 labels
+    for n in range(1, 4):
+        labels = all_labels(n)
+        for pick in range(1, 2 ** len(labels)):
+            support = Support.from_labels(lab for i, lab in enumerate(labels) if pick >> i & 1)
+            yield from ((support, t) for t in labels)
+    rng = random.Random(2311)
+    for _ in range(80):
+        n = rng.randint(4, 8)
+        support = random_support(rng, n, n + 2)
+        yield from ((support, t) for t in rng.sample(all_labels(n), min(2**n, 16)))
+
+
+def test_parity_test_never_refutes_a_lattice_member(monkeypatch):
+    # oracle: membership of t's sign row in the support's Hermite form; the
+    # form is built exactly for an outside label in the GF(2) affine span
+    built = _counting_forms(monkeypatch)
+    seen = set()
+    for support, t in _parity_cases():
+        member = lattice_member(hermite_normal_form(sign_rows(support)), sign_rows([t])[0])
+        in_span = int(t, 2) in _gf2_affine_span([int(s, 2) for s in support.labels])
+        assert not member or in_span
+        built.clear()
+        assert lusym.analysis._in_sign_lattice(support, [t]) == member
+        outside = t not in support.labels
+        assert bool(built) == (outside and in_span)
+        seen.add((outside, member, in_span))
+    # inside labels, outside members, parity passes that are not members, refutations
+    assert seen == {(False, True, True), (True, True, True), (True, False, True), (True, False, False)}
+
+
+def test_compare_strata_parity_refutes_without_a_form(monkeypatch):
+    # pairs whose every direction is settled by inclusion or by the parity
+    # test still get the groups' verdict with no Hermite form allowed
+    ghz = Support.from_labels(["0000", "1111"])
+    full = Support.from_labels(all_labels(4))
+    w = Support.from_labels(["0001", "0010", "0100", "1000"])
+    built = _counting_forms(monkeypatch)
+    pairs = [(full, ghz), (ghz, full), (ghz, w), (w, full)]
+    for a, b in _workload_size_pairs():
+        built.clear()
+        compare_strata(a, b)
+        if not built:
+            pairs.append((a, b))
+    assert len(pairs) > 30
+    expected = [_verdict_from_groups(a, b) for a, b in pairs]
+    assert set(expected) == {STRATA_A_CLOSURE_CONTAINS_B, STRATA_B_CLOSURE_CONTAINS_A, STRATA_INCOMPARABLE}
+
+    def refuse(rows):
+        raise AssertionError("compare_strata built a Hermite form")
+
+    monkeypatch.setattr(lusym.analysis, "hermite_normal_form", refuse)
+    assert [compare_strata(a, b) for a, b in pairs] == expected
+
+
+def test_compare_strata_parity_pass_still_reaches_the_form(monkeypatch):
+    # 110 passes the parity test but lies outside Λ_b: the form decides
+    built = _counting_forms(monkeypatch)
+    a, b = PARITY_PASSING_A, PARITY_PASSING_B
+    assert compare_strata(a, b) == _verdict_from_groups(a, b) == STRATA_A_CLOSURE_CONTAINS_B
+    assert built == [sign_rows(b)]
+    built.clear()
+    assert compare_strata(b, a) == _verdict_from_groups(b, a) == STRATA_B_CLOSURE_CONTAINS_A
+    assert built == [sign_rows(b)]
 
 
 def _moved_label(label: str, perm: list[int], mask: int) -> str:
