@@ -196,11 +196,57 @@ def _gf2_reduced(y: int, basis: list[int]) -> int:
     return y
 
 
+def _gf3_add(p: int, m: int, yp: int, ym: int) -> tuple[int, int]:
+    """Sum of two GF(3) vectors, each packed as the masks of its +1 and -1
+    entries; a vector's negation swaps its masks. Every bit is added at once
+    (bitslicing)."""
+    return (
+        (p & ~(yp | ym)) | (yp & ~(p | m)) | (m & ym),
+        (m & ~(yp | ym)) | (ym & ~(p | m)) | (p & yp),
+    )
+
+
+def _gf3_reduced(p: int, m: int, basis: list[tuple[int, int, int]]) -> tuple[int, int]:
+    """The packed GF(3) vector (p, m) reduced by basis entries (lead, bp, bm)
+    with distinct leading bits, each +1 at its lead: (0, 0) exactly when the
+    vector lies in their span."""
+    for lead, bp, bm in basis:
+        if p & lead:
+            p, m = _gf3_add(p, m, bm, bp)
+        elif m & lead:
+            p, m = _gf3_add(p, m, bp, bm)
+    return p, m
+
+
+def _gf3_refutes(s0: int, rest: list[int], outside: list[str]) -> bool:
+    """Does some outside label t have t - s0 outside the GF(3) span of the
+    s - s0? A difference of labels has entries in {-1, 0, 1}: its +1 mask is
+    s & ~s0 and its -1 mask s0 & ~s."""
+    basis: list[tuple[int, int, int]] = []
+    for x in rest:
+        p, m = _gf3_reduced(x & ~s0, s0 & ~x, basis)
+        if p | m:
+            lead = 1 << ((p | m).bit_length() - 1)
+            basis.append((lead, p, m) if p & lead else (lead, m, p))
+    for lab in outside:
+        t = int(lab, 2)
+        if _gf3_reduced(t & ~s0, s0 & ~t, basis) != (0, 0):
+            return True
+    return False
+
+
+def _differences(labels: Iterable[str], s0: str) -> list[tuple[int, ...]]:
+    """The integer rows s - s0, entries in {-1, 0, 1}."""
+    return [tuple(int(a) - int(b) for a, b in zip(lab, s0)) for lab in labels]
+
+
 def _in_sign_lattice(support: Support, labels: Iterable[str]) -> bool:
     """Do the sign rows of the labels lie in Λ, the row lattice of the support's
-    sign rows? Only labels outside the support are tested. A label t whose
-    t ^ s0 leaves the GF(2) span of the s ^ s0 is refuted mod 2, and Λ is
-    brought to Hermite normal form only when every outside label passes."""
+    sign rows? Only labels outside the support are tested, each on Δ, the
+    integer span of the differences s - s0: (w_t, 1) lies in Λ exactly when
+    t - s0 lies in Δ. A label whose t - s0 leaves Δ's span mod 2 or mod 3 is
+    refuted there, with no form built. Only when every outside label passes
+    both is Δ, on its L-1 difference rows, brought to Hermite normal form."""
     own = set(support.labels)
     outside = [lab for lab in labels if lab not in own]
     if not outside:
@@ -210,14 +256,14 @@ def _in_sign_lattice(support: Support, labels: Iterable[str]) -> bool:
     for x in rest:
         if y := _gf2_reduced(x ^ s0, basis):
             basis.append(y)
-    if any(_gf2_reduced(int(lab, 2) ^ s0, basis) for lab in outside):
+    if any(_gf2_reduced(int(lab, 2) ^ s0, basis) for lab in outside) or _gf3_refutes(s0, rest, outside):
         return False
-    extra = sign_rows(outside)
-    rows = sign_rows(support)
+    first, *others = support.labels
+    rows = _differences(others, first)
     hnf = hermite_normal_form(rows)
     if not all(lattice_member(hnf, row) for row in rows):
-        raise InternalError("a sign row falls outside its own support's Hermite normal form")
-    return all(lattice_member(hnf, row) for row in extra)
+        raise InternalError("a label difference falls outside its own support's Hermite normal form")
+    return all(lattice_member(hnf, row) for row in _differences(outside, first))
 
 
 def compare_strata(support_a: Support, support_b: Support) -> str:
@@ -228,14 +274,15 @@ def compare_strata(support_a: Support, support_b: Support) -> str:
     of Λ, the integer row lattice of its sign rows (w_s, 1), so by Pontryagin
     duality G_a ⊆ G_b exactly when Λ_b ⊆ Λ_a: when every sign row of b lies
     in Λ_a. The verdict is decided on the lattices alone and no group is
-    solved. Each direction is first tested mod 2: w = 1 - 2s, so
-    Σ μ_s (w_s, 1) = (w_t, 1) exactly when Σ μ_s = 1 and Σ μ_s s = t, and a
-    sign row in Λ_S makes t an integer affine combination of S's labels. Mod 2,
-    t ^ s0 then lies in the GF(2) span of the s ^ s0 (s0 any label of S). A
-    label outside that span refutes the direction with no form built; only a
-    direction whose outside labels all pass brings Λ_a or Λ_b to Hermite
-    normal form. A nested pair b ⊂ a needs at most Λ_b's form and a's extra
-    rows reduced against it.
+    solved. Since w = 1 - 2s, Σ μ_s (w_s, 1) = (w_t, 1) exactly when Σ μ_s = 1
+    and Σ μ_s s = t, so a sign row lies in Λ_S exactly when t - s0 lies in
+    Δ_S, the integer span of the differences s - s0 (s0 any label of S).
+    Each direction is tested on Δ_S mod 2 (t ^ s0 in the GF(2) span of the
+    s ^ s0) and then mod 3 (the differences, entries in {-1, 0, 1}, packed as
+    two bit masks). A label outside either span refutes the direction with no
+    form built; only a direction whose outside labels pass both brings Δ_a or
+    Δ_b to Hermite normal form. A nested pair b ⊂ a needs at most Δ_b's form
+    and the differences of a's extra labels reduced against it.
     """
     if support_a.n != support_b.n:
         raise DimensionError("supports live on different qubit counts")

@@ -15,7 +15,7 @@ import math
 from operator import mul
 from typing import Iterable, NamedTuple, Sequence
 
-from .errors import DimensionError, InternalError
+from .errors import DimensionError, InputError, InternalError
 from .exactlinalg import IntMatrix, hermite_normal_form, lattice_member, normalize_int_vector, smith_normal_form
 from .states import PhaseVector, Support, Value, label_int, weight_vector
 
@@ -48,6 +48,11 @@ class DiagonalSymmetryGroup(Value):
         rows = tuple(characters)
         if any(len(row) != n + 1 for row in rows):
             raise DimensionError("character rows must have n+1 entries")
+        for row in rows:
+            # bool is a subclass of int, but True is not a character entry
+            if not {*map(type, row)} <= {int}:
+                bad = next(x for x in row if type(x) is not int)
+                raise InputError(f"character entries must be int, got {type(bad).__name__}")
         characters = hermite_normal_form(rows)
         if characters:
             dec = smith_normal_form(IntMatrix(characters))

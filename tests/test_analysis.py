@@ -1,7 +1,9 @@
 import cmath
+import itertools
 import math
 import random
 import sys
+from typing import Sequence
 
 import pytest
 
@@ -442,20 +444,26 @@ def test_compare_strata_solves_no_group(monkeypatch):
     assert [compare_strata(a, b) for a, b in pairs] == expected
 
 
-# 110 lies in the GF(2) affine span of b but its sign row is not in Λ_b:
-# a = b + {110} passes the parity test and needs Λ_b's Hermite form
-PARITY_PASSING_B = Support.from_labels(["000", "011", "101"])
-PARITY_PASSING_A = Support.from_labels(["000", "011", "101", "110"])
+# 011 = 001 + 010 - 000 is a member: a = b + {011} passes the mod-2 and mod-3
+# tests, so Λ_b's Hermite form is built, checked against b's own differences
+# and then reduces 011's difference
+MEMBER_B = Support.from_labels(["000", "001", "010"])
+MEMBER_A = Support.from_labels(["000", "001", "010", "011"])
+
+# 00010 lies in b's GF(2) and GF(3) affine spans but its sign row is not in
+# Λ_b: G_b has a Z8 factor where G_a has Z4, so only the form can refute it
+SPAN_PASSING_B = Support.from_labels(["00000", "01010", "01111", "10011", "10100", "11001"])
+SPAN_PASSING_A = Support.from_labels([*SPAN_PASSING_B.labels, "00010"])
 
 
 def test_compare_strata_self_check_trips_on_a_broken_form(monkeypatch):
     # with the last basis row of each Hermite form dropped, the lattice is too
-    # small to hold every sign row of its own support: exit 3, not a verdict.
-    # The pair passes the parity test, so the form is built and checked
+    # small to hold every difference row of its own support: exit 3, not a
+    # verdict. The pair passes both span tests, so the form is built and checked
     real = lusym.analysis.hermite_normal_form
     monkeypatch.setattr(lusym.analysis, "hermite_normal_form", lambda rows: real(rows)[:-1])
     with pytest.raises(InternalError, match="Hermite normal form"):
-        compare_strata(PARITY_PASSING_A, PARITY_PASSING_B)
+        compare_strata(MEMBER_A, MEMBER_B)
 
 
 def _counting_forms(monkeypatch) -> list:
@@ -479,42 +487,100 @@ def _gf2_affine_span(values: list[int]) -> set[int]:
     return span
 
 
-def _parity_cases():
-    # every support of n <= 3 against every label, and seeded supports of
-    # n = 4-8 against up to 16 labels
+def _gf3_affine_span(labels: Sequence[str]) -> set[tuple[int, ...]]:
+    # every s0 + (a GF(3) combination of the differences s - s0), by closure
+    s0, *rest = [tuple(map(int, lab)) for lab in labels]
+    span = {s0}
+    for s in rest:
+        d = [a - b for a, b in zip(s, s0)]
+        span |= {tuple((x + k * y) % 3 for x, y in zip(v, d)) for v in span for k in (1, 2)}
+    return span
+
+
+def _span_cases():
+    # every support of n <= 3 against every label, seeded supports of n = 4-8
+    # against up to 16 labels, and the span-passing b against every label
+    yield SPAN_PASSING_B, all_labels(5)
     for n in range(1, 4):
         labels = all_labels(n)
         for pick in range(1, 2 ** len(labels)):
             support = Support.from_labels(lab for i, lab in enumerate(labels) if pick >> i & 1)
-            yield from ((support, t) for t in labels)
+            yield support, labels
     rng = random.Random(2311)
     for _ in range(80):
         n = rng.randint(4, 8)
-        support = random_support(rng, n, n + 2)
-        yield from ((support, t) for t in rng.sample(all_labels(n), min(2**n, 16)))
+        yield random_support(rng, n, n + 2), rng.sample(all_labels(n), min(2**n, 16))
 
 
 def test_parity_test_never_refutes_a_lattice_member(monkeypatch):
-    # oracle: membership of t's sign row in the support's Hermite form; the
-    # form is built exactly for an outside label in the GF(2) affine span
+    # oracle: membership of t's sign row in the support's sign-row Hermite
+    # form; a form is built exactly for an outside label in both the GF(2)
+    # and the GF(3) affine span
     built = _counting_forms(monkeypatch)
     seen = set()
-    for support, t in _parity_cases():
-        member = lattice_member(hermite_normal_form(sign_rows(support)), sign_rows([t])[0])
-        in_span = int(t, 2) in _gf2_affine_span([int(s, 2) for s in support.labels])
-        assert not member or in_span
-        built.clear()
-        assert lusym.analysis._in_sign_lattice(support, [t]) == member
-        outside = t not in support.labels
-        assert bool(built) == (outside and in_span)
-        seen.add((outside, member, in_span))
-    # inside labels, outside members, parity passes that are not members, refutations
-    assert seen == {(False, True, True), (True, True, True), (True, False, True), (True, False, False)}
+    for support, labels in _span_cases():
+        hnf = hermite_normal_form(sign_rows(support))
+        span2 = _gf2_affine_span([int(s, 2) for s in support.labels])
+        span3 = _gf3_affine_span(support.labels)
+        for t in labels:
+            member = lattice_member(hnf, sign_rows([t])[0])
+            in2, in3 = int(t, 2) in span2, tuple(map(int, t)) in span3
+            assert not member or (in2 and in3)
+            built.clear()
+            assert lusym.analysis._in_sign_lattice(support, [t]) == member
+            outside = t not in support.labels
+            assert bool(built) == (outside and in2 and in3)
+            seen.add((outside, member, in2, in3))
+    # inside labels, outside members, passes of both tests that are not
+    # members, refutations mod 3 only, mod 2 only and by both
+    assert seen == {
+        (False, True, True, True),
+        (True, True, True, True),
+        (True, False, True, True),
+        (True, False, True, False),
+        (True, False, False, True),
+        (True, False, False, False),
+    }
+
+
+def _gf3_packed(v: Sequence[int]) -> tuple[int, int]:
+    # the masks of v's entries that are 1 and 2 mod 3, first entry highest
+    n = len(v)
+    return tuple(sum(1 << (n - 1 - i) for i, x in enumerate(v) if x % 3 == r) for r in (1, 2))
+
+
+def test_gf3_packed_sum_matches_integers_mod_3():
+    # every pair of vectors of length <= 4: x + y and x - y (y's masks swapped)
+    for n in range(1, 5):
+        vectors = list(itertools.product(range(3), repeat=n))
+        for x in vectors:
+            px, mx = _gf3_packed(x)
+            for y in vectors:
+                py, my = _gf3_packed(y)
+                assert lusym.analysis._gf3_add(px, mx, py, my) == _gf3_packed([a + b for a, b in zip(x, y)])
+                assert lusym.analysis._gf3_add(px, mx, my, py) == _gf3_packed([a - b for a, b in zip(x, y)])
+
+
+def test_gf3_test_never_refutes_a_lattice_member():
+    # the mod-3 test on its own, without the mod-2 test in front: oracle is
+    # membership of t's sign row in the support's sign-row Hermite form, and
+    # it refutes exactly the labels outside the GF(3) affine span
+    refuted = 0
+    for support, labels in _span_cases():
+        hnf = hermite_normal_form(sign_rows(support))
+        span3 = _gf3_affine_span(support.labels)
+        s0, *rest = (int(s, 2) for s in support.labels)
+        for t in labels:
+            refutes = lusym.analysis._gf3_refutes(s0, rest, [t])
+            assert not (refutes and lattice_member(hnf, sign_rows([t])[0]))
+            assert refutes == (tuple(map(int, t)) not in span3)
+            refuted += refutes
+    assert refuted > 100
 
 
 def test_compare_strata_parity_refutes_without_a_form(monkeypatch):
-    # pairs whose every direction is settled by inclusion or by the parity
-    # test still get the groups' verdict with no Hermite form allowed
+    # pairs whose every direction is settled by inclusion or by the span
+    # tests still get the groups' verdict with no Hermite form allowed
     ghz = Support.from_labels(["0000", "1111"])
     full = Support.from_labels(all_labels(4))
     w = Support.from_labels(["0001", "0010", "0100", "1000"])
@@ -537,14 +603,20 @@ def test_compare_strata_parity_refutes_without_a_form(monkeypatch):
 
 
 def test_compare_strata_parity_pass_still_reaches_the_form(monkeypatch):
-    # 110 passes the parity test but lies outside Λ_b: the form decides
+    # 00010 passes the mod-2 and mod-3 tests but lies outside Λ_b: the form,
+    # built on b's difference rows s - 00000, decides
     built = _counting_forms(monkeypatch)
-    a, b = PARITY_PASSING_A, PARITY_PASSING_B
+    a, b = SPAN_PASSING_A, SPAN_PASSING_B
+    differences = [tuple(map(int, s)) for s in b.labels[1:]]
     assert compare_strata(a, b) == _verdict_from_groups(a, b) == STRATA_A_CLOSURE_CONTAINS_B
-    assert built == [sign_rows(b)]
+    assert built == [differences]
     built.clear()
     assert compare_strata(b, a) == _verdict_from_groups(b, a) == STRATA_B_CLOSURE_CONTAINS_A
-    assert built == [sign_rows(b)]
+    assert built == [differences]
+    assert (solve_symmetry_group(b).finite_factors, solve_symmetry_group(a).finite_factors) == (
+        (2, 2, 2, 2, 8),
+        (2, 2, 2, 2, 4),
+    )
 
 
 def _moved_label(label: str, perm: list[int], mask: int) -> str:

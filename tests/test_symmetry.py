@@ -7,9 +7,11 @@ from operator import mul
 import numpy as np
 import pytest
 
+import lusym.symmetry
 from lusym import (
     DiagonalSymmetryGroup,
     DimensionError,
+    InputError,
     InternalError,
     PhaseVector,
     Support,
@@ -371,6 +373,20 @@ def test_predicates_run_no_smith_form(monkeypatch):
         assert [group_contains(g, h) for h in groups] == contains[i]
         assert [g == h for h in groups] == [contains[i][j] and contains[j][i] for j in range(len(groups))]
     assert any(g != h and group_contains(g, h) for g in groups for h in groups)
+
+
+def test_non_int_characters_are_refused_before_the_form(monkeypatch):
+    # a bool or a float entry is refused by the constructor itself, before any
+    # Hermite form runs on it, as a group file's entries are
+    def refuse(rows):
+        raise AssertionError("the Hermite form ran on the rows")
+
+    monkeypatch.setattr(lusym.symmetry, "hermite_normal_form", refuse)
+    for rows in ([[True, 1]], [[1, 0], [1.0, 1]]):
+        with pytest.raises(InputError, match="must be int"):
+            DiagonalSymmetryGroup(1, rows)
+    monkeypatch.undo()
+    assert DiagonalSymmetryGroup(1, [[1, 1]]).characters == ((1, 1),)
 
 
 def test_wrongly_sized_presentations_are_refused():
