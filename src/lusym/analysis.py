@@ -10,8 +10,8 @@ from operator import mul
 from typing import TYPE_CHECKING, Iterable, NamedTuple, Sequence
 
 from .errors import DimensionError, InputError, InternalError
-from .exactlinalg import hermite_normal_form, lattice_member
-from .states import PhaseVector, PureState, Support, validate_label
+from .exactlinalg import gf2_reduced, hermite_normal_form, lattice_member
+from .states import PhaseVector, PureState, Support
 from .symmetry import DiagonalSymmetryGroup, sign_rows, solve_symmetry_group
 
 if TYPE_CHECKING:
@@ -43,33 +43,24 @@ class SymmetryVerification(NamedTuple):
     checks: tuple[GeneratorCheck, ...]
 
 
-def _worst(deviations: list[float]) -> float:
-    # max() keeps a NaN only when it comes first, so test for one explicitly
-    if any(math.isnan(d) for d in deviations):
-        return math.nan
-    return max(deviations, default=0.0)
-
-
 def _deviation(psi: PureState, rows: Sequence[Sequence[int]], g: PhaseVector) -> float:
     """Largest |c - g.c| over psi's labels, whose sign rows are rows. A label's
-    turn t/d is exact, and a whole turn leaves c as it is: abs(c - c) is 0.0,
-    or NaN for a non-finite c."""
+    turn t/d is exact, and a whole turn leaves c as it is: abs(c - c) is 0.0."""
     deviations = []
     for row, c in zip(rows, psi.amplitudes.values()):
         t = sum(map(mul, row, g.nums)) % g.den
-        moved = c if t == 0 else c * cmath.exp(2j * math.pi * (t / g.den))
-        deviations.append(abs(c - moved))
-    return _worst(deviations)
+        deviations.append(0.0 if t == 0 else abs(c - c * cmath.exp(2j * math.pi * (t / g.den))))
+    return max(deviations)
 
 
 def _torus_deviation(psi: PureState, rows: Sequence[Sequence[int]], direction: Sequence[int]) -> float:
     """Largest |c - g.c| over psi's labels and every g = s.direction, s real.
     A label with m = row . direction = 0 is fixed by all of them; any other
     is sent to -c by s = 1/(2m), the farthest it can move."""
-    return _worst([
-        abs(c - c) if sum(map(mul, row, direction)) == 0 else abs(2 * c)
+    return max(
+        0.0 if sum(map(mul, row, direction)) == 0 else abs(2 * c)
         for row, c in zip(rows, psi.amplitudes.values())
-    ])
+    )
 
 
 def _require_tol(tol: float) -> None:
@@ -78,10 +69,8 @@ def _require_tol(tol: float) -> None:
 
 
 def require_normalized(psi: PureState, tol: float) -> None:
-    """Raise InputError unless tol is finite and > 0, each label has psi.n bits and the norm is 1 within tol."""
+    """Raise InputError unless tol is finite and > 0 and the norm is 1 within tol."""
     _require_tol(tol)
-    for label in psi.amplitudes:
-        validate_label(label, psi.n)
     if not psi.is_normalized(tol):
         raise InputError(
             f"state norm is {psi.norm():.12f}, not 1 within {tol:.0e}; normalize it first"
@@ -99,14 +88,14 @@ def verify_symmetry(
     if group.n != psi.n:
         raise DimensionError(f"group on {group.n} qubits, state on {psi.n}")
     _require_tol(tol)
-    rows = sign_rows(validate_label(label, psi.n) for label in psi.amplitudes)
+    rows = sign_rows(psi.amplitudes)
     checks = [
         GeneratorCheck("finite", i, _deviation(psi, rows, gen)) for i, gen in enumerate(group.finite_generators)
     ]
     checks += [
         GeneratorCheck("torus", i, _torus_deviation(psi, rows, vec)) for i, vec in enumerate(group.torus_basis)
     ]
-    max_dev = _worst([c.deviation for c in checks])
+    max_dev = max((c.deviation for c in checks), default=0.0)
     return SymmetryVerification(passed=max_dev <= tol, max_deviation=max_dev, tol=tol, checks=tuple(checks))
 
 
@@ -142,7 +131,7 @@ def _monomial_values(circuits: Iterable[BalancedCircuit], psi: PureState) -> tup
             f = factors.get(term)
             if f is None:
                 label, z = term
-                a = complex(psi.amplitudes[label])
+                a = psi.amplitudes[label]
                 f = factors[term] = a ** max(z, 0) * a.conjugate() ** max(-z, 0)
             value *= f
         values.append(value)
@@ -186,14 +175,6 @@ def analyze(psi: PureState, tol: float = DEFAULT_TOL) -> AnalysisReport:
         generic=generic,
         larger_symmetry_possible=any(abs(v) < GENERIC_FLOOR for v in defect_values),
     )
-
-
-def _gf2_reduced(y: int, basis: list[int]) -> int:
-    """y reduced by GF(2) basis masks with distinct leading bits, as in
-    normalizer._gf2_generators: 0 exactly when y lies in their span."""
-    for b in basis:
-        y = min(y, y ^ b)
-    return y
 
 
 def _gf3_add(p: int, m: int, yp: int, ym: int) -> tuple[int, int]:
@@ -254,9 +235,9 @@ def _in_sign_lattice(support: Support, labels: Iterable[str]) -> bool:
     s0, *rest = (int(lab, 2) for lab in support.labels)
     basis: list[int] = []
     for x in rest:
-        if y := _gf2_reduced(x ^ s0, basis):
+        if y := gf2_reduced(x ^ s0, basis):
             basis.append(y)
-    if any(_gf2_reduced(int(lab, 2) ^ s0, basis) for lab in outside) or _gf3_refutes(s0, rest, outside):
+    if any(gf2_reduced(int(lab, 2) ^ s0, basis) for lab in outside) or _gf3_refutes(s0, rest, outside):
         return False
     first, *others = support.labels
     rows = _differences(others, first)

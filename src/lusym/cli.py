@@ -228,10 +228,7 @@ def cmd_normalizer(args: argparse.Namespace) -> int:
 def cmd_verify(args: argparse.Namespace) -> int:
     psi = _state_from_args(args)
     require_normalized(psi, args.tolerance)
-    if args.group is not None:
-        group = load_group(_read_text(args.group), psi.n)
-    else:
-        group = solve_symmetry_group(psi.support())
+    group = load_group(_read_text(args.group), psi.n)
     result = verify_symmetry(psi, group, tol=args.tolerance)
     if args.json:
         sys.stdout.write(canonical_dumps(verification_to_dict(result)))
@@ -294,10 +291,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="check that a group fixes a state")
     _add_source_options(p, with_support=False)
     _add_format_options(p)
-    group_source = p.add_mutually_exclusive_group(required=True)
-    group_source.add_argument("--group", metavar="FILE", help="group JSON file")
-    group_source.add_argument("--from-support", action="store_true",
-                              help="solve the group from the state's own support")
+    p.add_argument("--group", required=True, metavar="FILE", help="group JSON file")
     p.add_argument("--tolerance", type=_tolerance, default=DEFAULT_TOL)
     p.set_defaults(func=cmd_verify)
 

@@ -1,11 +1,11 @@
 """Exact integer linear algebra.
 
-Smith normal form with both transformation matrices, and the row Hermite
-normal form with lattice membership. The Smith elimination carries only the
-column transform v; the row transform u is replayed on demand from a log of
-the row operations. Everything runs on Python ints; no floating point enters
-any routine in this module, so results are decidable and reproducible bit for
-bit.
+Smith normal form with both transformation matrices, the row Hermite normal
+form with lattice membership, and the reduction of bit masks over GF(2). The
+Smith elimination carries only the column transform v; the row transform u is
+replayed on demand from a log of the row operations. Everything runs on Python
+ints; no floating point enters any routine in this module, so results are
+decidable and reproducible bit for bit.
 """
 
 from __future__ import annotations
@@ -305,6 +305,14 @@ def lattice_member(hnf: Sequence[Sequence[int]], row: Sequence[int]) -> bool:
         if q:
             r = [x - q * y for x, y in zip(r, h)]
     return not any(r)
+
+
+def gf2_reduced(y: int, basis: Iterable[int]) -> int:
+    """The bit mask y reduced by GF(2) basis masks, each reduced by those
+    before it when it was added: 0 exactly when y lies in their span."""
+    for b in basis:
+        y = min(y, y ^ b)
+    return y
 
 
 def normalize_int_vector(v: Sequence[int]) -> tuple[int, ...]:

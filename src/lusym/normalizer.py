@@ -16,6 +16,7 @@ from __future__ import annotations
 from typing import NamedTuple
 
 from .errors import InternalError
+from .exactlinalg import gf2_reduced
 from .states import PureState, Support, label_int
 from .symmetry import DiagonalSymmetryGroup, QubitActionProfile, qubit_action_profile
 
@@ -32,10 +33,7 @@ def _gf2_generators(values: list[int]) -> list[int]:
     basis: list[int] = []
     gens: list[int] = []
     for x in values:
-        y = x
-        for b in basis:
-            y = min(y, y ^ b)
-        if y:
+        if y := gf2_reduced(x, basis):
             basis.append(y)
             gens.append(x)
     return gens
@@ -113,8 +111,8 @@ def balance_defects(psi: PureState) -> tuple[float, ...]:
     """
     plus = [0] * psi.n
     minus = [0] * psi.n
-    for label in sorted(psi.amplitudes, key=label_int):
-        weight = abs(psi.amplitude(label)) ** 2
+    for label, c in psi.amplitudes.items():
+        weight = abs(c) ** 2
         for k, bit in enumerate(label):
             if bit == "0":
                 plus[k] += weight

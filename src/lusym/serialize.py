@@ -81,7 +81,7 @@ def state_to_dict(psi: PureState) -> dict:
     return {
         "n": psi.n,
         "amplitudes": {
-            lab: [c.real, c.imag] for lab, c in sorted(psi.amplitudes.items())
+            lab: [c.real, c.imag] for lab, c in psi.amplitudes.items()
         },
     }
 
@@ -105,9 +105,8 @@ def state_from_dict(data: Mapping) -> PureState:
             all((_is_int(x) or isinstance(x, float)) and _finite(x) for x in pair),
             f"amplitude for {lab!r} must hold finite numbers",
         )
-        _require(len(lab) == n, f"label {lab!r} does not have n={n} bits")
         out[lab] = complex(re, im)
-    return PureState.from_amplitudes(out)
+    return PureState(n, out)
 
 
 def state_hash(psi: PureState) -> str:

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from typing import TYPE_CHECKING, Iterable, Mapping, NamedTuple
+from typing import TYPE_CHECKING, Iterable, Mapping
 
 from .errors import DimensionError, InputError
 
@@ -91,27 +91,34 @@ class Value:
         return f"{type(self).__name__}({fields})"
 
 
+def _width(labels: Iterable[str]) -> int:
+    """The bit count of the first label, which the others must share; 0 when
+    there is none, which the constructors refuse."""
+    for lab in labels:
+        return len(validate_label(lab))
+    return 0
+
+
 class Support(Value):
-    """A nonempty set of equal-length basis labels, stored sorted by value."""
+    """A nonempty set of distinct n-bit basis labels, stored sorted by value."""
 
     __slots__ = _key = ("n", "labels")
 
     def __init__(self, n: int, labels: Iterable[str]) -> None:
+        labels = tuple(labels)
+        if not labels:
+            raise InputError("support must contain at least one label")
+        for lab in labels:
+            validate_label(lab, n)
+        if len(set(labels)) != len(labels):
+            raise InputError("support labels must be distinct")
         self._set(n=n, labels=tuple(sorted(labels, key=label_int)))
 
     @classmethod
     def from_labels(cls, labels: Iterable[str]) -> "Support":
-        lst = list(labels)
-        if not lst:
-            raise InputError("support must contain at least one label")
-        for lab in lst:
-            validate_label(lab)
-        if len({len(lab) for lab in lst}) != 1:
-            raise DimensionError("support labels must all have the same length")
-        n = len(lst[0])
-        if len(set(lst)) != len(lst):
-            raise InputError("support labels must be distinct")
-        return cls(n=n, labels=lst)
+        """The support of these labels, on as many qubits as the first has bits."""
+        labels = list(labels)
+        return cls(_width(labels), labels)
 
     def __iter__(self):
         return iter(self.labels)
@@ -120,26 +127,22 @@ class Support(Value):
         return len(self.labels)
 
 
-class PureState(NamedTuple):
-    """Sparse pure state: mapping from basis labels to complex amplitudes."""
+class PureState(Value):
+    """Sparse pure state: a nonempty mapping from distinct n-bit basis labels
+    to complex amplitudes, each finite and of magnitude at least
+    AMPLITUDE_FLOOR, stored in label-value order. The labels are therefore
+    exactly the support, and every stage reads the amplitudes in support order."""
 
-    n: int
-    amplitudes: Mapping[str, complex]
+    __slots__ = _key = ("n", "amplitudes")
 
-    @classmethod
-    def from_amplitudes(cls, amps: Mapping[str, complex]) -> "PureState":
-        if not amps:
+    def __init__(self, n: int, amplitudes: Mapping[str, complex]) -> None:
+        if not amplitudes:
             raise InputError("state must have at least one amplitude")
-        items = dict(amps)
-        lengths = {len(lab) for lab in items}
-        for lab in items:
-            validate_label(lab)
-        if len(lengths) != 1:
-            raise DimensionError("state labels must all have the same length")
-        n = lengths.pop()
+        for lab in amplitudes:
+            validate_label(lab, n)
         clean: dict[str, complex] = {}
-        for lab in sorted(items, key=label_int):
-            c = complex(items[lab])
+        for lab in sorted(amplitudes, key=label_int):
+            c = complex(amplitudes[lab])
             if not cmath.isfinite(c):
                 raise InputError(f"amplitude for {lab!r} is {c}, not a finite number")
             if abs(c) < AMPLITUDE_FLOOR:
@@ -148,13 +151,18 @@ class PureState(NamedTuple):
                     f"{AMPLITUDE_FLOOR:.0e} floor; drop the label explicitly instead"
                 )
             clean[lab] = c
-        return cls(n=n, amplitudes=clean)
+        self._set(n=n, amplitudes=clean)
+
+    @classmethod
+    def from_amplitudes(cls, amps: Mapping[str, complex]) -> "PureState":
+        """The state with these amplitudes, on as many qubits as its first label has bits."""
+        return cls(_width(amps), amps)
 
     def support(self) -> Support:
-        return Support.from_labels(self.amplitudes.keys())
+        return Support(self.n, self.amplitudes)
 
     def amplitude(self, label: str) -> complex:
-        return complex(self.amplitudes.get(label, 0.0))
+        return self.amplitudes.get(label, 0j)
 
     def norm(self) -> float:
         try:
@@ -172,12 +180,18 @@ class PureState(NamedTuple):
     def scaled(self, factor: complex) -> "PureState":
         if abs(factor) == 0.0:
             raise InputError("cannot scale a state by zero")
-        return PureState.from_amplitudes({lab: factor * c for lab, c in self.amplitudes.items()})
+        return PureState(self.n, {lab: factor * c for lab, c in self.amplitudes.items()})
 
 
-def _check_den(den: int) -> None:
+def _checked(nums: Iterable[int], den: int) -> tuple[int, ...]:
+    """nums as a tuple, once every entry and den are int (bool is not) and den >= 1."""
+    nums = tuple(nums)
+    for x in (*nums, den):
+        if type(x) is not int:
+            raise InputError(f"phase numerators and den must be int, got {type(x).__name__}")
     if den < 1:
         raise InputError(f"phase denominator den must be >= 1, got {den}")
+    return nums
 
 
 class PhaseVector(Value):
@@ -193,8 +207,7 @@ class PhaseVector(Value):
     __slots__ = _key = ("nums", "den")
 
     def __init__(self, nums: Iterable[int], den: int) -> None:
-        _check_den(den)
-        nums = tuple(nums)
+        nums = _checked(nums, den)
         if math.gcd(den, *nums) != 1:
             raise InputError(f"phase numerators {nums} over {den} are not in lowest terms")
         if not all(0 <= x < den for x in nums):
@@ -225,8 +238,7 @@ class PhaseVector(Value):
     @classmethod
     def from_numerators(cls, nums: Iterable[int], den: int) -> "PhaseVector":
         """The element with turns nums[i] / den, each reduced to [0, 1)."""
-        _check_den(den)
-        reduced = [x % den for x in nums]
+        reduced = [x % den for x in _checked(nums, den)]
         common = math.gcd(den, *reduced)
         return cls(tuple(x // common for x in reduced), den // common)
 

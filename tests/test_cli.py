@@ -72,9 +72,12 @@ def test_normalizer_json_schema(capsys, schema_validator):
     assert "torus_group" not in payload
 
 
-def test_verify_from_support(capsys, schema_validator):
+def test_verify_from_support(capsys, tmp_path, schema_validator):
+    # the group solved from the state's own support, handed over as a file
+    group_file = tmp_path / "group.json"
+    group_file.write_text(dump_group(solve_symmetry_group(fixture_state("w5").support())))
     code, out, _ = run_cli(
-        capsys, "verify", "--fixture", "w5", "--from-support", "--json"
+        capsys, "verify", "--fixture", "w5", "--group", str(group_file), "--json"
     )
     assert code == 0
     payload = json.loads(out)
@@ -192,7 +195,7 @@ def test_verify_needs_a_group_source(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["verify", "--fixture", "bell"])
     assert exc.value.code == 2
-    assert "from-support" in capsys.readouterr().err
+    assert "required: --group" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(
@@ -201,9 +204,9 @@ def test_verify_needs_a_group_source(capsys):
         (["analyze", "--input", "s.json", "--fixture", "ghz3"], ("--input", "--fixture")),
         (["circuits", "--support", "000,111", "--fixture", "bell"], ("--support", "--fixture")),
         (["normalizer", "--input", "s.json", "--support", "00,11"], ("--input", "--support")),
-        (["verify", "--fixture", "bell", "--group", "g.json", "--from-support"], ("--group", "--from-support")),
+        (["verify", "--input", "s.json", "--fixture", "bell", "--group", "g.json"], ("--input", "--fixture")),
     ],
-    ids=["analyze-input-fixture", "circuits-support-fixture", "normalizer-input-support", "verify-group-from-support"],
+    ids=["analyze-input-fixture", "circuits-support-fixture", "normalizer-input-support", "verify-input-fixture"],
 )
 def test_conflicting_sources_are_refused(capsys, argv, names):
     with pytest.raises(SystemExit) as exc:
@@ -293,9 +296,11 @@ def test_verify_rejects_nan_state_under_any_hash_seed(tmp_path):
     # this file passed verification under hash seed 2 and failed under 1
     state_file = tmp_path / "nan.json"
     state_file.write_text('{"n": 2, "amplitudes": {"00": [NaN, 0.0], "11": [0.7071067811865476, 0.0]}}')
+    group_file = tmp_path / "group.json"
+    group_file.write_text(dump_group(solve_symmetry_group(Support.from_labels(["00", "11"]))))
     for seed in ("1", "2"):
         result = subprocess.run(
-            [sys.executable, "-m", "lusym.cli", "verify", "--input", str(state_file), "--from-support"],
+            [sys.executable, "-m", "lusym.cli", "verify", "--input", str(state_file), "--group", str(group_file)],
             capture_output=True,
             text=True,
             timeout=60,
@@ -317,7 +322,7 @@ def test_verify_rejects_nan_state_under_any_hash_seed(tmp_path):
 def test_check_options_refuse_vacuous_values(capsys, flag, value, command):
     argv = [command, "--fixture", "bell", flag, value]
     if command == "verify":
-        argv.append("--from-support")
+        argv += ["--group", "g.json"]
     with pytest.raises(SystemExit) as exc:
         main(argv)
     assert exc.value.code == 2
@@ -334,12 +339,16 @@ def test_analyze_refuses_removed_options(capsys, flag, value):
     assert flag in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("flag, value", [("--samples", "3"), ("--seed", "1")])
+@pytest.mark.parametrize(
+    "flag, value", [("--samples", "3"), ("--seed", "1"), pytest.param("--from-support", None, id="--from-support")]
+)
 def test_verify_refuses_removed_options(capsys, flag, value):
     # verify decides exactly, one check per generator and torus direction;
-    # these options only sized and seeded a random torus sample
+    # --samples and --seed only sized and seeded a random torus sample, and
+    # --from-support checked the group whose exact self-check the solve had
+    # just passed, so its every deviation was 0.0
     with pytest.raises(SystemExit) as exc:
-        main(["verify", "--fixture", "bell", "--from-support", flag, value])
+        main(["verify", "--fixture", "bell", "--group", "g.json", flag] + ([value] if value else []))
     assert exc.value.code == 2
     assert flag in capsys.readouterr().err
 
@@ -365,9 +374,9 @@ def test_unnormalized_state_rejected(capsys, tmp_path):
     assert "norm" in err
 
 
-@pytest.mark.parametrize("argv", [["analyze"], ["verify", "--from-support"]])
+@pytest.mark.parametrize("argv", [["analyze"], ["verify", "--group", "g.json"]])
 def test_labels_off_the_qubit_count_exit_2(capsys, monkeypatch, argv):
-    # no state file reaches this state, so the library one is handed over
+    # the library refuses this state where it is built, inside the command
     monkeypatch.setattr(lusym.cli, "_state_from_args", lambda args: PureState(2, {"0": 1}))
     code, _, err = run_cli(capsys, *argv, "--fixture", "bell")
     assert code == 2
@@ -470,15 +479,17 @@ def _loaded_modules(argv: list[str]) -> set[str]:
     "argv",
     [
         ["compare", "--support-a", "00,11", "--support-b", "00"],
-        ["verify", "--fixture", "ghz4", "--from-support"],
+        ["verify", "--input", "STATE", "--group", "GROUP", "--json"],
         ["verify", "--fixture", "ghz4", "--group", "GROUP"],
     ],
-    ids=["compare", "verify-from-support", "verify-group-file"],
+    ids=["compare", "verify-input-json", "verify-group-file"],
 )
 def test_compare_and_verify_load_no_circuit_code(tmp_path, argv):
-    group_file = tmp_path / "g.json"
-    group_file.write_text(dump_group(solve_symmetry_group(fixture_state("ghz4").support())))
-    loaded = _loaded_modules([str(group_file) if a == "GROUP" else a for a in argv])
+    psi = fixture_state("ghz4")
+    files = {"STATE": tmp_path / "s.json", "GROUP": tmp_path / "g.json"}
+    files["STATE"].write_text(dump_state(psi))
+    files["GROUP"].write_text(dump_group(solve_symmetry_group(psi.support())))
+    loaded = _loaded_modules([str(files[a]) if a in files else a for a in argv])
     assert "lusym.analysis" in loaded
     assert not loaded & {"lusym.circuits", "lusym.invariants", "lusym.normalizer"}
     assert not loaded & UNNEEDED_AT_START_UP

@@ -194,7 +194,7 @@ def test_defects_equal_the_two_sums_bit_for_bit():
         states.append(random_state_on(rng, random_support(rng, rng.randint(1, 8), 12)))
     # qubit 3 is 0 on every label, so its bit-1 sum is empty
     states.append(random_state_on(rng, Support.from_labels(["000", "110", "100", "010"])))
-    # a state built directly keeps its dict order; the sums still run in support order
+    # a state built from a reversed dict is stored, and summed, in support order too
     forward = random_state_on(rng, random_support(rng, 5, 12, min_labels=6))
     states.append(PureState(forward.n, dict(reversed(list(forward.amplitudes.items())))))
     for psi in states:

@@ -251,7 +251,7 @@ def test_torus_point_matches_fraction_accumulation():
 
 def test_apply_phase_element_checks_labels():
     g = PhaseVector.make([Fraction(1, 4), 0], 0)
-    # built directly, so the labels were never validated
+    # such states are refused where they are built, before the element sees them
     with pytest.raises(DimensionError):
         apply_phase_element(g, PureState(2, {"0": 1.0}))
     with pytest.raises(InputError) as excinfo:

@@ -5,6 +5,7 @@ are immutable, compare and hash by value, and survive pickle and deepcopy.
 
 import ast
 import copy
+import math
 import pathlib
 import pickle
 
@@ -14,6 +15,7 @@ from lusym import (
     InputError,
     InvariantMonomial,
     PhaseVector,
+    PureState,
     Support,
     analyze,
     enumerate_circuits,
@@ -108,6 +110,22 @@ def test_support_iterates_measures_and_contains_its_labels():
         lambda: InvariantMonomial((("00", 1, 0), ("00", 0, 1))),
         lambda: InvariantMonomial((("11", 1, 0), ("00", 0, 1))),
         lambda: InvariantMonomial((("00", 1, 0), ("111", 0, 1))),
+        lambda: PhaseVector((True, 0, 1), 2),
+        lambda: PhaseVector((0.5, 0, 1), 2),
+        lambda: PhaseVector((1, 0, 1), 2.0),
+        lambda: PhaseVector.from_numerators((True, 0, 1), 2),
+        lambda: PhaseVector.from_numerators((1.0, 0, 1), 2),
+        lambda: PhaseVector.from_numerators((1, 0, 1), 2.0),
+        lambda: PureState(2, {"00": 1, "11": 0}),
+        lambda: PureState(2, {"00": math.nan, "11": 1}),
+        lambda: PureState(2, {"00": complex(0, math.inf)}),
+        lambda: PureState(2, {"00": 1, "1": 1}),
+        lambda: PureState(2, {"00": 1, "2x": 1}),
+        lambda: PureState(2, {}),
+        lambda: Support(2, []),
+        lambda: Support(2, ["00", "11", "00"]),
+        lambda: Support(2, ["00", "1"]),
+        lambda: Support(2, ["00", "2x"]),
     ],
 )
 def test_value_constructors_refuse_bad_input(build):
@@ -122,22 +140,26 @@ def test_value_constructors_refuse_bad_input(build):
         (Support(2, ["11", "00"]), Support.from_labels(["00", "11"])),
         (InvariantMonomial([("00", 1, 1)]), InvariantMonomial((("00", 1, 1),))),
         (InvariantMonomial([["00", 1, 0], ["11", 0, 1]]), InvariantMonomial((("00", 1, 0), ("11", 0, 1)))),
+        (PureState(2, {"11": 0.6, "00": 0.8}), PureState.from_amplitudes({"00": 0.8, "11": 0.6})),
     ],
-    ids=["PhaseVector", "Support", "InvariantMonomial", "InvariantMonomial-list-terms"],
+    ids=["PhaseVector", "Support", "InvariantMonomial", "InvariantMonomial-list-terms", "PureState-reversed"],
 )
 def test_list_arguments_build_the_tuple_built_value(built, expected):
-    # the constructors store tuples, and a Support sorts its labels by value
-    assert built == expected and hash(built) == hash(expected)
-    assert repr(built) == repr(expected)
-    clone = pickle.loads(pickle.dumps(built))
-    assert clone == expected and hash(clone) == hash(expected)
+    # the constructors store tuples, a Support sorts its labels by value and a
+    # PureState its amplitudes; a PureState holds a dict, so it has no hash
+    for value in (built, pickle.loads(pickle.dumps(built))):
+        assert value == expected and repr(value) == repr(expected)
+        if not isinstance(value, PureState):
+            assert hash(value) == hash(expected)
 
 
-# recorded before the records and value types stopped being dataclasses
+# recorded before the records and value types stopped being dataclasses, and
+# PureState's before it stopped being a NamedTuple
 PINNED_REPRS = {
     "GeneratorCheck": "GeneratorCheck(kind='finite', index=0, deviation=0.0)",
     "BalancedCircuit": "BalancedCircuit(member_labels=('0000', '1111'), relation=(1, 1))",
     "PhaseVector": "PhaseVector(nums=(1, 0, 1), den=2)",
+    "PureState": "PureState(n=2, amplitudes={'00': (0.7071067811865475+0j), '11': (0.7071067811865475+0j)})",
     "DiagonalSymmetryGroup": (
         "DiagonalSymmetryGroup(n=4, characters=((1, 1, 1, 1, 1), (0, 0, 0, 0, 2)), "
         "torus_basis=((1, 0, -1, 0, 0), (1, 0, 0, -1, 0), (1, -1, 0, 0, 0)), "
@@ -152,6 +174,7 @@ def test_reprs_are_unchanged():
         "GeneratorCheck": GeneratorCheck("finite", 0, 0.0),
         "BalancedCircuit": enumerate_circuits(ghz4).circuits[0],
         "PhaseVector": PhaseVector((1, 0, 1), 2),
+        "PureState": fixture_state("bell"),
         "DiagonalSymmetryGroup": solve_symmetry_group(ghz4),
     }
     assert {name: repr(obj) for name, obj in got.items()} == PINNED_REPRS
