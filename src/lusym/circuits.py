@@ -36,7 +36,7 @@ from operator import mul
 from typing import NamedTuple
 
 from .errors import InternalError
-from .exactlinalg import normalize_int_vector
+from .exactlinalg import hermite_normal_form, normalize_int_vector
 from .states import Support, weight_vector
 
 _COMPLEMENT = str.maketrans("01", "10")
@@ -110,40 +110,30 @@ def single_sl_generator_check(catalog: CircuitCatalog) -> SlGeneratorReport:
         ),
     )
 
-def _eliminate(x: list[int], v: list[int], p: int) -> list[int]:
-    """x with entry p cleared by a fraction-free step against v (v[p] != 0),
-    divided by the gcd of its entries so they stay small."""
-    a, b = v[p], x[p]
-    out = [a * s - b * t for s, t in zip(x, v)]
-    g = gcd(*out)
-    return [s // g for s in out] if g > 1 else out
-
 
 def _systematic_kernel(
     vectors: list[tuple[int, ...]],
 ) -> tuple[list[int], list[int], int, list[list[int]]]:
     """Pivot columns P, free columns F, D and Q with ker A = {y : y_F = D*c, y_P = Q*c}.
 
-    A has the given vectors as its columns; its fraction-free reduced row
-    echelon form has pivot d_i in column P[i] and R[i][m] = a[i][F[m]] / d_i.
+    A has the given vectors as its columns. Its Hermite normal form, with the
+    entries above each pivot cleared bottom up by fraction-free steps and each
+    row divided by the gcd of its entries, is the primitive integer reduced
+    row echelon form: pivot d_i in column P[i] and R[i][m] = a[i][F[m]] / d_i.
     """
-    n, L = len(vectors[0]), len(vectors)
-    a = [[vectors[j][i] for j in range(L)] for i in range(n)]
-    pivots: list[int] = []
-    for col in range(L):
-        r = len(pivots)
-        if r == n:
-            break
-        p = next((i for i in range(r, n) if a[i][col]), None)
-        if p is None:
-            continue
-        a[r], a[p] = a[p], a[r]
-        for i in range(n):
-            if i != r and a[i][col]:
-                a[i] = _eliminate(a[i], a[r], col)
-        pivots.append(col)
+    a = list(hermite_normal_form(zip(*vectors)))
+    pivots = [next(j for j, x in enumerate(h) if x) for h in a]
+    for i in reversed(range(len(a))):
+        v, p = a[i], pivots[i]
+        g = gcd(*v)
+        if g > 1:
+            v = a[i] = [x // g for x in v]
+        for k in range(i):
+            b = a[k][p]
+            if b:
+                a[k] = [v[p] * s - b * t for s, t in zip(a[k], v)]
     is_pivot = set(pivots)
-    free = [j for j in range(L) if j not in is_pivot]
+    free = [j for j in range(len(vectors)) if j not in is_pivot]
     D = lcm(*(a[i][col] for i, col in enumerate(pivots)))
     Q = [[-a[i][f] * (D // a[i][col]) for f in free] for i, col in enumerate(pivots)]
     return pivots, free, D, Q

@@ -102,7 +102,8 @@ def compute_normalizer(support: Support, group: DiagonalSymmetryGroup) -> Normal
 def balance_defects(psi: PureState) -> tuple[float, ...]:
     """Per-qubit balance defects: entry k-1 is sum_s (-1)^{s_k} |c_s|^2, the
     k-th component of the moment map of the diagonal torus. It vanishes exactly
-    when qubit k's reduced state is maximally mixed.
+    when <0|rho_k|0> = <1|rho_k|1> for qubit k's reduced state rho_k, which may
+    keep off-diagonal terms: qubit 2 of |0>|+> has defect 0 but a pure rho_2.
 
     One pass over the labels in support order feeds two sums per qubit, over
     bit k = 0 and over bit k = 1, each starting from 0. Their difference is

@@ -91,6 +91,27 @@ class Value:
         return f"{type(self).__name__}({fields})"
 
 
+def _check_n(n: int) -> None:
+    if type(n) is not int:
+        raise InputError(f"qubit count n must be int, got {type(n).__name__}")
+
+
+class _ReadOnlyDict(dict):
+    """A dict whose mutators raise, so a state's amplitudes stay the ones its
+    constructor checked. Pickling rebuilds it from a plain dict, since
+    unpickling a dict subclass would otherwise fill it by __setitem__."""
+
+    __slots__ = ()
+
+    def _refuse(self, *args, **kwargs):
+        raise TypeError("a state's amplitudes are read-only; build a new PureState instead")
+
+    __setitem__ = __delitem__ = clear = pop = popitem = setdefault = update = __ior__ = _refuse
+
+    def __reduce__(self):
+        return type(self), (dict(self),)
+
+
 def _width(labels: Iterable[str]) -> int:
     """The bit count of the first label, which the others must share; 0 when
     there is none, which the constructors refuse."""
@@ -105,6 +126,7 @@ class Support(Value):
     __slots__ = _key = ("n", "labels")
 
     def __init__(self, n: int, labels: Iterable[str]) -> None:
+        _check_n(n)
         labels = tuple(labels)
         if not labels:
             raise InputError("support must contain at least one label")
@@ -130,12 +152,14 @@ class Support(Value):
 class PureState(Value):
     """Sparse pure state: a nonempty mapping from distinct n-bit basis labels
     to complex amplitudes, each finite and of magnitude at least
-    AMPLITUDE_FLOOR, stored in label-value order. The labels are therefore
-    exactly the support, and every stage reads the amplitudes in support order."""
+    AMPLITUDE_FLOOR, stored in label-value order in a read-only dict. The
+    labels are therefore exactly the support, and every stage reads the
+    amplitudes in support order."""
 
     __slots__ = _key = ("n", "amplitudes")
 
     def __init__(self, n: int, amplitudes: Mapping[str, complex]) -> None:
+        _check_n(n)
         if not amplitudes:
             raise InputError("state must have at least one amplitude")
         for lab in amplitudes:
@@ -151,7 +175,7 @@ class PureState(Value):
                     f"{AMPLITUDE_FLOOR:.0e} floor; drop the label explicitly instead"
                 )
             clean[lab] = c
-        self._set(n=n, amplitudes=clean)
+        self._set(n=n, amplitudes=_ReadOnlyDict(clean))
 
     @classmethod
     def from_amplitudes(cls, amps: Mapping[str, complex]) -> "PureState":

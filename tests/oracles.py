@@ -6,6 +6,9 @@ live free coordinates, a depth-first search for greedy bases of the dual rows
 over all t coordinates, with gcd-normalized directions at the last level and
 a null vector by back-substitution. It searches complement pairs s, s XOR 1^n
 like any other labels. The package's search must return the same catalog.
+Its kernel, `_systematic_kernel(vectors)`, a fraction-free Gauss-Jordan
+elimination, is the reference for the package's kernel, which reads the
+Hermite normal form instead: both must return the same P, F, D and Q.
 
 `apply_phase_element(g, psi)` moves a state by a phase element in floating
 point, the reference for `verify_symmetry`'s finite checks. `evaluate_exact`

@@ -1,7 +1,9 @@
 import cmath
 import itertools
 import math
+import pathlib
 import random
+import re
 import sys
 from typing import Sequence
 
@@ -696,3 +698,15 @@ def test_analysis_is_equivariant_under_permutation_and_flips(kind):
             assert math.isclose(value, expected, rel_tol=1e-9, abs_tol=1e-12)
         # groups are canonical: the image's group is the moved group itself
         assert after.group == _moved_group(before.group, perm, mask)
+
+
+def test_readme_examples_run():
+    # README.md's python blocks, in order and in one namespace: the second
+    # reads the first's `report`
+    readme = (pathlib.Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    blocks = re.findall(r"^```python\n(.*?)^```$", readme, flags=re.DOTALL | re.MULTILINE)
+    assert len(blocks) == 2
+    namespace: dict = {}
+    for block in blocks:
+        exec(compile(block, "README.md", "exec"), namespace)
+    assert namespace["report"].verification.passed

@@ -11,10 +11,26 @@ from lusym import (
     group_contains,
     solve_symmetry_group,
 )
+from lusym.circuits import _systematic_kernel
 from lusym.states import weight_vector
 
 from conftest import all_labels, brute_force_circuit_members, complement_rich_support, random_support
+from oracles import _systematic_kernel as gauss_jordan_070
 from oracles import circuits_070
+
+
+def test_kernel_matches_the_070_gauss_jordan():
+    # the reduced row echelon form read off the Hermite normal form has the
+    # 0.7.0 Gauss-Jordan's rows up to sign once each is primitive, so P, F, D
+    # and Q agree; a Hermite row left imprimitive changes D and Q
+    rng = random.Random(1237)
+    supports = [random_support(rng, rng.randint(1, 10), 22, min_labels=1) for _ in range(1000)]
+    supports += [Support.from_labels(format(1 << i, f"0{n}b") for i in range(n)) for n in (10, 11, 12)]
+    supports += [Support.from_labels(all_labels(n)) for n in (5, 6)]
+    supports += [complement_rich_support(rng, n, 14, rng.randint(3, 6)) for n in (6, 7, 8)]
+    for sup in supports:
+        vectors = [weight_vector(label) for label in sup.labels]
+        assert _systematic_kernel(vectors) == gauss_jordan_070(vectors), sup.labels
 
 
 def test_bell_circuit():

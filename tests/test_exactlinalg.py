@@ -46,6 +46,10 @@ def test_intmatrix_basic_ops():
     a = IntMatrix([[1, 2], [3, 4]])
     assert a.rows == 2 and a.cols == 2
     assert IntMatrix.identity(2).row_tuples() == ((1, 0), (0, 1))
+    assert a == IntMatrix([(1, 2), (3, 4)]) and hash(a) == hash(IntMatrix([(1, 2), (3, 4)]))
+    assert IntMatrix([[1, 2]]) != IntMatrix([[1, 3]])
+    assert a != IntMatrix([[1, 2, 3, 4]])
+    assert a != ((1, 2), (3, 4))
 
 
 def test_smith_1x1():

@@ -17,6 +17,7 @@ from lusym import (
     reduced_density_matrix,
     solve_symmetry_group,
 )
+from lusym.normalizer import balance_defects
 from lusym.states import label_int, validate_label, weight_vector, xor_labels
 
 from conftest import random_coset_support, random_element, random_state_on, random_support, torus_point
@@ -286,6 +287,8 @@ def test_rdm_off_diagonal():
     psi = PureState.from_amplitudes({"00": a, "01": a})
     rho = reduced_density_matrix(psi, 2)
     assert np.allclose(rho, [[0.5, 0.5], [0.5, 0.5]])
+    # a balanced diagonal, not a maximally mixed state, is what zeroes a defect
+    assert balance_defects(psi)[1] == 0.0
 
 
 def test_rdm_random_properties():

@@ -77,6 +77,27 @@ def test_values_are_immutable_and_round_trip(name):
         assert hash(pickle.loads(pickle.dumps(obj))) == hash(obj)
 
 
+def test_state_amplitudes_are_read_only():
+    # a write would skip the constructor's checks: GHZ_3 rewritten to |000>
+    # kept its norm and was analyzed with GHZ_3's torus rank, 2 instead of 3
+    psi = fixture_state("ghz3")
+    amps = psi.amplitudes
+    writes = [
+        lambda: amps.__setitem__("111", 0j),
+        lambda: amps.__delitem__("111"),
+        amps.clear,
+        lambda: amps.pop("111"),
+        amps.popitem,
+        lambda: amps.setdefault("010", 1j),
+        lambda: amps.update({"111": 0j}),
+        lambda: amps.__ior__({"111": 0j}),
+    ]
+    for write in writes:
+        with pytest.raises(TypeError):
+            write()
+    assert psi == fixture_state("ghz3")
+
+
 def test_equal_groups_from_different_rows_are_equal_and_hash_alike():
     ghz = solve_symmetry_group(Support.from_labels(["0000", "1111"]))
     # the same character lattice, spanned by other rows
@@ -126,6 +147,8 @@ def test_support_iterates_measures_and_contains_its_labels():
         lambda: Support(2, ["00", "11", "00"]),
         lambda: Support(2, ["00", "1"]),
         lambda: Support(2, ["00", "2x"]),
+        lambda: PureState(2.0, {"00": 0.6, "11": 0.8}),
+        lambda: Support(True, ["0", "1"]),
     ],
 )
 def test_value_constructors_refuse_bad_input(build):
