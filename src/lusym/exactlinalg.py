@@ -1,76 +1,56 @@
 """Exact integer linear algebra.
 
 Smith normal form with both transformation matrices, the row Hermite normal
-form with lattice membership, and the reduction of bit masks over GF(2). The
-Smith elimination carries only the column transform v; the row transform u is
-replayed on demand from a log of the row operations. Everything runs on Python
-ints; no floating point enters any routine in this module, so results are
-decidable and reproducible bit for bit.
+form with lattice membership, and the reduction of bit masks over GF(2). An
+IntMatrix is a tuple of equal-length rows of int, and require_ints is the one
+check of int entries across the package: a bool or another int subclass is
+refused. The Smith elimination carries only the column transform v and logs
+its row operations; a SmithDecomposition keeps the invariant factors, v's
+columns and that log, and builds u, d and v from them each time one is read.
+Everything runs on Python ints; no floating point enters any routine in this
+module, so results are decidable and reproducible bit for bit.
 """
 
 from __future__ import annotations
 
+from itertools import chain
 from math import gcd
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .errors import InputError
 
 
-_INT_ONLY = {int}
+def require_ints(values: Iterable, what: str) -> None:
+    """Refuse with InputError any value whose type is not exactly int: True is
+    no integer entry, and an int subclass may print or compute unlike an int."""
+    types = {*map(type, values)}
+    if not types <= {int}:
+        got = ", ".join(sorted(t.__name__ for t in types - {int}))
+        raise InputError(f"{what} must be int, got {got}")
 
 
-class IntMatrix:
-    """Immutable dense matrix of arbitrary-precision integers."""
+class IntMatrix(tuple):
+    """Immutable dense integer matrix: a nonempty tuple of equal-length,
+    nonempty rows of int. Equality and hashing are those of the tuple of rows."""
 
-    __slots__ = ("_data",)
+    __slots__ = ()
 
-    def __init__(self, rows: Iterable[Sequence[int]]):
-        data = []
-        for row in rows:
-            if {*map(type, row)} <= _INT_ONLY:
-                data.append(tuple(row))
-                continue
-            for x in row:
-                if not isinstance(x, int):
-                    raise InputError(f"matrix entries must be int, got {type(x).__name__}")
-            data.append(tuple(int(x) for x in row))
-        if not data or not data[0]:
+    def __new__(cls, rows: Iterable[Sequence[int]]) -> "IntMatrix":
+        rows = tuple(map(tuple, rows))
+        if not rows or not rows[0]:
             raise InputError("matrix must have at least one row and one column")
-        width = len(data[0])
-        if any(len(r) != width for r in data):
+        width = len(rows[0])
+        if any(len(r) != width for r in rows):
             raise InputError("matrix rows must all have the same length")
-        self._data: tuple[tuple[int, ...], ...] = tuple(data)
-
-    @classmethod
-    def _of_rows(cls, data: tuple[tuple[int, ...], ...]) -> "IntMatrix":
-        """Wrap rows this module has just computed, without re-checking them."""
-        self = object.__new__(cls)
-        self._data = data
-        return self
+        require_ints(chain.from_iterable(rows), "matrix entries")
+        return super().__new__(cls, rows)
 
     @classmethod
     def identity(cls, n: int) -> "IntMatrix":
         return cls([[1 if i == j else 0 for j in range(n)] for i in range(n)])
 
-    @property
-    def rows(self) -> int:
-        return len(self._data)
-
-    @property
-    def cols(self) -> int:
-        return len(self._data[0])
-
     def row_tuples(self) -> tuple[tuple[int, ...], ...]:
-        return self._data
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, IntMatrix) and self._data == other._data
-
-    def __hash__(self) -> int:
-        return hash(self._data)
-
-    def __repr__(self) -> str:
-        return f"IntMatrix({[list(r) for r in self._data]!r})"
+        return tuple(self)
 
 
 # Row operations of one elimination, in order: (_SWAP, i, k) swaps rows i and
@@ -78,75 +58,46 @@ class IntMatrix:
 _SWAP, _SUB, _NEG = range(3)
 
 
-class SmithDecomposition:
-    """Unimodular u, v and diagonal d with u a v = d.
+class SmithDecomposition(NamedTuple):
+    """Unimodular u, v and diagonal d with u a v = d, for a of row_count rows.
 
-    The solver reads only v's columns and the invariant factors. u is replayed
-    from the elimination's row operations, and u, d and v are wrapped as
-    IntMatrix, the first time each is read.
+    invariant_factors are the nonzero diagonal entries of d, in order, and
+    v_columns the columns of v; the solver reads only these two. u, d and v
+    are built anew on each read, u by replaying row_ops, the elimination's
+    row operations, on the identity. row_count is kept because a zero matrix
+    logs no operation to read it from.
     """
 
-    __slots__ = ("_factors", "_v_columns", "_shape", "_row_ops", "_u", "_d", "_v")
-
-    def __init__(
-        self,
-        factors: tuple[int, ...],
-        v_columns: tuple[tuple[int, ...], ...],
-        shape: tuple[int, int],
-        row_ops: list[tuple[int, ...]],
-    ):
-        self._factors = factors
-        self._v_columns = v_columns
-        self._shape = shape
-        self._row_ops = row_ops
-        self._u = self._d = self._v = None
-
-    @property
-    def invariant_factors(self) -> tuple[int, ...]:
-        """The nonzero diagonal entries of d, in order."""
-        return self._factors
-
-    @property
-    def v_columns(self) -> tuple[tuple[int, ...], ...]:
-        """The columns of v."""
-        return self._v_columns
-
-    @property
-    def rank(self) -> int:
-        return len(self.invariant_factors)
+    invariant_factors: tuple[int, ...]
+    v_columns: tuple[tuple[int, ...], ...]
+    row_count: int
+    row_ops: tuple[tuple[int, ...], ...]
 
     @property
     def u(self) -> IntMatrix:
-        if self._u is None:
-            m = self._shape[0]
-            U = [[1 if i == j else 0 for j in range(m)] for i in range(m)]
-            for op in self._row_ops:
-                if op[0] == _SUB:
-                    _, i, k, q = op
-                    U[i] = [x - q * y for x, y in zip(U[i], U[k])]
-                elif op[0] == _SWAP:
-                    _, i, k = op
-                    U[i], U[k] = U[k], U[i]
-                else:
-                    U[op[1]] = [-x for x in U[op[1]]]
-            self._u = IntMatrix._of_rows(tuple(map(tuple, U)))
-        return self._u
+        m = self.row_count
+        U = [[1 if i == j else 0 for j in range(m)] for i in range(m)]
+        for op in self.row_ops:
+            if op[0] == _SUB:
+                _, i, k, q = op
+                U[i] = [x - q * y for x, y in zip(U[i], U[k])]
+            elif op[0] == _SWAP:
+                _, i, k = op
+                U[i], U[k] = U[k], U[i]
+            else:
+                U[op[1]] = [-x for x in U[op[1]]]
+        return IntMatrix(U)
 
     @property
     def d(self) -> IntMatrix:
-        if self._d is None:
-            m, n = self._shape
-            rows = [[0] * n for _ in range(m)]
-            for i, x in enumerate(self._factors):
-                rows[i][i] = x
-            self._d = IntMatrix._of_rows(tuple(map(tuple, rows)))
-        return self._d
+        rows = [[0] * len(self.v_columns) for _ in range(self.row_count)]
+        for i, x in enumerate(self.invariant_factors):
+            rows[i][i] = x
+        return IntMatrix(rows)
 
     @property
     def v(self) -> IntMatrix:
-        if self._v is None:
-            self._v = IntMatrix._of_rows(tuple(zip(*self._v_columns)))
-        return self._v
+        return IntMatrix(zip(*self.v_columns))
 
 
 def _smallest_nonzero(a: list[list[int]], t: int, m: int, n: int) -> tuple[int, int] | None:
@@ -172,10 +123,10 @@ def smith_normal_form(a: IntMatrix) -> SmithDecomposition:
 
     Only v is carried through the elimination, as a list of columns. The row
     operations are logged instead of applied to u, and u is replayed from that
-    log on demand, the first time it is read.
+    log each time it is read.
     """
-    m, n = a.rows, a.cols
-    A = [list(row) for row in a.row_tuples()]
+    m, n = len(a), len(a[0])
+    A = [list(row) for row in a]
     V = [[1 if i == j else 0 for i in range(n)] for j in range(n)]  # V[j] is column j
     ops: list[tuple[int, ...]] = []
 
@@ -245,7 +196,7 @@ def smith_normal_form(a: IntMatrix) -> SmithDecomposition:
             ops.append((_NEG, t))
         t += 1
 
-    return SmithDecomposition(tuple(A[i][i] for i in range(t)), tuple(map(tuple, V)), (m, n), ops)
+    return SmithDecomposition(tuple(A[i][i] for i in range(t)), tuple(map(tuple, V)), m, tuple(ops))
 
 
 def hermite_normal_form(rows: Iterable[Sequence[int]]) -> tuple[tuple[int, ...], ...]:

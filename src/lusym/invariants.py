@@ -20,6 +20,7 @@ from typing import Iterable, NamedTuple, Sequence, Union
 
 from .circuits import BalancedCircuit, SlGeneratorReport, single_sl_generator_check  # noqa: F401 (re-exported)
 from .errors import DimensionError, InputError
+from .exactlinalg import require_ints
 from .states import PureState, Support, Value, label_int, validate_label, xor_labels
 
 
@@ -41,7 +42,8 @@ class InvariantMonomial(Value):
         terms = tuple(map(tuple, terms))
         if not terms:
             raise InputError("monomial needs at least one term")
-        width = len(terms[0][0])
+        require_ints([x for _, p, q in terms for x in (p, q)], "monomial exponents")
+        width = len(validate_label(terms[0][0]))
         for label, p, q in terms:
             validate_label(label, width)
             if p < 0 or q < 0 or (p == 0 and q == 0):
@@ -121,12 +123,13 @@ def symmetrize_over_flips(
     when the bidegree difference a-b is divisible by four; otherwise the first
     offending mask is reported. Rejection is an outcome, not an error.
     """
-    masks = sorted(set(flip_group), key=label_int)
+    masks = list(flip_group)
     if not masks:
         raise InputError("flip group must contain at least the zero mask")
-    n = len(masks[0])
+    n = len(validate_label(masks[0]))
     for mask in masks:
         validate_label(mask, n)
+    masks = sorted(set(masks), key=label_int)
     if "0" * n not in masks:
         raise InputError("flip group must contain the zero mask")
     mask_set = set(masks)

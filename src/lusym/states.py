@@ -13,6 +13,7 @@ import math
 from typing import TYPE_CHECKING, Iterable, Mapping
 
 from .errors import DimensionError, InputError
+from .exactlinalg import require_ints
 
 # fractions is imported only where a Fraction is built, so that `analyze --json`,
 # `verify` and `compare` never load it
@@ -91,11 +92,6 @@ class Value:
         return f"{type(self).__name__}({fields})"
 
 
-def _check_n(n: int) -> None:
-    if type(n) is not int:
-        raise InputError(f"qubit count n must be int, got {type(n).__name__}")
-
-
 class _ReadOnlyDict(dict):
     """A dict whose mutators raise, so a state's amplitudes stay the ones its
     constructor checked. Pickling rebuilds it from a plain dict, since
@@ -126,7 +122,7 @@ class Support(Value):
     __slots__ = _key = ("n", "labels")
 
     def __init__(self, n: int, labels: Iterable[str]) -> None:
-        _check_n(n)
+        require_ints((n,), "qubit count n")
         labels = tuple(labels)
         if not labels:
             raise InputError("support must contain at least one label")
@@ -159,7 +155,7 @@ class PureState(Value):
     __slots__ = _key = ("n", "amplitudes")
 
     def __init__(self, n: int, amplitudes: Mapping[str, complex]) -> None:
-        _check_n(n)
+        require_ints((n,), "qubit count n")
         if not amplitudes:
             raise InputError("state must have at least one amplitude")
         for lab in amplitudes:
@@ -210,9 +206,7 @@ class PureState(Value):
 def _checked(nums: Iterable[int], den: int) -> tuple[int, ...]:
     """nums as a tuple, once every entry and den are int (bool is not) and den >= 1."""
     nums = tuple(nums)
-    for x in (*nums, den):
-        if type(x) is not int:
-            raise InputError(f"phase numerators and den must be int, got {type(x).__name__}")
+    require_ints((*nums, den), "phase numerators and den")
     if den < 1:
         raise InputError(f"phase denominator den must be >= 1, got {den}")
     return nums
@@ -282,6 +276,7 @@ def reduced_density_matrix(
     The state must be normalized; an unnormalized state is reported as an
     error rather than silently renormalized.
     """
+    require_ints((k,), "qubit index k")
     if not 1 <= k <= psi.n:
         raise InputError(f"qubit index {k} out of range 1..{psi.n}")
     if not psi.is_normalized():

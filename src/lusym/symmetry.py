@@ -12,11 +12,19 @@ once, by Smith normal form. Membership and containment read the form alone.
 from __future__ import annotations
 
 import math
+from itertools import chain
 from operator import mul
 from typing import Iterable, NamedTuple, Sequence
 
-from .errors import DimensionError, InputError, InternalError
-from .exactlinalg import IntMatrix, hermite_normal_form, lattice_member, normalize_int_vector, smith_normal_form
+from .errors import DimensionError, InternalError
+from .exactlinalg import (
+    IntMatrix,
+    hermite_normal_form,
+    lattice_member,
+    normalize_int_vector,
+    require_ints,
+    smith_normal_form,
+)
 from .states import PhaseVector, Support, Value, label_int, weight_vector
 
 
@@ -48,11 +56,7 @@ class DiagonalSymmetryGroup(Value):
         rows = tuple(characters)
         if any(len(row) != n + 1 for row in rows):
             raise DimensionError("character rows must have n+1 entries")
-        for row in rows:
-            # bool is a subclass of int, but True is not a character entry
-            if not {*map(type, row)} <= {int}:
-                bad = next(x for x in row if type(x) is not int)
-                raise InputError(f"character entries must be int, got {type(bad).__name__}")
+        require_ints(chain.from_iterable(rows), "character entries")
         characters = hermite_normal_form(rows)
         if characters:
             dec = smith_normal_form(IntMatrix(characters))
@@ -95,7 +99,7 @@ class DiagonalSymmetryGroup(Value):
         if not columns:
             return cls(n, IntMatrix.identity(n1).row_tuples())
         dec = smith_normal_form(IntMatrix(columns))
-        return cls(n, tuple(col[:n1] for col in dec.v_columns[dec.rank :]))
+        return cls(n, tuple(col[:n1] for col in dec.v_columns[len(dec.invariant_factors) :]))
 
     @property
     def torus_rank(self) -> int:

@@ -179,6 +179,10 @@ def test_symmetrize_validates_flip_group():
         symmetrize_over_flips(m, ["00", "01", "10"])  # not closed
     with pytest.raises(DimensionError):
         symmetrize_over_flips(m, ["000", "111"])
+    # every mask is a label, checked before the masks are sorted by value
+    for masks in (["0x", "00"], [None]):
+        with pytest.raises(InputError):
+            symmetrize_over_flips(m, masks)
 
 
 def test_evaluate_exact_cluster():

@@ -347,3 +347,5 @@ def test_rdm_rejects_bad_input():
         reduced_density_matrix(good, 0)
     with pytest.raises(InputError):
         reduced_density_matrix(good, 3)
+    with pytest.raises(InputError):
+        reduced_density_matrix(good, True)  # not read as qubit 1

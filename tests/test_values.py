@@ -12,7 +12,9 @@ import pickle
 import pytest
 
 from lusym import (
+    DiagonalSymmetryGroup,
     InputError,
+    IntMatrix,
     InvariantMonomial,
     PhaseVector,
     PureState,
@@ -149,6 +151,11 @@ def test_support_iterates_measures_and_contains_its_labels():
         lambda: Support(2, ["00", "2x"]),
         lambda: PureState(2.0, {"00": 0.6, "11": 0.8}),
         lambda: Support(True, ["0", "1"]),
+        lambda: InvariantMonomial([("00", True, 0)]),
+        lambda: InvariantMonomial([("00", 1.5, 0)]),
+        lambda: DiagonalSymmetryGroup.from_presentation(2, [[True, -1, 0]], []),
+        lambda: IntMatrix([[True, 1]]),
+        lambda: InvariantMonomial([(None, 1, 0)]),
     ],
 )
 def test_value_constructors_refuse_bad_input(build):
