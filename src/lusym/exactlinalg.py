@@ -4,11 +4,12 @@ Smith normal form with both transformation matrices, the row Hermite normal
 form with lattice membership, and the reduction of bit masks over GF(2). An
 IntMatrix is a tuple of equal-length rows of int, and require_ints is the one
 check of int entries across the package: a bool or another int subclass is
-refused. The Smith elimination carries only the column transform v and logs
-its row operations; a SmithDecomposition keeps the invariant factors, v's
-columns and that log, and builds u, d and v from them each time one is read.
-Everything runs on Python ints; no floating point enters any routine in this
-module, so results are decidable and reproducible bit for bit.
+refused. The Smith elimination carries only the column transform v; a
+SmithDecomposition keeps the invariant factors, v's columns and the input,
+and builds u, d and v from them each time one is read, u by running the same
+elimination on [a | I]. Everything runs on Python ints; no floating point
+enters any routine in this module, so results are decidable and reproducible
+bit for bit.
 """
 
 from __future__ import annotations
@@ -45,52 +46,34 @@ class IntMatrix(tuple):
         require_ints(chain.from_iterable(rows), "matrix entries")
         return super().__new__(cls, rows)
 
-    @classmethod
-    def identity(cls, n: int) -> "IntMatrix":
-        return cls([[1 if i == j else 0 for j in range(n)] for i in range(n)])
-
     def row_tuples(self) -> tuple[tuple[int, ...], ...]:
         return tuple(self)
 
 
-# Row operations of one elimination, in order: (_SWAP, i, k) swaps rows i and
-# k, (_SUB, i, k, q) sets row_i -= q * row_k, and (_NEG, i) negates row i.
-_SWAP, _SUB, _NEG = range(3)
-
-
 class SmithDecomposition(NamedTuple):
-    """Unimodular u, v and diagonal d with u a v = d, for a of row_count rows.
+    """Unimodular u, v and diagonal d with u a v = d, for the input matrix a.
 
     invariant_factors are the nonzero diagonal entries of d, in order, and
     v_columns the columns of v; the solver reads only these two. u, d and v
-    are built anew on each read, u by replaying row_ops, the elimination's
-    row operations, on the identity. row_count is kept because a zero matrix
-    logs no operation to read it from.
+    are built anew on each read. u is what the elimination's row operations
+    make of the identity, so it reruns the same elimination on the rows of
+    [a | I] and keeps the trailing columns.
     """
 
     invariant_factors: tuple[int, ...]
     v_columns: tuple[tuple[int, ...], ...]
-    row_count: int
-    row_ops: tuple[tuple[int, ...], ...]
+    a: IntMatrix
 
     @property
     def u(self) -> IntMatrix:
-        m = self.row_count
-        U = [[1 if i == j else 0 for j in range(m)] for i in range(m)]
-        for op in self.row_ops:
-            if op[0] == _SUB:
-                _, i, k, q = op
-                U[i] = [x - q * y for x, y in zip(U[i], U[k])]
-            elif op[0] == _SWAP:
-                _, i, k = op
-                U[i], U[k] = U[k], U[i]
-            else:
-                U[op[1]] = [-x for x in U[op[1]]]
-        return IntMatrix(U)
+        m, n = len(self.a), len(self.v_columns)
+        rows = [[*row, *(int(i == k) for k in range(m))] for i, row in enumerate(self.a)]
+        _eliminate(rows, n)
+        return IntMatrix(row[n:] for row in rows)
 
     @property
     def d(self) -> IntMatrix:
-        rows = [[0] * len(self.v_columns) for _ in range(self.row_count)]
+        rows = [[0] * len(self.v_columns) for _ in self.a]
         for i, x in enumerate(self.invariant_factors):
             rows[i][i] = x
         return IntMatrix(rows)
@@ -113,27 +96,16 @@ def _smallest_nonzero(a: list[list[int]], t: int, m: int, n: int) -> tuple[int, 
     return best
 
 
-def smith_normal_form(a: IntMatrix) -> SmithDecomposition:
-    """Compute the Smith normal form of an integer matrix.
+def _eliminate(A: list[list[int]], n: int) -> tuple[tuple[int, ...], tuple[tuple[int, ...], ...]]:
+    """Diagonalize the first n columns of the rows A in place.
 
-    Returns u, d, v with u a v = d, u and v unimodular, d diagonal with
-    non-negative entries satisfying d[i] | d[i+1]. Pivots are chosen as the
-    smallest nonzero entry in absolute value, which keeps intermediate growth
-    modest on the small matrices this package produces.
-
-    Only v is carried through the elimination, as a list of columns. The row
-    operations are logged instead of applied to u, and u is replayed from that
-    log each time it is read.
+    Pivot search, column operations and the divisibility test read and write
+    only those n columns; row swaps, row subtractions and the sign flip act on
+    whole rows, so any columns past n record what the row operations make of
+    them. Returns the invariant factors and the columns of v.
     """
-    m, n = len(a), len(a[0])
-    A = [list(row) for row in a]
+    m = len(A)
     V = [[1 if i == j else 0 for i in range(n)] for j in range(n)]  # V[j] is column j
-    ops: list[tuple[int, ...]] = []
-
-    def swap_rows(i: int, k: int) -> None:
-        if i != k:
-            A[i], A[k] = A[k], A[i]
-            ops.append((_SWAP, i, k))
 
     def swap_cols(j: int, k: int) -> None:
         # rows above t are zero in every column >= t
@@ -146,7 +118,6 @@ def smith_normal_form(a: IntMatrix) -> SmithDecomposition:
     def row_sub(i: int, k: int, q: int) -> None:
         # row_i -= q * row_k
         A[i] = [x - q * y for x, y in zip(A[i], A[k])]
-        ops.append((_SUB, i, k, q))
 
     def col_sub(j: int, k: int, q: int) -> None:
         # col_j -= q * col_k, skipping the zero rows above t
@@ -160,7 +131,7 @@ def smith_normal_form(a: IntMatrix) -> SmithDecomposition:
         pos = _smallest_nonzero(A, t, m, n)
         if pos is None:
             break
-        swap_rows(t, pos[0])
+        A[t], A[pos[0]] = A[pos[0]], A[t]
         swap_cols(t, pos[1])
         while True:
             p = A[t][t]
@@ -177,7 +148,7 @@ def smith_normal_form(a: IntMatrix) -> SmithDecomposition:
                         dirty = True
             if dirty:
                 pos = _smallest_nonzero(A, t, m, n)
-                swap_rows(t, pos[0])
+                A[t], A[pos[0]] = A[pos[0]], A[t]
                 swap_cols(t, pos[1])
                 continue
             # column and row t are clear; enforce divisibility of the trailing
@@ -185,7 +156,7 @@ def smith_normal_form(a: IntMatrix) -> SmithDecomposition:
             offender = None
             if p not in (1, -1):
                 for i in range(t + 1, m):
-                    if any(x % p for x in A[i][t + 1 :]):
+                    if any(x % p for x in A[i][t + 1 : n]):
                         offender = i
                         break
             if offender is None:
@@ -193,10 +164,19 @@ def smith_normal_form(a: IntMatrix) -> SmithDecomposition:
             row_sub(t, offender, -1)  # row_t += row_offender, reintroduces entries to grind down
         if A[t][t] < 0:
             A[t] = [-x for x in A[t]]
-            ops.append((_NEG, t))
         t += 1
+    return tuple(A[i][i] for i in range(t)), tuple(map(tuple, V))
 
-    return SmithDecomposition(tuple(A[i][i] for i in range(t)), tuple(map(tuple, V)), m, tuple(ops))
+
+def smith_normal_form(a: IntMatrix) -> SmithDecomposition:
+    """Compute the Smith normal form of an integer matrix.
+
+    Returns u, d, v with u a v = d, u and v unimodular, d diagonal with
+    non-negative entries satisfying d[i] | d[i+1]. Pivots are chosen as the
+    smallest nonzero entry in absolute value, which keeps intermediate growth
+    modest on the small matrices this package produces. Only v is carried.
+    """
+    return SmithDecomposition(*_eliminate([list(row) for row in a], len(a[0])), a)
 
 
 def hermite_normal_form(rows: Iterable[Sequence[int]]) -> tuple[tuple[int, ...], ...]:

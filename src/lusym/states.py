@@ -246,10 +246,12 @@ class PhaseVector(Value):
 
     @classmethod
     def make(cls, phis: Iterable[Fraction | int], theta: Fraction | int) -> "PhaseVector":
-        """The element with the given turns, each reduced to [0, 1)."""
+        """The element with the given turns, each an int or a Fraction, reduced to [0, 1)."""
         from fractions import Fraction
 
-        vals = [Fraction(p) for p in phis] + [Fraction(theta)]
+        vals = [*phis, theta]
+        require_ints((x for x in vals if type(x) is not Fraction), "phase turns other than Fractions")
+        vals = [Fraction(x) for x in vals]
         den = math.lcm(*(x.denominator for x in vals))
         return cls.from_numerators((x.numerator * (den // x.denominator) for x in vals), den)
 

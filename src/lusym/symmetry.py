@@ -16,7 +16,7 @@ from itertools import chain
 from operator import mul
 from typing import Iterable, NamedTuple, Sequence
 
-from .errors import DimensionError, InternalError
+from .errors import DimensionError, InputError, InternalError
 from .exactlinalg import (
     IntMatrix,
     hermite_normal_form,
@@ -26,6 +26,12 @@ from .exactlinalg import (
     smith_normal_form,
 )
 from .states import PhaseVector, Support, Value, label_int, weight_vector
+
+
+def _check_qubit_count(n: int) -> None:
+    require_ints((n,), "qubit count n")
+    if n < 1:
+        raise InputError(f"qubit count n must be at least 1, got {n}")
 
 
 def sign_rows(labels: Iterable[str]) -> tuple[tuple[int, ...], ...]:
@@ -53,22 +59,20 @@ class DiagonalSymmetryGroup(Value):
     _key = ("n", "characters")
 
     def __init__(self, n: int, characters: Iterable[Sequence[int]]) -> None:
+        _check_qubit_count(n)
         rows = tuple(characters)
         if any(len(row) != n + 1 for row in rows):
             raise DimensionError("character rows must have n+1 entries")
         require_ints(chain.from_iterable(rows), "character entries")
         characters = hermite_normal_form(rows)
-        if characters:
-            dec = smith_normal_form(IntMatrix(characters))
-            factors, v_columns = dec.invariant_factors, dec.v_columns
-            torus_basis = tuple(normalize_int_vector(col) for col in v_columns[len(factors) :])
-            finite_generators = tuple(
-                PhaseVector(min(tuple(x % d for x in col), tuple(-x % d for x in col)), d)
-                for d, col in zip(factors, v_columns)
-                if d > 1
-            )
-        else:  # Lambda = {0}: the full torus
-            torus_basis, finite_generators = IntMatrix.identity(n + 1).row_tuples(), ()
+        # Lambda = {0} is the zero row's lattice, whose v is the identity: the full torus
+        factors, v_columns, _ = smith_normal_form(IntMatrix(characters or [[0] * (n + 1)]))
+        torus_basis = tuple(normalize_int_vector(col) for col in v_columns[len(factors) :])
+        finite_generators = tuple(
+            PhaseVector(min(tuple(x % d for x in col), tuple(-x % d for x in col)), d)
+            for d, col in zip(factors, v_columns)
+            if d > 1
+        )
         self._set(n=n, characters=characters, torus_basis=torus_basis, finite_generators=finite_generators)
 
     @classmethod
@@ -87,18 +91,19 @@ class DiagonalSymmetryGroup(Value):
         That left kernel is the right kernel of the transpose, whose rows are
         those columns: the trailing columns of v in its Smith decomposition.
         """
+        _check_qubit_count(n)
         n1 = n + 1
         if any(len(vec) != n1 for vec in torus_basis) or any(g.n != n for g in finite_generators):
             raise DimensionError("torus directions and finite generators must have n+1 entries")
+        require_ints(chain.from_iterable(torus_basis), "torus directions")
         k = len(finite_generators)
         columns = [list(vec) + [0] * k for vec in torus_basis]
         columns += [
             list(gen.nums) + [gen.den if i == j else 0 for i in range(k)]
             for j, gen in enumerate(finite_generators)
         ]
-        if not columns:
-            return cls(n, IntMatrix.identity(n1).row_tuples())
-        dec = smith_normal_form(IntMatrix(columns))
+        # with no columns every c qualifies: the zero row's v is the identity, the trivial group
+        dec = smith_normal_form(IntMatrix(columns or [[0] * n1]))
         return cls(n, tuple(col[:n1] for col in dec.v_columns[len(dec.invariant_factors) :]))
 
     @property

@@ -16,6 +16,7 @@ from lusym import (
     DimensionError,
     InputError,
     InternalError,
+    InvariantMonomial,
     PureState,
     Support,
     analyze,
@@ -26,6 +27,7 @@ from lusym import (
     monomial_from_circuit,
     smith_normal_form,
     solve_symmetry_group,
+    symmetrize_over_flips,
     verify_symmetry,
 )
 from lusym.analysis import (
@@ -37,8 +39,8 @@ from lusym.analysis import (
 )
 from lusym.exactlinalg import hermite_normal_form, lattice_member
 from lusym.serialize import dump_report
-from lusym.states import PhaseVector
-from lusym.symmetry import _annihilated_by, sign_rows
+from lusym.states import PhaseVector, xor_labels
+from lusym.symmetry import _annihilated_by, group_contains, qubit_action_profile, sign_rows
 
 from conftest import all_labels, random_coset_support, random_state_on, random_support, torus_point
 from oracles import apply_phase_element
@@ -248,6 +250,33 @@ def test_analyze_refuses_labels_off_the_qubit_count_before_any_stage(monkeypatch
     monkeypatch.setattr(lusym.analysis, "solve_symmetry_group", no_stage)
     with pytest.raises(DimensionError, match="^label '0' has 1 bits, expected 2$"):
         analyze(PureState(2, {"0": 1}))
+
+
+_BELL, _GHZ3 = fixture_state("bell"), fixture_state("ghz3")
+_MONO2 = InvariantMonomial([("00", 1, 0), ("11", 1, 0)])
+
+
+@pytest.mark.parametrize(
+    "call, error, message",
+    [
+        (lambda: verify_symmetry(_GHZ3, solve_symmetry_group(_BELL.support())), DimensionError,
+         "^group on 2 qubits, state on 3$"),
+        (lambda: compare_strata(_BELL.support(), _GHZ3.support()), DimensionError,
+         "^supports live on different qubit counts$"),
+        (lambda: group_contains(solve_symmetry_group(_BELL.support()), solve_symmetry_group(_GHZ3.support())),
+         DimensionError, "^groups on different qubit counts: 2 vs 3$"),
+        (lambda: qubit_action_profile(_GHZ3.support(), solve_symmetry_group(_BELL.support())), DimensionError,
+         "^support and group qubit counts differ$"),
+        (lambda: evaluate(_MONO2, _GHZ3), DimensionError, "^monomial and state qubit counts differ$"),
+        (lambda: xor_labels("00", "111"), DimensionError, "^cannot xor labels of lengths 2 and 3$"),
+        (lambda: symmetrize_over_flips(_MONO2, []), InputError, "^flip group must contain at least the zero mask$"),
+    ],
+    ids=["verify_symmetry", "compare_strata", "group_contains", "qubit_action_profile", "evaluate", "xor_labels",
+         "symmetrize-no-masks"],
+)
+def test_qubit_count_mismatches_are_refused(call, error, message):
+    with pytest.raises(error, match=message):
+        call()
 
 
 def test_analyze_theta_continuous_state():

@@ -10,7 +10,7 @@ import pytest
 import lusym.cli
 from lusym.cli import main
 from lusym.serialize import dump_group, dump_state
-from lusym import DiagonalSymmetryGroup, PureState, Support, fixture_names, fixture_state, solve_symmetry_group
+from lusym import DiagonalSymmetryGroup, InternalError, PureState, Support, fixture_names, fixture_state, solve_symmetry_group
 
 
 def run_cli(capsys, *argv):
@@ -70,6 +70,58 @@ def test_normalizer_json_schema(capsys, schema_validator):
     # the torus part is always the full diagonal group, so it is not written
     assert "torus" not in payload
     assert "torus_group" not in payload
+
+
+@pytest.mark.parametrize(
+    "argv, expected",
+    [
+        (
+            ["circuits", "--support", "000,111,011,100"],
+            "support: 000, 011, 100, 111 (n=3)\n"
+            "  ['000', '111'] relation [1, 1] (positive, d=2)\n"
+            "  ['011', '100'] relation [1, 1] (positive, d=2)\n"
+            "semistable: True\n",
+        ),
+        (["circuits", "--support", "00,01"], "support: 00, 01 (n=2)\nno circuits\nsemistable: False\n"),
+        (
+            ["invariants", "--fixture", "ghz3"],
+            "support: 000, 111 (n=3)\n"
+            "|c|^2 generators: 2 (bidegree (1,1) each)\n"
+            "  bidegree (2, 0) terms [['000', 1, 0], ['111', 1, 0]] value 0.5+0j\n"
+            "    flip sum rejected: mask 111 flips an odd number of qubits and the bidegree "
+            "difference 2 is not divisible by 4\n",
+        ),
+        (
+            ["invariants", "--support", "0000,1111"],
+            "support: 0000, 1111 (n=4)\n"
+            "|c|^2 generators: 2 (bidegree (1,1) each)\n"
+            "  bidegree (2, 0) terms [['0000', 1, 0], ['1111', 1, 0]]\n"
+            "    flip sum over 2 masks: admitted\n",
+        ),
+        (
+            ["normalizer", "--support", "00,01"],
+            "support: 00, 01 (n=2)\n"
+            "torus: full diagonal group (all phis and theta free)\n"
+            "flip masks: 00, 01\n"
+            "flip generators: 01\n"
+            "warning: group acts only by signs on qubit(s) 2; the true normalizer may be larger\n",
+        ),
+        (["compare", "--support-a", "00,11", "--support-b", "00"], "a_closure_contains_b\n"),
+    ],
+    ids=["circuits", "circuits-none", "invariants-rejected", "invariants-admitted", "normalizer-signs", "compare"],
+)
+def test_text_mode_output(capsys, argv, expected):
+    assert run_cli(capsys, *argv) == (0, expected, "")
+
+
+def test_internal_error_exits_3(capsys, monkeypatch):
+    def broken_solve(support):
+        raise InternalError("solved group fails the phase condition")
+
+    monkeypatch.setattr(lusym.cli, "solve_symmetry_group", broken_solve)
+    code, out, err = run_cli(capsys, "normalizer", "--support", "00,11")
+    assert (code, out) == (3, "")
+    assert err == "internal error: solved group fails the phase condition\n"
 
 
 def test_verify_from_support(capsys, tmp_path, schema_validator):

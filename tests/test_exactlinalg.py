@@ -46,7 +46,7 @@ def test_intmatrix_refuses_int_like_entries():
 def test_intmatrix_basic_ops():
     a = IntMatrix([[1, 2], [3, 4]])
     assert len(a) == 2 and len(a[0]) == 2
-    assert IntMatrix.identity(2).row_tuples() == ((1, 0), (0, 1))
+    assert IntMatrix(((1, 0), (0, 1))).row_tuples() == ((1, 0), (0, 1))
     assert type(a.row_tuples()) is tuple
     # an IntMatrix is the tuple of its rows: it equals and hashes as that tuple
     assert a == ((1, 2), (3, 4)) and hash(a) == hash(((1, 2), (3, 4)))
@@ -100,8 +100,8 @@ def test_smith_random_properties():
         for i in range(len(fac) - 1):
             assert fac[i + 1] % fac[i] == 0
         # a square integer matrix is unimodular exactly when its rows span Z^k
-        assert hermite_normal_form(dec.u.row_tuples()) == IntMatrix.identity(m).row_tuples()
-        assert hermite_normal_form(dec.v.row_tuples()) == IntMatrix.identity(n).row_tuples()
+        assert hermite_normal_form(dec.u.row_tuples()) == tuple(tuple(int(i == j) for j in range(m)) for i in range(m))
+        assert hermite_normal_form(dec.v.row_tuples()) == tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
         assert len(fac) == np.linalg.matrix_rank(np.array(a.row_tuples()))
         # off-diagonal of D vanishes
         for i, row in enumerate(dec.d.row_tuples()):

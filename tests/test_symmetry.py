@@ -389,6 +389,12 @@ def test_non_int_characters_are_refused_before_the_form(monkeypatch):
     assert DiagonalSymmetryGroup(1, [[1, 1]]).characters == ((1, 1),)
 
 
+def test_non_int_torus_directions_are_refused_by_name():
+    # the message names the argument, not the matrix built from it
+    with pytest.raises(InputError, match="^torus directions must be int, got bool$"):
+        DiagonalSymmetryGroup.from_presentation(2, [[True, -1, 0]], [])
+
+
 def test_wrongly_sized_presentations_are_refused():
     gen = PhaseVector((1, 0, 0, 1), 2)  # three qubits, not two
     with pytest.raises(DimensionError):

@@ -156,6 +156,12 @@ def test_support_iterates_measures_and_contains_its_labels():
         lambda: DiagonalSymmetryGroup.from_presentation(2, [[True, -1, 0]], []),
         lambda: IntMatrix([[True, 1]]),
         lambda: InvariantMonomial([(None, 1, 0)]),
+        lambda: DiagonalSymmetryGroup(2.0, [[1, 1, 1]]),
+        lambda: DiagonalSymmetryGroup(0, [[1]]),
+        lambda: DiagonalSymmetryGroup.from_presentation(True, [], []),
+        lambda: PhaseVector.make(["1/3"], 0),
+        lambda: PhaseVector.make([0.1], 0),
+        lambda: PhaseVector.make([True], 0),
     ],
 )
 def test_value_constructors_refuse_bad_input(build):
