@@ -21,7 +21,7 @@ _EXPORTS = {
         "enumerate_circuits",
         "single_sl_generator_check",
     ),
-    "errors": ("DimensionError", "InputError", "InternalError"),
+    "errors": ("DimensionError", "InputError", "InternalError", "LimitError"),
     "exactlinalg": ("IntMatrix", "SmithDecomposition", "smith_normal_form"),
     "fixtures": ("fixture_names", "fixture_state"),
     "invariants": (

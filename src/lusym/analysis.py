@@ -64,7 +64,7 @@ def _torus_deviation(psi: PureState, rows: Sequence[Sequence[int]], direction: S
 
 
 def _require_tol(tol: float) -> None:
-    if not (math.isfinite(tol) and tol > 0):
+    if isinstance(tol, bool) or not isinstance(tol, (int, float)) or not 0 < tol < math.inf:
         raise InputError(f"tol must be finite and > 0, got {tol}")
 
 

@@ -25,7 +25,11 @@ other in any circuit with its relation entry negated. The later label of each
 pair is left out of the search and its circuits are lifted afterwards. The
 search works in compressed coordinates: a row chosen at pivot p has cleared p
 from every mark and later row, so p is dropped and each level works on one
-coordinate fewer; the last two levels need only two entries per row.
+coordinate fewer. The unit vectors it starts from as marks are never stored:
+every coordinate left keeps its own, and the pivot's becomes the pivot row.
+The levels with four and three coordinates left run on unpacked scalars,
+reducing marks and rows to triples and then to pairs for the last level's
+parallel test; only searches over five or more coordinates build lists.
 """
 
 from __future__ import annotations
@@ -35,11 +39,16 @@ from math import gcd, lcm
 from operator import mul
 from typing import NamedTuple
 
-from .errors import InternalError
+from .errors import InternalError, LimitError
 from .exactlinalg import hermite_normal_form, normalize_int_vector
 from .states import Support, weight_vector
 
 _COMPLEMENT = str.maketrans("01", "10")
+
+# The most circuits one search records, lifted twins included. Their number
+# grows combinatorially with the support, and past the cap the search stops at
+# once: the 64 labels of 6 qubits reach it in about 4 s with 38 MB resident.
+MAX_CIRCUITS = 100_000
 
 
 class BalancedCircuit(NamedTuple):
@@ -139,6 +148,10 @@ def _systematic_kernel(
     return pivots, free, D, Q
 
 
+# the coordinates left beside each pivot of a four-coordinate row
+_OTHERS = ((1, 2, 3), (0, 2, 3), (0, 1, 3), (0, 1, 2))
+
+
 def _search(rest: list[list[int]], marks: list[list[int]], still: int, echelon: list, out: list) -> None:
     """Append to `out` a leaf (echelon, c) for every echelon [(row, pivot), ...]
     that completes `echelon` by `still` rows of `rest` taken in order as the
@@ -152,13 +165,27 @@ def _search(rest: list[list[int]], marks: list[list[int]], still: int, echelon: 
     but skipped joins `marks`, and every mark must stay outside the final
     span; that makes the greedy basis, and so each hyperplane, unique.
     `marks` belongs to the call, which extends it.
+
+    Besides `marks`, the unit vector of every coordinate left is a mark: the
+    search starts from the live labels' own dual rows, a pivot p leaves each
+    other unit a unit, and turns e_p into the mark -v with p dropped (kept as
+    +v, since only a mark's direction counts), which is zero when v has no
+    other entry. So the units are carried implicitly, not as rows; on two
+    coordinates they bar exactly the rows with a zero entry, the rows
+    parallel to one of them.
+
+    With four coordinates left, the marks and later rows are reduced to
+    triples on unpacked scalars and `_three_coordinates` ends the search on
+    them; only five or more coordinates go through lists and recursion.
     """
     if still == 0:
         out.append((echelon, [1]))
         return
     if still == 1:
-        # a row completes the hyperplane unless a mark or an earlier row is parallel to it
+        # a row completes the hyperplane unless a unit, a mark or an earlier row is parallel to it
         for x, y in rest:
+            if not (x and y):
+                continue
             for x2, y2 in marks:
                 if x * y2 == y * x2:
                     break
@@ -166,44 +193,51 @@ def _search(rest: list[list[int]], marks: list[list[int]], still: int, echelon: 
                 marks.append((x, y))
                 out.append((echelon, [-y, x]))
         return
+    if still == 2:
+        _three_coordinates(rest, marks, echelon, out)
+        return
     for q in range(len(rest) - still + 1):
         v = rest[q]
         p = 0
         while not v[p]:
             p += 1
         a = v[p]
-        if still == 2:
-            # the last two levels inline: marks and later rows reduce to their two
-            # entries off the pivot, then face the parallel test of still == 1
-            i, j = (1, 2) if p == 0 else (0, 2) if p == 1 else (0, 1)
-            vi, vj = v[i], v[j]
-            seen = []
+        if still == 3:
+            # four coordinates on scalars: marks and later rows reduce to the
+            # triples off the pivot, and the last two levels take those
+            i, j, k = _OTHERS[p]
+            vi, vj, vk = v[i], v[j], v[k]
+            if not (vi or vj or vk):
+                marks.append(v)
+                continue  # e_p fell into the span
+            reduced = [(vi, vj, vk)]
             for w in marks:
                 b = w[p]
-                x, y = a * w[i] - b * vi, a * w[j] - b * vj
-                if not (x or y):
+                x, y, z = a * w[i] - b * vi, a * w[j] - b * vj, a * w[k] - b * vk
+                if not (x or y or z):
                     break  # a mark fell into the span
-                seen.append((x, y))
+                reduced.append((x, y, z))
             else:
-                chain = echelon + [(v, p)]
+                later = []
                 for w in rest[q + 1 :]:
                     b = w[p]
-                    x, y = a * w[i] - b * vi, a * w[j] - b * vj
-                    if not (x or y):
-                        continue
-                    for x2, y2 in seen:
-                        if x * y2 == y * x2:
-                            break
-                    else:
-                        seen.append((x, y))
-                        out.append((chain, [-y, x]))
+                    x, y, z = a * w[i] - b * vi, a * w[j] - b * vj, a * w[k] - b * vk
+                    g = gcd(x, y, z)
+                    if g == 1:
+                        later.append((x, y, z))
+                    elif g:
+                        later.append((x // g, y // g, z // g))
+                _three_coordinates(later, reduced, echelon + [(v, p)], out)
             marks.append(v)
             continue
         # Reduce the marks, then the later rows, by v, and drop coordinate p,
         # where all of them are now zero. A mark is only tested for zero and
         # reduced further, so it keeps its common factor; its entries grow
         # additively in bit length over at most t levels.
-        reduced = []
+        reduced = [v[:p] + v[p + 1 :]]
+        if not any(reduced[0]):
+            marks.append(v)
+            continue  # e_p fell into the span
         for w in marks:
             b = w[p]
             if b:
@@ -233,6 +267,43 @@ def _search(rest: list[list[int]], marks: list[list[int]], still: int, echelon: 
         marks.append(v)
 
 
+def _three_coordinates(rest: list, marks: list, echelon: list, out: list) -> None:
+    """_search with still == 2, on scalars: marks and later rows reduce to
+    their two entries off the pivot, then face the parallel test of still == 1."""
+    for q in range(len(rest) - 1):
+        v = rest[q]
+        p = 0
+        while not v[p]:
+            p += 1
+        a = v[p]
+        i, j = (1, 2) if p == 0 else (0, 2) if p == 1 else (0, 1)
+        vi, vj = v[i], v[j]
+        if not (vi or vj):
+            marks.append(v)
+            continue  # e_p fell into the span
+        seen = [(vi, vj)]
+        for w in marks:
+            b = w[p]
+            x, y = a * w[i] - b * vi, a * w[j] - b * vj
+            if not (x or y):
+                break  # a mark fell into the span
+            seen.append((x, y))
+        else:
+            chain = echelon + [(v, p)]
+            for w in rest[q + 1 :]:
+                b = w[p]
+                x, y = a * w[i] - b * vi, a * w[j] - b * vj
+                if not (x and y):
+                    continue  # zero, or parallel to a unit
+                for x2, y2 in seen:
+                    if x * y2 == y * x2:
+                        break
+                else:
+                    seen.append((x, y))
+                    out.append((chain, [-y, x]))
+        marks.append(v)
+
+
 def enumerate_circuits(support: Support) -> CircuitCatalog:
     """All circuits of the support's sign vectors, in lexicographic member order.
 
@@ -246,7 +317,8 @@ def enumerate_circuits(support: Support) -> CircuitCatalog:
     row skipped while independent must stay outside the final span, which
     makes S unique: every circuit is reached at exactly one leaf. A full-rank
     support (k = 0, such as W_n) has no free coordinate and so no circuits.
-    All arithmetic is exact fraction-free integer elimination.
+    All arithmetic is exact fraction-free integer elimination. Past
+    MAX_CIRCUITS circuits, lifted twins included, it raises LimitError.
     """
     labels = support.labels
     index = {label: i for i, label in enumerate(labels)}
@@ -258,14 +330,22 @@ def enumerate_circuits(support: Support) -> CircuitCatalog:
     # kernel coordinates as indices into the whole support
     pivots, free = [kept[j] for j in pivots], [kept[j] for j in free]
     found: dict[tuple[int, ...], tuple[int, ...]] = {}
+
+    def record(members: tuple[int, ...], z: tuple[int, ...]) -> None:
+        found[members] = z
+        if len(found) > MAX_CIRCUITS:
+            raise LimitError(
+                f"circuit search: the support of {len(labels)} labels on {support.n} qubits "
+                f"has more than {MAX_CIRCUITS} circuits, the cap"
+            )
+
     for t in range(1, min(k, r + 1) + 1):
-        # the live labels' own dual rows, unit vectors in c[T]: they start as
-        # marks, so every c_m with m in T stays nonzero
-        units = [[int(m == i) for i in range(t)] for m in range(t)]
         for live in combinations(range(k), t):
             rows = [(pivots[i], z) for i, row in enumerate(Q) if any(z := [row[m] for m in live])]
             leaves: list = []
-            _search([z for _, z in rows], list(units), t - 1, [], leaves)
+            # the live labels' own dual rows, the unit vectors in c[T], are the
+            # search's implicit marks, so every c_m with m in T stays nonzero
+            _search([z for _, z in rows], [], t - 1, [], leaves)
             for echelon, c in leaves:
                 # back-substitution: each echelon row fixes the entry of c at
                 # its pivot, and its entries before the pivot are zero
@@ -281,7 +361,7 @@ def enumerate_circuits(support: Support) -> CircuitCatalog:
                     y[free[m]] = D * x
                 for j, z in rows:
                     y[j] = sum(map(mul, z, c))
-                found[tuple(compress(range(len(y)), y))] = normalize_int_vector(list(compress(y, y)))
+                record(tuple(compress(range(len(y)), y)), normalize_int_vector(list(compress(y, y))))
 
     # lift the circuits to the left-out twins, one complement pair at a time
     for i, j in twin.items():
@@ -289,8 +369,8 @@ def enumerate_circuits(support: Support) -> CircuitCatalog:
             if i in members:
                 entries = sorted((j, -x) if m == i else (m, x) for m, x in zip(members, z))
                 sign = 1 if entries[0][1] > 0 else -1
-                found[tuple(m for m, _ in entries)] = tuple(sign * x for _, x in entries)
-        found[i, j] = (1, 1)
+                record(tuple(m for m, _ in entries), tuple(sign * x for _, x in entries))
+        record((i, j), (1, 1))
 
     circuits = tuple(
         BalancedCircuit(tuple(labels[i] for i in members), found[members]) for members in sorted(found)

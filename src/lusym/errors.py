@@ -11,5 +11,9 @@ class DimensionError(InputError):
     """Operand shapes or qubit counts are incompatible."""
 
 
+class LimitError(InputError):
+    """The input needs more work or memory than a documented cap allows (CLI exit code 2)."""
+
+
 class InternalError(RuntimeError):
     """An internal consistency invariant was violated (CLI exit code 3)."""

@@ -42,16 +42,14 @@ def _gf2_generators(values: list[int]) -> list[int]:
 def _as_flip_group(values: list[int], n: int) -> FlipGroup:
     """The flip group of n-bit masks given by their integer values."""
     ordered = sorted(set(values))
-    value_set = set(ordered)
-    for x in ordered:
-        for y in ordered:
-            if x ^ y not in value_set:
-                raise InternalError(
-                    f"flip masks not closed under xor: {x:0{n}b} ^ {y:0{n}b}"
-                )
+    gens = _gf2_generators(ordered)
+    # the masks lie in the span of gens, which has 2^r members: they are closed
+    # under xor exactly when they are all of it
+    if len(ordered) != 1 << len(gens):
+        raise InternalError(f"flip masks not closed under xor: {len(ordered)} masks of GF(2) rank {len(gens)}")
     return FlipGroup(
         masks=tuple(f"{x:0{n}b}" for x in ordered),
-        generators=tuple(f"{x:0{n}b}" for x in _gf2_generators(ordered)),
+        generators=tuple(f"{x:0{n}b}" for x in gens),
     )
 
 

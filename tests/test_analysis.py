@@ -105,7 +105,7 @@ def test_verify_refuses_a_vacuous_tolerance():
     v = verify_symmetry(psi, full)
     assert not v.passed
     assert v.max_deviation == pytest.approx(math.sqrt(2))
-    for tol in (math.inf, math.nan, 0.0, -1e-9):
+    for tol in (math.inf, math.nan, 0.0, -1e-9, True, "1e-9"):
         with pytest.raises(InputError, match="tol"):
             verify_symmetry(psi, full, tol=tol)
 
@@ -237,7 +237,7 @@ def test_analyze_refuses_a_vacuous_tolerance_before_any_stage(monkeypatch):
     monkeypatch.setattr(lusym.circuits, "enumerate_circuits", no_stage)
     monkeypatch.setattr(lusym.analysis, "solve_symmetry_group", no_stage)
     psi = fixture_state("bell")
-    for tol in (math.nan, math.inf, -math.inf, 0.0, -1.0):
+    for tol in (math.nan, math.inf, -math.inf, 0.0, -1.0, True, "1e-9"):
         with pytest.raises(InputError, match=f"^tol must be finite and > 0, got {tol}$"):
             analyze(psi, tol=tol)
 

@@ -5,6 +5,7 @@ import random
 import numpy as np
 import pytest
 
+import lusym.circuits
 from lusym import (
     Support,
     enumerate_circuits,
@@ -14,7 +15,13 @@ from lusym import (
 from lusym.circuits import _systematic_kernel
 from lusym.states import weight_vector
 
-from conftest import all_labels, brute_force_circuit_members, complement_rich_support, random_support
+from conftest import (
+    all_labels,
+    brute_force_circuit_members,
+    complement_rich_support,
+    random_coset_support,
+    random_support,
+)
 from oracles import _systematic_kernel as gauss_jordan_070
 from oracles import circuits_070
 
@@ -256,3 +263,33 @@ def test_complement_rich_catalogs_are_pinned():
     for sup in _complement_rich_workload_supports():
         h.update(repr(enumerate_circuits(sup).circuits).encode())
     assert h.hexdigest() == COMPLEMENT_RICH_SHA256
+
+
+def test_every_search_level_matches_the_070_search(monkeypatch):
+    # supports whose top level has t >= 6 coordinates, so the search runs the
+    # list level over five or more coordinates, then the scalar levels over
+    # four and three; and complement-rich supports and cosets, whose dual rows
+    # often have a single live entry, so the pivot's unit falls into the span
+    rng = random.Random(1231)
+    supports = [random_support(rng, n, L, min_labels=L) for n, L in [(5, 14), (6, 16), (7, 16)] for _ in range(2)]
+    supports += [complement_rich_support(rng, n, 16, rng.randint(3, 6)) for n in (6, 6, 7, 7)]
+    supports += [random_coset_support(rng, n, 4) for n in (6, 7, 8)]
+    # the marks, units included, make each greedy basis unique: a mark lost
+    # would reach a circuit at two leaves, which the catalog cannot show
+    leaves = []
+    search = lusym.circuits._search
+
+    def counted(rest, marks, still, echelon, out):
+        search(rest, marks, still, echelon, out)
+        if not echelon:
+            leaves.append(len(out))
+
+    monkeypatch.setattr(lusym.circuits, "_search", counted)
+    for sup in supports:
+        leaves.clear()
+        circuits = enumerate_circuits(sup).circuits
+        assert circuits == circuits_070(sup), sup.labels
+        # the search runs without the later label of each complement pair
+        left_out = {s for i, s in enumerate(sup.labels) if s.translate(str.maketrans("01", "10")) in sup.labels[:i]}
+        assert sum(leaves) == sum(left_out.isdisjoint(c.member_labels) for c in circuits), sup.labels
+

@@ -4,9 +4,11 @@ import math
 import os
 import subprocess
 import sys
+import time
 
 import pytest
 
+import lusym.circuits
 import lusym.cli
 from lusym.cli import main
 from lusym.serialize import dump_group, dump_state
@@ -578,3 +580,39 @@ def test_lazy_package_exports_every_public_name():
     assert set(lusym.__all__) <= set(dir(lusym))
     with pytest.raises(AttributeError, match="no_such_name"):
         lusym.no_such_name
+
+
+def test_the_full_six_qubit_support_exits_2_at_the_circuit_cap(capsys, tmp_path):
+    # the search stops at 10^5 circuits, in about 4 s under Python 3.11, and
+    # nothing reaches stdout
+    labels = [format(x, "06b") for x in range(64)]
+    state = tmp_path / "all6.json"
+    state.write_text(dump_state(PureState.from_amplitudes({s: 0.125 for s in labels})))
+    for argv in (["circuits", "--support", ",".join(labels)], ["analyze", "--input", str(state), "--json"]):
+        start = time.perf_counter()
+        code, out, err = run_cli(capsys, *argv)
+        assert time.perf_counter() - start < 60
+        assert (code, out) == (2, "")
+        assert err == "error: circuit search: the support of 64 labels on 6 qubits has more than 100000 circuits, the cap\n"
+
+
+@pytest.mark.parametrize(
+    "labels, count",
+    [
+        # 14 circuits: the search finds 4, and the lift to complement twins adds 10
+        ("0000,0110,0111,1000,1001,1010,1011,1100", 14),
+        # 15 circuits, all found by the search: no label's complement is there
+        ("00000,00011,00101,01001,10001,00110,01010,10010", 15),
+    ],
+    ids=["lifted", "searched"],
+)
+def test_a_support_past_a_small_circuit_cap_exits_2(capsys, monkeypatch, labels, count):
+    code, whole, _ = run_cli(capsys, "circuits", "--support", labels, "--json")
+    assert code == 0 and len(json.loads(whole)["circuits"]) == count
+    monkeypatch.setattr(lusym.circuits, "MAX_CIRCUITS", count)
+    assert run_cli(capsys, "circuits", "--support", labels, "--json") == (0, whole, "")
+    monkeypatch.setattr(lusym.circuits, "MAX_CIRCUITS", count - 1)
+    code, out, err = run_cli(capsys, "circuits", "--support", labels, "--json")
+    assert (code, out) == (2, "")
+    n = len(labels.split(",")[0])
+    assert err == f"error: circuit search: the support of 8 labels on {n} qubits has more than {count - 1} circuits, the cap\n"
