@@ -66,10 +66,12 @@ def _torus_deviation(psi: PureState, rows: Sequence[Sequence[int]], direction: S
 def _require_tol(tol: float) -> None:
     if isinstance(tol, bool) or not isinstance(tol, (int, float)) or not 0 < tol < math.inf:
         raise InputError(f"tol must be finite and > 0, got {tol}")
+    if tol >= 1:  # a deviation is at most 2|c| <= 2, and a norm error is of the same order
+        raise InputError(f"tol must be < 1, got {tol}: from 1 up a check passes moved and unnormalized states")
 
 
 def require_normalized(psi: PureState, tol: float) -> None:
-    """Raise InputError unless tol is finite and > 0 and the norm is 1 within tol."""
+    """Raise InputError unless 0 < tol < 1 and the norm is 1 within tol."""
     _require_tol(tol)
     if not psi.is_normalized(tol):
         raise InputError(

@@ -36,7 +36,7 @@ from __future__ import annotations
 
 from itertools import combinations, compress
 from math import gcd, lcm
-from operator import mul
+from operator import mul, neg
 from typing import NamedTuple
 
 from .errors import InternalError, LimitError
@@ -129,8 +129,11 @@ def _systematic_kernel(
     entries above each pivot cleared bottom up by fraction-free steps and each
     row divided by the gcd of its entries, is the primitive integer reduced
     row echelon form: pivot d_i in column P[i] and R[i][m] = a[i][F[m]] / d_i.
+    The form is built from A's distinct rows up to sign, each reduced once: a
+    row equal to +-another adds nothing to the row lattice, whose form is unique.
     """
-    a = list(hermite_normal_form(zip(*vectors)))
+    rows = dict.fromkeys(row if row[0] > 0 else tuple(map(neg, row)) for row in zip(*vectors))
+    a = list(hermite_normal_form(rows))
     pivots = [next(j for j, x in enumerate(h) if x) for h in a]
     for i in reversed(range(len(a))):
         v, p = a[i], pivots[i]

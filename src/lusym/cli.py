@@ -80,6 +80,8 @@ def _tolerance(text: str) -> float:
         raise argparse.ArgumentTypeError(f"not a number: {text!r}") from None
     if not (math.isfinite(value) and value > 0):
         raise argparse.ArgumentTypeError(f"must be finite and > 0, got {text}")
+    if value >= 1:
+        raise argparse.ArgumentTypeError(f"must be < 1, got {text}: from 1 up a check passes moved and unnormalized states")
     return value
 
 

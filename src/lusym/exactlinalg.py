@@ -4,12 +4,12 @@ Smith normal form with both transformation matrices, the row Hermite normal
 form with lattice membership, and the reduction of bit masks over GF(2). An
 IntMatrix is a tuple of equal-length rows of int, and require_ints is the one
 check of int entries across the package: a bool or another int subclass is
-refused. The Smith elimination carries only the column transform v; a
-SmithDecomposition keeps the invariant factors, v's columns and the input,
-and builds u, d and v from them each time one is read, u by running the same
-elimination on [a | I]. Everything runs on Python ints; no floating point
-enters any routine in this module, so results are decidable and reproducible
-bit for bit.
+refused. The Smith elimination carries only the column transform v, and its
+column steps touch only nonzero entries; a SmithDecomposition keeps the
+invariant factors, v's columns and the input, and builds u, d and v from them
+on each read, u by running the same elimination on [a | I]. Python ints
+only: no floating point enters any routine here, so results are decidable
+and reproducible bit for bit.
 """
 
 from __future__ import annotations
@@ -102,10 +102,12 @@ def _eliminate(A: list[list[int]], n: int) -> tuple[tuple[int, ...], tuple[tuple
     Pivot search, column operations and the divisibility test read and write
     only those n columns; row swaps, row subtractions and the sign flip act on
     whole rows, so any columns past n record what the row operations make of
+    them. A column step col_j -= q * col_t leaves column t as it is, so each
+    pass reads its nonzero entries, in A and V, once, and steps only beside
     them. Returns the invariant factors and the columns of v.
     """
     m = len(A)
-    V = [[1 if i == j else 0 for i in range(n)] for j in range(n)]  # V[j] is column j
+    V = [[0] * j + [1] + [0] * (n - 1 - j) for j in range(n)]  # V[j] is column j
 
     def swap_cols(j: int, k: int) -> None:
         # rows above t are zero in every column >= t
@@ -118,13 +120,6 @@ def _eliminate(A: list[list[int]], n: int) -> tuple[tuple[int, ...], tuple[tuple
     def row_sub(i: int, k: int, q: int) -> None:
         # row_i -= q * row_k
         A[i] = [x - q * y for x, y in zip(A[i], A[k])]
-
-    def col_sub(j: int, k: int, q: int) -> None:
-        # col_j -= q * col_k, skipping the zero rows above t
-        for i in range(t, m):
-            row = A[i]
-            row[j] -= q * row[k]
-        V[j] = [x - q * y for x, y in zip(V[j], V[k])]
 
     t = 0
     while t < min(m, n):
@@ -141,11 +136,19 @@ def _eliminate(A: list[list[int]], n: int) -> tuple[tuple[int, ...], tuple[tuple
                     row_sub(i, t, A[i][t] // p)
                     if A[i][t]:
                         dirty = True
+            at = [(row, row[t]) for row in A[t:] if row[t]]
+            vt = [(i, x) for i, x in enumerate(V[t]) if x]
+            row_t = A[t]
             for j in range(t + 1, n):
-                if A[t][j]:
-                    col_sub(j, t, A[t][j] // p)
-                    if A[t][j]:
-                        dirty = True
+                q = row_t[j] // p
+                if q:
+                    for row, x in at:
+                        row[j] -= q * x
+                    vj = V[j]
+                    for i, x in vt:
+                        vj[i] -= q * x
+                if row_t[j]:
+                    dirty = True
             if dirty:
                 pos = _smallest_nonzero(A, t, m, n)
                 A[t], A[pos[0]] = A[pos[0]], A[t]

@@ -48,11 +48,11 @@ class DiagonalSymmetryGroup(Value):
     row Hermite normal form as characters; equality and hashing read n and
     characters only. From the Smith form u C v = d of that form it derives the
     group as (torus part) x (finite part): real multiples of the torus_basis
-    directions, the kernel columns of v, plus the cyclic factors generated by
-    (column i of v) / d_i for each d_i > 1, taken modulo whole turns. Of a
-    generator and its inverse, both reduced to [0, 1) turns, the
-    lexicographically smaller is kept. Column i of the unimodular v is
-    primitive, so d_i is the generator's order.
+    directions, the kernel columns of v with their signs fixed, plus the
+    cyclic factors generated by (column i of v) / d_i for each d_i > 1, taken
+    modulo whole turns; of a generator and its inverse, both reduced to [0, 1)
+    turns, the lexicographically smaller is kept. The unimodular v has
+    primitive columns, so normalizing only fixes signs and d_i is the order.
     """
 
     __slots__ = ("n", "characters", "torus_basis", "finite_generators")

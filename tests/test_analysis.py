@@ -105,9 +105,16 @@ def test_verify_refuses_a_vacuous_tolerance():
     v = verify_symmetry(psi, full)
     assert not v.passed
     assert v.max_deviation == pytest.approx(math.sqrt(2))
-    for tol in (math.inf, math.nan, 0.0, -1e-9, True, "1e-9"):
+    for tol in (math.inf, math.nan, 0.0, -1e-9, True, "1e-9", 1.0, 1.5, 2.0):
         with pytest.raises(InputError, match="tol"):
             verify_symmetry(psi, full, tol=tol)
+    # every deviation is at most 2|c| <= 2: at tol 1.5 the group of the torus
+    # direction (1, 0, 0, 0, 0) would pass on GHZ_4, which it moves by 1.41
+    ghz4 = fixture_state("ghz4")
+    moving = DiagonalSymmetryGroup.from_presentation(4, [(1, 0, 0, 0, 0)], ())
+    assert verify_symmetry(ghz4, moving, tol=0.5).max_deviation == pytest.approx(math.sqrt(2))
+    with pytest.raises(InputError, match=r"^tol must be < 1, got 1\.5: "):
+        verify_symmetry(ghz4, moving, tol=1.5)
 
 
 def _float_deviation(psi, moved):
@@ -240,6 +247,13 @@ def test_analyze_refuses_a_vacuous_tolerance_before_any_stage(monkeypatch):
     for tol in (math.nan, math.inf, -math.inf, 0.0, -1.0, True, "1e-9"):
         with pytest.raises(InputError, match=f"^tol must be finite and > 0, got {tol}$"):
             analyze(psi, tol=tol)
+    # from 1 up a tolerance lets every check through: a deviation is at most
+    # 2|c| <= 2, and a one-label state of norm 1.9 would count as normalized
+    for tol in (1.0, 1.5, 2.0):
+        with pytest.raises(InputError, match=f"^tol must be < 1, got {tol}: "):
+            analyze(psi, tol=tol)
+    with pytest.raises(InputError, match="^tol must be < 1, got 1: "):
+        analyze(PureState(2, {"00": 1.9}), tol=1)
 
 
 def test_analyze_refuses_labels_off_the_qubit_count_before_any_stage(monkeypatch):

@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import math
 import random
 
@@ -29,12 +30,18 @@ from oracles import circuits_070
 def test_kernel_matches_the_070_gauss_jordan():
     # the reduced row echelon form read off the Hermite normal form has the
     # 0.7.0 Gauss-Jordan's rows up to sign once each is primitive, so P, F, D
-    # and Q agree; a Hermite row left imprimitive changes D and Q
+    # and Q agree; a Hermite row left imprimitive changes D and Q, and so
+    # would a coordinate row dropped that is not a copy of another up to sign
     rng = random.Random(1237)
     supports = [random_support(rng, rng.randint(1, 10), 22, min_labels=1) for _ in range(1000)]
     supports += [Support.from_labels(format(1 << i, f"0{n}b") for i in range(n)) for n in (10, 11, 12)]
     supports += [Support.from_labels(all_labels(n)) for n in (5, 6)]
     supports += [complement_rich_support(rng, n, 14, rng.randint(3, 6)) for n in (6, 7, 8)]
+    # cosets x ^ F repeat their coordinate rows up to sign: qubits whose bits
+    # agree, or disagree, on every label
+    supports += [random_coset_support(rng, rng.randint(10, 14), rng.randint(2, 3)) for _ in range(60)]
+    # qubit 2 is the negation of qubit 1 and qubit 4 a copy of it
+    supports.append(Support.from_labels(f"{a}{1 - a}{b}{a}{c}" for a, b, c in itertools.product((0, 1), repeat=3)))
     for sup in supports:
         vectors = [weight_vector(label) for label in sup.labels]
         assert _systematic_kernel(vectors) == gauss_jordan_070(vectors), sup.labels

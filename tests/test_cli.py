@@ -369,8 +369,10 @@ def test_verify_rejects_nan_state_under_any_hash_seed(tmp_path):
     [
         ("--tolerance", "-1", "analyze"),
         ("--tolerance", "nan", "analyze"),
+        ("--tolerance", "1", "analyze"),
         ("--tolerance", "-1", "verify"),
         ("--tolerance", "nan", "verify"),
+        ("--tolerance", "1", "verify"),
     ],
 )
 def test_check_options_refuse_vacuous_values(capsys, flag, value, command):

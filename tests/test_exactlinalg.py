@@ -1,11 +1,14 @@
 import hashlib
 import random
 from fractions import Fraction
+from itertools import chain
+from math import gcd
 
 import numpy as np
 import pytest
 
 from lusym import (
+    DiagonalSymmetryGroup,
     InputError,
     IntMatrix,
     Support,
@@ -18,6 +21,7 @@ from lusym.exactlinalg import (
 )
 from lusym.symmetry import sign_rows
 
+from conftest import random_coset_support
 from oracles import int_product
 
 
@@ -129,6 +133,15 @@ def _strata_sign_matrices():
         yield IntMatrix(sign_rows(Support.from_labels(labels)))
 
 
+def _coset_forms():
+    # the solver's Smith inputs on coset supports x ^ F: Hermite forms of their
+    # sign rows, wide and of low rank, with repeated columns
+    rng = random.Random(1510)
+    for _ in range(60):
+        support = random_coset_support(rng, rng.randint(10, 14), rng.randint(2, 3))
+        yield IntMatrix(hermite_normal_form(sign_rows(support)))
+
+
 def _transforms_digest(matrices) -> str:
     h = hashlib.sha256()
     for a in matrices:
@@ -142,14 +155,30 @@ def _transforms_digest(matrices) -> str:
     [
         (_criterion_8_matrices, "ef95493b6e0c5782945b0fa133fb1255cd3f9718b92b539470d9ebdabc888185"),
         (_strata_sign_matrices, "e0035480f01b1bce344d3211533a3d63c9e0ece55b74911fcb87aa6878e23ab6"),
+        (_coset_forms, "c94a3d0604e36317667056bd413c3b1bdab7448071789adfb1bda68f1a754d14"),
     ],
-    ids=["criterion-8", "strata-shapes"],
+    ids=["criterion-8", "strata-shapes", "coset-forms"],
 )
 def test_smith_transforms_are_pinned(matrices, digest):
     # u, d and v entry for entry as computed when u was carried through the
     # elimination and v held as rows: the replayed u and the column-held v
-    # reproduce them
+    # reproduce them. The coset forms' digest was recorded while every column
+    # step still ran over all rows; a step that skips zero entries keeps it
     assert _transforms_digest(matrices()) == digest
+
+
+def test_v_columns_are_primitive_and_give_the_torus_basis():
+    # v is unimodular, so each of its columns has gcd 1 and normalizing one
+    # only fixes its sign: the solved torus basis is v's trailing columns,
+    # normalized, on the solver's coset forms and on any character rows
+    for a in chain(_coset_forms(), _criterion_8_matrices()):
+        dec = smith_normal_form(a)
+        assert all(gcd(*col) == 1 for col in dec.v_columns), a
+        if len(a[0]) > 1:
+            group = DiagonalSymmetryGroup(len(a[0]) - 1, a)
+            dec = smith_normal_form(IntMatrix(group.characters or [[0] * len(a[0])]))
+            trailing = dec.v_columns[len(dec.invariant_factors) :]
+            assert group.torus_basis == tuple(map(normalize_int_vector, trailing)), a
 
 
 def test_smith_views_are_equal_on_every_read():

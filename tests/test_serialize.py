@@ -268,12 +268,15 @@ def test_report_bytes_are_pinned(monkeypatch):
 
 
 # sha256 of dump_report for seeded states beyond the fixtures, written by lusym
-# 0.7.0: cosets with a torus of rank 7 and 8, and random supports whose groups
-# have eight and nine finite factors. Built with the conftest helpers, so a
+# 0.7.0: cosets with a torus of rank 7 and 8, two 8-label cosets on 11 and 14
+# qubits with a torus of rank 7 and 9, and random supports whose groups have
+# eight and nine finite factors. Built with the conftest helpers, so a
 # change to those helpers changes the inputs and fails this test too.
 SEEDED_REPORT_SHA256 = {
     ("coset", 1, 10, 2): "0a3196551e51b5a79c845e953513b470c2c622ae4f833402afad1f60eaf56b7e",
     ("coset", 2, 12, 3): "281520d17a2fab34688a3cb5f79bd1ddc7c79dfdcf0c5f393fe74b33bfeb28ce",
+    ("coset", 3, 11, 3): "a4f5a9f4a31257e49f5153b1ecfb1429691e162efec0d7c1757707d8b569aade",
+    ("coset", 3, 14, 3): "1744650b646eba9c937041326b9b3d4e095346097234fbd12c46a364c8061989",
     ("random", 5, 8, 12): "7435e5fe728a3085cdf999d402f148dca51403393e8b9cda7f5737fe3850c989",
     ("random", 6, 9, 13): "34786a78e7ea063a16afaf8acf2198901ad2a78f1c22d5df1b2f6e10e8afdec0",
 }
@@ -339,6 +342,8 @@ REPORT_CONTENT_SHA256 = {
 SEEDED_REPORT_CONTENT_SHA256 = {
     ("coset", 1, 10, 2): "5dd5d0ee0d49f327908fe44a828e5ddcde2375ec1a7856fb9d9b4a44901afd19",
     ("coset", 2, 12, 3): "7f8d21b6851749967911e5cb6ad357b68e30908ba26a58493fc14a8bdcb70c54",
+    ("coset", 3, 11, 3): "dd2cffe1c051a53cbc71efdca51deaf557c80918c264b0febf044166221070a1",
+    ("coset", 3, 14, 3): "acaa919e2f02561bd2aaaba911efda02091c540be86f322341150f1a9d43e87b",
     ("random", 5, 8, 12): "8d38abb2f4c8eb315729077ab0f4aa8eb0058612944fa661325318c5b66ce01d",
     ("random", 6, 9, 13): "cf6e7e7acf1c19d183aec7d17b0e1cafc5d02d479a0d04ac2d0348c245a6d580",
 }
@@ -385,6 +390,8 @@ REPORT_SANS_VERIFICATION_SHA256 = {
 SEEDED_REPORT_SANS_VERIFICATION_SHA256 = {
     ("coset", 1, 10, 2): "ff3b787a55f2bea017e28d984d4ff8cb9c5e58386f8af0a2c7303886a7f751a1",
     ("coset", 2, 12, 3): "a700562e192bf818d332ec60708c73900ccb74afe5406411c968e917cd1829e2",
+    ("coset", 3, 11, 3): "613c820130749f0c052e66fe7c5399b8a62ca4470d5533dd7e024d665e18bfea",
+    ("coset", 3, 14, 3): "ec34fb02ec27ffbeef914fc8364b2117b0548192cff33636de2baa1df70eda4d",
     ("random", 5, 8, 12): "b95c6842e5b9a1d65b99029380da392ed3a60235e08e676369ddcfeba5ae1a6d",
     ("random", 6, 9, 13): "08d8aacc588618eebf21eaa0524e1575d3ce90efd510a5d3887e24ed50ce27c8",
 }
@@ -421,6 +428,8 @@ REPORT_SANS_GROUP_SHA256 = {
 SEEDED_REPORT_SANS_GROUP_SHA256 = {
     ("coset", 1, 10, 2): "6595c6ab0ca5003b9c7974f2e628d3efca776152f01808ca22532701653b2f50",
     ("coset", 2, 12, 3): "5ee0d26d263df1d66b24d765253827e1a422f4cdef8ab5179a03a43858557ff9",
+    ("coset", 3, 11, 3): "e61cf3d6aa4726b0105e132bb812e6005f2ab059756769428b94f0444870ce38",
+    ("coset", 3, 14, 3): "9e9c3b4c0d5dae68b7fe24a7fc837e3ab188ed8e0f14f3400870cbdeced2f0f4",
     ("random", 5, 8, 12): "d8e9cfa84f50cff0557a6683a208cc5e6d72f91928acfa89d0fb83612e2df6b5",
     ("random", 6, 9, 13): "d07ef1874e471a9af13c53906a67bc6afa996d3114a1cce6eee1cc66b9c4b540",
 }
