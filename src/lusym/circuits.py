@@ -15,8 +15,9 @@ rows of this kernel basis form the dual configuration, and duality turns
 circuits into complements of its hyperplanes. If S is a set of k-1 labels
 whose dual rows are independent, the complement of S has r+1 members and
 rank r, so it holds exactly one circuit; the kernel vectors vanishing on S
-form one line, and that line's support is the circuit. Every circuit C
-arises so, with S any basis of the dual rows outside C; hence |C| <= r+1.
+form one line, whose nonzero entries, read in label order off F and P and
+divided by their gcd, first one positive, are the circuit and its relation.
+Each circuit C arises from any basis S of the dual rows outside C: |C| <= r+1.
 
 A label s and its complement s XOR 1^n have opposite sign vectors, so they
 are parallel elements of the matroid: {s, s XOR 1^n} is a circuit with
@@ -34,20 +35,20 @@ parallel test; only searches over five or more coordinates build lists.
 
 from __future__ import annotations
 
-from itertools import combinations, compress
+from itertools import combinations
 from math import gcd, lcm
-from operator import mul, neg
+from operator import itemgetter, mul, neg
 from typing import NamedTuple
 
 from .errors import InternalError, LimitError
-from .exactlinalg import hermite_normal_form, normalize_int_vector
-from .states import Support, weight_vector
+from .exactlinalg import hermite_normal_form
+from .states import Support, _signs
 
 _COMPLEMENT = str.maketrans("01", "10")
 
 # The most circuits one search records, lifted twins included. Their number
 # grows combinatorially with the support, and past the cap the search stops at
-# once: the 64 labels of 6 qubits reach it in about 4 s with 38 MB resident.
+# once: the 64 labels of 6 qubits reach it in under 3 s with 39 MB resident.
 MAX_CIRCUITS = 100_000
 
 
@@ -311,27 +312,30 @@ def enumerate_circuits(support: Support) -> CircuitCatalog:
     """All circuits of the support's sign vectors, in lexicographic member order.
 
     The later label of each complement pair is left out of the search, whose
-    circuits are then lifted to the full support. Each circuit C of the rest
-    is found from one set S of k-1 labels outside it: the greedy basis of the
-    dual rows outside C, taking free columns first and then pivot columns. A
-    free label in S only sets its coordinate of c to zero, so the search picks
-    the live free coordinates T = C & F (1 <= |T| <= r+1) outright and
-    searches only the pivot rows Q[p, T], depth first, for the rest of S. A
-    row skipped while independent must stay outside the final span, which
-    makes S unique: every circuit is reached at exactly one leaf. A full-rank
-    support (k = 0, such as W_n) has no free coordinate and so no circuits.
-    All arithmetic is exact fraction-free integer elimination. Past
-    MAX_CIRCUITS circuits, lifted twins included, it raises LimitError.
+    circuits are then lifted to the full support. Each circuit C of the rest is
+    found from one set S of k-1 labels outside it: the greedy basis of the dual
+    rows outside C, taking free columns first and then pivot columns. A free
+    label in S only sets its coordinate of c to zero, so the search picks the
+    live free coordinates T = C & F (1 <= |T| <= r+1) outright and searches
+    only the pivot rows Q[p, T], depth first, for the rest of S. A row skipped
+    while independent must stay outside the final span, which makes S unique:
+    every circuit is reached at exactly one leaf. A leaf's c, back-substituted
+    on T, gives the circuit in one pass: members are read in label order off T
+    (entry D*c) and the pivot rows z (entry z.c, kept when nonzero), and the
+    relation is divided by its gcd, first entry positive. A full-rank support
+    (k = 0, such as W_n) has no free coordinate and so no circuits. All
+    arithmetic is exact fraction-free integer elimination. Past MAX_CIRCUITS
+    circuits, lifted twins included, it raises LimitError.
     """
     labels = support.labels
     index = {label: i for i, label in enumerate(labels)}
     # the earlier label of each complement pair -> the later one
     twin = {i: j for i, label in enumerate(labels) if (j := index.get(label.translate(_COMPLEMENT), -1)) > i}
     kept = [i for i in range(len(labels)) if i not in twin.values()]
-    pivots, free, D, Q = _systematic_kernel([weight_vector(labels[i]) for i in kept])
+    pivots, free, D, Q = _systematic_kernel([_signs(labels[i]) for i in kept])
     r, k = len(pivots), len(free)
-    # kernel coordinates as indices into the whole support
-    pivots, free = [kept[j] for j in pivots], [kept[j] for j in free]
+    # kernel coordinates as indices into the whole support, and Q's columns
+    pivots, free, columns = [kept[j] for j in pivots], [kept[j] for j in free], list(zip(*Q))
     found: dict[tuple[int, ...], tuple[int, ...]] = {}
 
     def record(members: tuple[int, ...], z: tuple[int, ...]) -> None:
@@ -344,11 +348,13 @@ def enumerate_circuits(support: Support) -> CircuitCatalog:
 
     for t in range(1, min(k, r + 1) + 1):
         for live in combinations(range(k), t):
-            rows = [(pivots[i], z) for i, row in enumerate(Q) if any(z := [row[m] for m in live])]
+            rows = [(j, z) for j, z in zip(pivots, zip(*[columns[m] for m in live])) if any(z)]
             leaves: list = []
             # the live labels' own dual rows, the unit vectors in c[T], are the
             # search's implicit marks, so every c_m with m in T stays nonzero
             _search([z for _, z in rows], [], t - 1, [], leaves)
+            if leaves:
+                slots = sorted([(free[m], pos, None) for pos, m in enumerate(live)] + [(j, 0, z) for j, z in rows])
             for echelon, c in leaves:
                 # back-substitution: each echelon row fixes the entry of c at
                 # its pivot, and its entries before the pivot are zero
@@ -359,12 +365,13 @@ def enumerate_circuits(support: Support) -> CircuitCatalog:
                         c = [x * a for x in c]
                         s *= a
                     c.insert(p, -s // a)
-                y = [0] * len(labels)
-                for m, x in zip(live, c):
-                    y[free[m]] = D * x
-                for j, z in rows:
-                    y[j] = sum(map(mul, z, c))
-                record(tuple(compress(range(len(y)), y)), normalize_int_vector(list(compress(y, y))))
+                members, z = [], []
+                for j, pos, row in slots:
+                    if x := sum(map(mul, row, c)) if row else D * c[pos]:
+                        members.append(j)
+                        z.append(x)
+                g = gcd(*z) if z[0] > 0 else -gcd(*z)
+                record(tuple(members), tuple([x // g for x in z]))
 
     # lift the circuits to the left-out twins, one complement pair at a time
     for i, j in twin.items():
@@ -375,10 +382,7 @@ def enumerate_circuits(support: Support) -> CircuitCatalog:
                 record(tuple(m for m, _ in entries), tuple(sign * x for _, x in entries))
         record((i, j), (1, 1))
 
-    circuits = tuple(
-        BalancedCircuit(tuple(labels[i] for i in members), found[members]) for members in sorted(found)
-    )
-    for c in circuits:
-        if len(c.member_labels) > support.n + 1:
-            raise InternalError("circuit larger than n+1 members")
+    if max(map(len, found), default=0) > support.n + 1:
+        raise InternalError("circuit larger than n+1 members")
+    circuits = tuple(BalancedCircuit(itemgetter(*members)(labels), found[members]) for members in sorted(found))
     return CircuitCatalog(support=support, circuits=circuits)

@@ -50,7 +50,11 @@ def xor_labels(a: str, b: str) -> str:
 
 def weight_vector(label: str) -> tuple[int, ...]:
     """Signs ((-1)^{s_1}, ..., (-1)^{s_n}) for a basis label s."""
-    validate_label(label)
+    return _signs(validate_label(label))
+
+
+def _signs(label: str) -> tuple[int, ...]:
+    """weight_vector of a label a Support or PureState has already checked."""
     return tuple(1 if ch == "0" else -1 for ch in label)
 
 

@@ -25,7 +25,7 @@ from .exactlinalg import (
     require_ints,
     smith_normal_form,
 )
-from .states import PhaseVector, Support, Value, label_int, weight_vector
+from .states import PhaseVector, Support, Value, _signs, label_int
 
 
 def _check_qubit_count(n: int) -> None:
@@ -35,9 +35,9 @@ def _check_qubit_count(n: int) -> None:
 
 
 def sign_rows(labels: Iterable[str]) -> tuple[tuple[int, ...], ...]:
-    """Sign matrix of a support or any labels: one row ((-1)^{s_1}, ..., (-1)^{s_n}, 1)
-    per label, in iteration order."""
-    return tuple(weight_vector(label) + (1,) for label in labels)
+    """Sign matrix of checked labels, such as a support's: one row
+    ((-1)^{s_1}, ..., (-1)^{s_n}, 1) per label, in iteration order."""
+    return tuple(_signs(label) + (1,) for label in labels)
 
 
 class DiagonalSymmetryGroup(Value):

@@ -2,12 +2,14 @@ import hashlib
 import itertools
 import math
 import random
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 import lusym.circuits
 from lusym import (
+    InternalError,
     Support,
     enumerate_circuits,
     group_contains,
@@ -45,6 +47,15 @@ def test_kernel_matches_the_070_gauss_jordan():
     for sup in supports:
         vectors = [weight_vector(label) for label in sup.labels]
         assert _systematic_kernel(vectors) == gauss_jordan_070(vectors), sup.labels
+
+
+def test_a_circuit_past_n_plus_1_members_is_an_internal_error():
+    # the even-weight labels on 3 qubits are one circuit of 4 = n+1 members;
+    # claimed on 2 qubits, it breaks the bound |C| <= r+1 <= n+1 checked last
+    labels = Support.from_labels(["000", "011", "101", "110"]).labels
+    assert [c.relation for c in enumerate_circuits(Support(3, labels)).circuits] == [(1, 1, 1, 1)]
+    with pytest.raises(InternalError, match="n\\+1 members"):
+        enumerate_circuits(SimpleNamespace(n=2, labels=labels))
 
 
 def test_bell_circuit():
@@ -281,22 +292,37 @@ def test_every_search_level_matches_the_070_search(monkeypatch):
     supports = [random_support(rng, n, L, min_labels=L) for n, L in [(5, 14), (6, 16), (7, 16)] for _ in range(2)]
     supports += [complement_rich_support(rng, n, 16, rng.randint(3, 6)) for n in (6, 6, 7, 7)]
     supports += [random_coset_support(rng, n, 4) for n in (6, 7, 8)]
+    # dense-pool shapes, whose kernels often have D > 1 and whose relations
+    # have entries past +-1, so a leaf's entries are scaled by D and its
+    # relation divided by a gcd greater than 1
+    supports += [random_support(rng, n, 13, min_labels=13) for n in (7, 9, 10) for _ in range(3)]
     # the marks, units included, make each greedy basis unique: a mark lost
     # would reach a circuit at two leaves, which the catalog cannot show
     leaves = []
     search = lusym.circuits._search
+    scales = set()
+    kernel = lusym.circuits._systematic_kernel
 
     def counted(rest, marks, still, echelon, out):
         search(rest, marks, still, echelon, out)
         if not echelon:
             leaves.append(len(out))
 
+    def scaled(vectors):
+        pivots, free, D, Q = kernel(vectors)
+        scales.add(D)
+        return pivots, free, D, Q
+
     monkeypatch.setattr(lusym.circuits, "_search", counted)
+    monkeypatch.setattr(lusym.circuits, "_systematic_kernel", scaled)
+    entries = set()
     for sup in supports:
         leaves.clear()
         circuits = enumerate_circuits(sup).circuits
         assert circuits == circuits_070(sup), sup.labels
+        entries.update(abs(z) for c in circuits for z in c.relation)
         # the search runs without the later label of each complement pair
         left_out = {s for i, s in enumerate(sup.labels) if s.translate(str.maketrans("01", "10")) in sup.labels[:i]}
         assert sum(leaves) == sum(left_out.isdisjoint(c.member_labels) for c in circuits), sup.labels
+    assert max(scales) > 1 and max(entries) > 1, (scales, max(entries))
 
