@@ -7,10 +7,9 @@ verification), 3 internal invariant violation.
 from __future__ import annotations
 
 import argparse
-import math
 import sys
 
-from .analysis import DEFAULT_TOL, analyze, compare_strata, require_normalized, verify_symmetry
+from .analysis import DEFAULT_TOL, _require_tol, analyze, compare_strata, require_normalized, verify_symmetry
 from .errors import InputError, InternalError
 from .fixtures import fixture_names, fixture_state
 from .serialize import (
@@ -78,10 +77,10 @@ def _tolerance(text: str) -> float:
         value = float(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"not a number: {text!r}") from None
-    if not (math.isfinite(value) and value > 0):
-        raise argparse.ArgumentTypeError(f"must be finite and > 0, got {text}")
-    if value >= 1:
-        raise argparse.ArgumentTypeError(f"must be < 1, got {text}: from 1 up a check passes moved and unnormalized states")
+    try:
+        _require_tol(value)
+    except InputError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
     return value
 
 

@@ -1,21 +1,20 @@
 """Exact integer linear algebra.
 
 Smith normal form with both transformation matrices, the row Hermite normal
-form with lattice membership, and the reduction of bit masks over GF(2). An
-IntMatrix is a tuple of equal-length rows of int, and require_ints is the one
-check of int entries across the package: a bool or another int subclass is
-refused. The Smith elimination carries only the column transform v, and its
-column steps touch only nonzero entries; a SmithDecomposition keeps the
-invariant factors, v's columns and the input, and builds u, d and v from them
-on each read, u by running the same elimination on [a | I]. Python ints
-only: no floating point enters any routine here, so results are decidable
-and reproducible bit for bit.
+form with lattice membership, and bit masks over GF(2): reduction by a basis,
+and the masks of a list that generate its span. An IntMatrix is a tuple of
+equal-length rows of int, and require_ints is the one check of int entries
+across the package: a bool or another int subclass is refused. The Smith
+elimination carries only the column transform v, and its column steps touch
+only nonzero entries; a SmithDecomposition keeps the invariant factors, v's
+columns and the input, and builds u, d and v from them on each read, u by
+running the same elimination on [a | I]. Python ints only: no floating point
+enters any routine here, so results are decidable and reproducible bit for bit.
 """
 
 from __future__ import annotations
 
 from itertools import chain
-from math import gcd
 from typing import Iterable, NamedTuple, Sequence
 
 from .errors import InputError
@@ -62,7 +61,7 @@ class SmithDecomposition(NamedTuple):
 
     invariant_factors: tuple[int, ...]
     v_columns: tuple[tuple[int, ...], ...]
-    a: IntMatrix
+    a: Sequence[Sequence[int]]
 
     @property
     def u(self) -> IntMatrix:
@@ -171,8 +170,9 @@ def _eliminate(A: list[list[int]], n: int) -> tuple[tuple[int, ...], tuple[tuple
     return tuple(A[i][i] for i in range(t)), tuple(map(tuple, V))
 
 
-def smith_normal_form(a: IntMatrix) -> SmithDecomposition:
-    """Compute the Smith normal form of an integer matrix.
+def smith_normal_form(a: Sequence[Sequence[int]]) -> SmithDecomposition:
+    """Compute the Smith normal form of an integer matrix, given as rows of int
+    of one length that are not checked again, such as an IntMatrix or a Hermite form.
 
     Returns u, d, v with u a v = d, u and v unimodular, d diagonal with
     non-negative entries satisfying d[i] | d[i+1]. Pivots are chosen as the
@@ -249,11 +249,12 @@ def gf2_reduced(y: int, basis: Iterable[int]) -> int:
     return y
 
 
-def normalize_int_vector(v: Sequence[int]) -> tuple[int, ...]:
-    """Divide an integer vector by the gcd of its entries, making the leading entry positive."""
-    g = gcd(*v)
-    if not g:
-        raise InputError("cannot normalize the zero vector")
-    if next(x for x in v if x) < 0:
-        g = -g
-    return tuple(x // g for x in v)
+def gf2_generators(values: list[int]) -> list[int]:
+    """The masks, in the given order, that are independent of those before them."""
+    basis: list[int] = []
+    gens: list[int] = []
+    for x in values:
+        if y := gf2_reduced(x, basis):
+            basis.append(y)
+            gens.append(x)
+    return gens

@@ -20,7 +20,7 @@ from typing import Iterable, NamedTuple, Sequence, Union
 
 from .circuits import BalancedCircuit, SlGeneratorReport, single_sl_generator_check  # noqa: F401 (re-exported)
 from .errors import DimensionError, InputError
-from .exactlinalg import require_ints
+from .exactlinalg import gf2_generators, require_ints
 from .states import PureState, Support, Value, label_int, validate_label, xor_labels
 
 
@@ -88,10 +88,9 @@ class InvariantSum(NamedTuple):
 
 
 def monomial_from_circuit(circuit: BalancedCircuit) -> InvariantMonomial:
-    terms = []
-    for label, z in zip(circuit.member_labels, circuit.relation):
-        terms.append((label, max(z, 0), max(-z, 0)))
-    return InvariantMonomial.from_terms(terms)
+    return InvariantMonomial(
+        (label, max(z, 0), max(-z, 0)) for label, z in zip(circuit.member_labels, circuit.relation)
+    )
 
 
 def abs_square_generators(support: Support) -> list[InvariantMonomial]:
@@ -130,13 +129,9 @@ def symmetrize_over_flips(
     for mask in masks:
         validate_label(mask, n)
     masks = sorted(set(masks), key=label_int)
-    if "0" * n not in masks:
-        raise InputError("flip group must contain the zero mask")
-    mask_set = set(masks)
-    for x in masks:
-        for y in masks:
-            if xor_labels(x, y) not in mask_set:
-                raise InputError(f"flip group not closed under xor: {x} ^ {y}")
+    rank = len(gf2_generators([label_int(mask) for mask in masks]))
+    if len(masks) != 1 << rank:  # a group, zero mask included, is all 2^rank masks of its span
+        raise InputError(f"flip group not closed under xor: {len(masks)} masks of GF(2) rank {rank}")
     if m.n != n:
         raise DimensionError("monomial and flip group qubit counts differ")
 

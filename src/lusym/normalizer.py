@@ -16,7 +16,7 @@ from __future__ import annotations
 from typing import NamedTuple
 
 from .errors import InternalError
-from .exactlinalg import gf2_reduced
+from .exactlinalg import gf2_generators
 from .states import PureState, Support, label_int
 from .symmetry import DiagonalSymmetryGroup, QubitActionProfile, qubit_action_profile
 
@@ -28,21 +28,10 @@ class FlipGroup(NamedTuple):
     generators: tuple[str, ...]
 
 
-def _gf2_generators(values: list[int]) -> list[int]:
-    """The masks, in the given order, that are independent of those before them."""
-    basis: list[int] = []
-    gens: list[int] = []
-    for x in values:
-        if y := gf2_reduced(x, basis):
-            basis.append(y)
-            gens.append(x)
-    return gens
-
-
 def _as_flip_group(values: list[int], n: int) -> FlipGroup:
     """The flip group of n-bit masks given by their integer values."""
     ordered = sorted(set(values))
-    gens = _gf2_generators(ordered)
+    gens = gf2_generators(ordered)
     # the masks lie in the span of gens, which has 2^r members: they are closed
     # under xor exactly when they are all of it
     if len(ordered) != 1 << len(gens):

@@ -17,14 +17,7 @@ from operator import mul
 from typing import Iterable, NamedTuple, Sequence
 
 from .errors import DimensionError, InputError, InternalError
-from .exactlinalg import (
-    IntMatrix,
-    hermite_normal_form,
-    lattice_member,
-    normalize_int_vector,
-    require_ints,
-    smith_normal_form,
-)
+from .exactlinalg import hermite_normal_form, lattice_member, require_ints, smith_normal_form
 from .states import PhaseVector, Support, Value, _signs, label_int
 
 
@@ -52,7 +45,8 @@ class DiagonalSymmetryGroup(Value):
     cyclic factors generated by (column i of v) / d_i for each d_i > 1, taken
     modulo whole turns; of a generator and its inverse, both reduced to [0, 1)
     turns, the lexicographically smaller is kept. The unimodular v has
-    primitive columns, so normalizing only fixes signs and d_i is the order.
+    primitive columns, so a torus direction only has its sign fixed, first
+    nonzero entry positive, and d_i is the order.
     """
 
     __slots__ = ("n", "characters", "torus_basis", "finite_generators")
@@ -66,8 +60,10 @@ class DiagonalSymmetryGroup(Value):
         require_ints(chain.from_iterable(rows), "character entries")
         characters = hermite_normal_form(rows)
         # Lambda = {0} is the zero row's lattice, whose v is the identity: the full torus
-        factors, v_columns, _ = smith_normal_form(IntMatrix(characters or [[0] * (n + 1)]))
-        torus_basis = tuple(normalize_int_vector(col) for col in v_columns[len(factors) :])
+        factors, v_columns, _ = smith_normal_form(characters or ((0,) * (n + 1),))
+        torus_basis = tuple(
+            col if next(filter(None, col)) > 0 else tuple(-x for x in col) for col in v_columns[len(factors) :]
+        )
         finite_generators = tuple(
             PhaseVector(min(tuple(x % d for x in col), tuple(-x % d for x in col)), d)
             for d, col in zip(factors, v_columns)
@@ -103,7 +99,7 @@ class DiagonalSymmetryGroup(Value):
             for j, gen in enumerate(finite_generators)
         ]
         # with no columns every c qualifies: the zero row's v is the identity, the trivial group
-        dec = smith_normal_form(IntMatrix(columns or [[0] * n1]))
+        dec = smith_normal_form(columns or [[0] * n1])
         return cls(n, tuple(col[:n1] for col in dec.v_columns[len(dec.invariant_factors) :]))
 
     @property

@@ -16,6 +16,10 @@ evaluates a monomial or flip sum on amplitudes given as pairs of Fractions,
 the exact reference for `evaluate`. `bidegree_scaling_check` is the
 acceptance predicate for bidegrees. `int_product` multiplies integer matrices
 as numpy object arrays, exactly, for the Smith identity u a v = d.
+`normalize_int_vector` divides by the gcd and fixes the sign, the reference
+for the circuit relations and the torus directions. `xor_closed` decides by
+trying every pair whether a set of bit masks is closed under xor, the
+reference for the flip-group checks, which count a GF(2) rank instead.
 """
 
 from __future__ import annotations
@@ -27,15 +31,31 @@ from functools import reduce
 from itertools import combinations
 from math import gcd, lcm
 from operator import matmul, mul
-from typing import Mapping, Union
+from typing import Iterable, Mapping, Sequence, Union
 
 import numpy as np
 
 from lusym.circuits import BalancedCircuit
-from lusym.errors import DimensionError
-from lusym.exactlinalg import IntMatrix, normalize_int_vector
+from lusym.errors import DimensionError, InputError
+from lusym.exactlinalg import IntMatrix
 from lusym.invariants import InvariantMonomial, InvariantSum, evaluate
 from lusym.states import PhaseVector, PureState, Support, validate_label, weight_vector
+
+
+def normalize_int_vector(v: Sequence[int]) -> tuple[int, ...]:
+    """Divide an integer vector by the gcd of its entries, making the leading entry positive."""
+    g = gcd(*v)
+    if not g:
+        raise InputError("cannot normalize the zero vector")
+    if next(x for x in v if x) < 0:
+        g = -g
+    return tuple(x // g for x in v)
+
+
+def xor_closed(masks: Iterable[int]) -> bool:
+    """Does the xor of every pair of the masks lie among them?"""
+    mask_set = set(masks)
+    return all(x ^ y in mask_set for x in mask_set for y in mask_set)
 
 
 def _eliminate(x, v, p):

@@ -2,6 +2,7 @@ import hashlib
 import json
 import math
 import os
+import random
 import subprocess
 import sys
 import time
@@ -13,6 +14,8 @@ import lusym.cli
 from lusym.cli import main
 from lusym.serialize import dump_group, dump_state
 from lusym import DiagonalSymmetryGroup, InternalError, PureState, Support, fixture_names, fixture_state, solve_symmetry_group
+
+from conftest import random_coset_support
 
 
 def run_cli(capsys, *argv):
@@ -477,6 +480,24 @@ def test_invariants_json_bytes_are_pinned(capsys):
         code, out, _ = run_cli(capsys, "invariants", "--fixture", name, "--json")
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == digest, name
+
+
+# sha256 of `lusym invariants --support ... --json` on 40 seeded flip cosets,
+# written one after another, as lusym 0.7.0 wrote them: n = 5-10 and flip
+# dimension 1-4, so flip sums run over up to 16 masks, where the fixtures
+# reach only 4
+FLIP_COSET_INVARIANTS_SHA256 = "baccd9d4304610930b3149aa9df6485ada4480fc6e8529e77182950ebef0affd"
+
+
+def test_invariants_json_bytes_on_flip_cosets_are_pinned(capsys):
+    rng = random.Random("flip-coset-invariants")
+    digest = hashlib.sha256()
+    for k in range(40):
+        support = random_coset_support(rng, 5 + k % 6, 1 + (k // 6) % 4)
+        code, out, _ = run_cli(capsys, "invariants", "--support", ",".join(support.labels), "--json")
+        assert code == 0
+        digest.update(out.encode())
+    assert digest.hexdigest() == FLIP_COSET_INVARIANTS_SHA256
 
 
 def test_json_output_deterministic(capsys):

@@ -17,12 +17,11 @@ from lusym import (
 from lusym.exactlinalg import (
     hermite_normal_form,
     lattice_member,
-    normalize_int_vector,
 )
 from lusym.symmetry import sign_rows
 
 from conftest import random_coset_support
-from oracles import int_product
+from oracles import int_product, normalize_int_vector
 
 
 def test_intmatrix_rejects_bad_input():

@@ -1,8 +1,10 @@
 import random
+from itertools import combinations
 
 import pytest
 
 from lusym import (
+    InputError,
     InternalError,
     PureState,
     Support,
@@ -12,10 +14,12 @@ from lusym import (
     reduced_density_matrix,
     solve_symmetry_group,
 )
+from lusym.invariants import InvariantMonomial, InvariantSum, symmetrize_over_flips
 from lusym.normalizer import _as_flip_group, balance_defects, support_stabilizer_masks
 from lusym.states import xor_labels
 
 from conftest import conjugate, random_state_on, random_support
+from oracles import xor_closed
 
 
 def normalizer_of(sup):
@@ -90,6 +94,59 @@ def test_stabilizer_masks_brute_force():
 def test_flip_group_self_check_rejects_unclosed_masks(values, n):
     with pytest.raises(InternalError, match="not closed under xor"):
         _as_flip_group(values, n)
+
+
+def _mask_sets():
+    # every nonempty set of the 8 masks on 3 qubits, then seeded sets on 4-6
+    # qubits built near subgroups, so that both verdicts occur often: a
+    # subgroup, one with a mask dropped or added, a coset, or any masks
+    for size in range(1, 9):
+        for masks in combinations(range(8), size):
+            yield 3, list(masks)
+    rng = random.Random(4099)
+    seeded = 0
+    while seeded < 300:
+        n = rng.randint(4, 6)
+        span = [0]
+        for _ in range(rng.randint(0, 3)):
+            m = rng.getrandbits(n)
+            span += [s ^ m for s in span]
+        masks = set(span)
+        kind = rng.randrange(5)
+        if kind == 1:
+            masks.discard(rng.choice(sorted(masks)))
+        elif kind == 2:
+            masks.add(rng.getrandbits(n))
+        elif kind == 3:
+            x = rng.getrandbits(n)
+            masks = {x ^ s for s in masks}
+        elif kind == 4:
+            masks = set(rng.sample(range(1 << n), rng.randint(1, 12)))
+        if masks:
+            masks = sorted(masks)
+            rng.shuffle(masks)
+            seeded += 1
+            yield n, masks
+
+
+def test_flip_group_checks_agree_with_pairwise_closure():
+    # both checks count a GF(2) rank; the oracle tries every pair, and a set
+    # without the zero mask is unclosed too
+    verdicts = set()
+    for n, values in _mask_sets():
+        closed = xor_closed(values)
+        verdicts.add((closed, 0 in values))
+        labels = [f"{x:0{n}b}" for x in values]
+        mono = InvariantMonomial((("0" * n, 1, 1),))
+        if closed:
+            assert _as_flip_group(values, n).masks == tuple(sorted(labels))
+            assert isinstance(symmetrize_over_flips(mono, labels), InvariantSum)
+        else:
+            with pytest.raises(InternalError, match=r"^flip masks not closed under xor: \d+ masks of GF\(2\) rank \d+$"):
+                _as_flip_group(values, n)
+            with pytest.raises(InputError, match=r"^flip group not closed under xor: \d+ masks of GF\(2\) rank \d+$"):
+                symmetrize_over_flips(mono, labels)
+    assert verdicts == {(True, True), (False, True), (False, False)}
 
 
 def test_phase_condition_keeps_ghz_flip():
