@@ -23,7 +23,9 @@ A label s and its complement s XOR 1^n have opposite sign vectors, so they
 are parallel elements of the matroid: {s, s XOR 1^n} is a circuit with
 relation (1, 1), no other circuit holds both, and either can replace the
 other in any circuit with its relation entry negated. The later label of each
-pair is left out of the search and its circuits are lifted afterwards. The
+pair is left out of the search and its circuits are lifted afterwards, each by
+one insertion: the later label takes the earlier one's place at its own
+position in label order, and the first entry fixes the relation's sign. The
 search works in compressed coordinates: a row chosen at pivot p has cleared p
 from every mark and later row, so p is dropped and each level works on one
 coordinate fewer. The unit vectors it starts from as marks are never stored:
@@ -35,6 +37,7 @@ parallel test; only searches over five or more coordinates build lists.
 
 from __future__ import annotations
 
+from bisect import bisect
 from itertools import combinations
 from math import gcd, lcm
 from operator import itemgetter, mul, neg
@@ -47,8 +50,9 @@ from .states import Support, _signs
 _COMPLEMENT = str.maketrans("01", "10")
 
 # The most circuits one search records, lifted twins included. Their number
-# grows combinatorially with the support, and past the cap the search stops at
-# once: the 64 labels of 6 qubits reach it in under 3 s with 39 MB resident.
+# grows combinatorially with the support, and the search stops after the live
+# set or lifted batch that crosses the cap: the 64 labels of 6 qubits reach it
+# in under 3 s with 39 MB resident.
 MAX_CIRCUITS = 100_000
 
 
@@ -66,7 +70,7 @@ class BalancedCircuit(NamedTuple):
     def positive(self) -> bool:
         """Every entry of the relation is positive, so the origin is a convex
         combination of the members."""
-        return all(z > 0 for z in self.relation)
+        return min(self.relation) > 0
 
     @property
     def d_order(self) -> int:
@@ -324,8 +328,15 @@ def enumerate_circuits(support: Support) -> CircuitCatalog:
     (entry D*c) and the pivot rows z (entry z.c, kept when nonzero), and the
     relation is divided by its gcd, first entry positive. A full-rank support
     (k = 0, such as W_n) has no free coordinate and so no circuits. All
-    arithmetic is exact fraction-free integer elimination. Past MAX_CIRCUITS
-    circuits, lifted twins included, it raises LimitError.
+    arithmetic is exact fraction-free integer elimination.
+
+    Each circuit holding the earlier label i of a complement pair is lifted by
+    putting the later label j in i's place, at the one position in label order
+    that bisect gives, with the entry negated; if i led, the relation's new
+    first entry fixes its sign. Past MAX_CIRCUITS circuits, lifted twins
+    included, it raises LimitError. The cap is checked once per live set T and
+    once per lifted pair, so memory stays bounded by the cap plus one live
+    set's leaves or one lifted batch.
     """
     labels = support.labels
     index = {label: i for i, label in enumerate(labels)}
@@ -338,8 +349,7 @@ def enumerate_circuits(support: Support) -> CircuitCatalog:
     pivots, free, columns = [kept[j] for j in pivots], [kept[j] for j in free], list(zip(*Q))
     found: dict[tuple[int, ...], tuple[int, ...]] = {}
 
-    def record(members: tuple[int, ...], z: tuple[int, ...]) -> None:
-        found[members] = z
+    def check_cap() -> None:
         if len(found) > MAX_CIRCUITS:
             raise LimitError(
                 f"circuit search: the support of {len(labels)} labels on {support.n} qubits "
@@ -353,8 +363,9 @@ def enumerate_circuits(support: Support) -> CircuitCatalog:
             # the live labels' own dual rows, the unit vectors in c[T], are the
             # search's implicit marks, so every c_m with m in T stays nonzero
             _search([z for _, z in rows], [], t - 1, [], leaves)
-            if leaves:
-                slots = sorted([(free[m], pos, None) for pos, m in enumerate(live)] + [(j, 0, z) for j, z in rows])
+            if not leaves:
+                continue
+            slots = sorted([(free[m], pos, None) for pos, m in enumerate(live)] + [(j, 0, z) for j, z in rows])
             for echelon, c in leaves:
                 # back-substitution: each echelon row fixes the entry of c at
                 # its pivot, and its entries before the pivot are zero
@@ -371,16 +382,21 @@ def enumerate_circuits(support: Support) -> CircuitCatalog:
                         members.append(j)
                         z.append(x)
                 g = gcd(*z) if z[0] > 0 else -gcd(*z)
-                record(tuple(members), tuple([x // g for x in z]))
+                found[tuple(members)] = tuple([x // g for x in z])
+            check_cap()
 
-    # lift the circuits to the left-out twins, one complement pair at a time
+    # lift the circuits to the left-out twins, one complement pair at a time:
+    # j takes i's place, at its own position in label order, with the entry negated
     for i, j in twin.items():
-        for members, z in list(found.items()):
+        lifted = {}
+        for members, z in found.items():
             if i in members:
-                entries = sorted((j, -x) if m == i else (m, x) for m, x in zip(members, z))
-                sign = 1 if entries[0][1] > 0 else -1
-                record(tuple(m for m, _ in entries), tuple(sign * x for _, x in entries))
-        record((i, j), (1, 1))
+                p, q = members.index(i), bisect(members, j)
+                z = (*z[:p], *z[p + 1 : q], -z[p], *z[q:])
+                lifted[(*members[:p], *members[p + 1 : q], j, *members[q:])] = z if z[0] > 0 else tuple(map(neg, z))
+        found.update(lifted)
+        found[i, j] = (1, 1)
+        check_cap()
 
     if max(map(len, found), default=0) > support.n + 1:
         raise InternalError("circuit larger than n+1 members")

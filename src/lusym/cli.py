@@ -144,17 +144,20 @@ def cmd_invariants(args: argparse.Namespace) -> int:
     from .circuits import enumerate_circuits
     from .invariants import (
         FlipRejection,
+        _checked_flip_group,
+        _symmetrized,
         abs_square_generators,
         evaluate,
         is_sl_type,
         monomial_from_circuit,
-        symmetrize_over_flips,
     )
     from .normalizer import balance_defects, support_stabilizer_masks
 
     support, psi = _support_from_args(args)
     catalog = enumerate_circuits(support)
     flip_masks = list(support_stabilizer_masks(support).masks)
+    # checked and ranked once, then summed over for every circuit
+    flip_group = _checked_flip_group(flip_masks)
     blocks = []
     for circuit in catalog.circuits:
         mono = monomial_from_circuit(circuit)
@@ -166,7 +169,7 @@ def cmd_invariants(args: argparse.Namespace) -> int:
         if psi is not None:
             val = evaluate(mono, psi)
             block["value"] = [val.real, val.imag]
-        lifted = symmetrize_over_flips(mono, flip_masks)
+        lifted = _symmetrized(mono, *flip_group)
         if isinstance(lifted, FlipRejection):
             block["flip_sum"] = {"admitted": False, "rejection": flip_rejection_to_dict(lifted)}
         else:

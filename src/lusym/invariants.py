@@ -21,7 +21,7 @@ from typing import Iterable, NamedTuple, Sequence, Union
 from .circuits import BalancedCircuit, SlGeneratorReport, single_sl_generator_check  # noqa: F401 (re-exported)
 from .errors import DimensionError, InputError
 from .exactlinalg import gf2_generators, require_ints
-from .states import PureState, Support, Value, label_int, validate_label, xor_labels
+from .states import PureState, Support, Value, label_int, validate_label
 
 
 class Bidegree(NamedTuple):
@@ -107,9 +107,37 @@ def is_sl_type(m: InvariantMonomial) -> bool:
 def flip_monomial(m: InvariantMonomial, mask: str) -> InvariantMonomial:
     """Relabel every term by XOR with the mask; exponents and bidegree carry over."""
     validate_label(mask, m.n)
-    return InvariantMonomial.from_terms(
-        (xor_labels(label, mask), p, q) for label, p, q in m.terms
+    return _flipped(_valued_terms(m), label_int(mask), m.n)
+
+
+def _valued_terms(m: InvariantMonomial) -> list[tuple[int, int, int]]:
+    return [(label_int(label), p, q) for label, p, q in m.terms]
+
+
+def _flipped(terms: list[tuple[int, int, int]], mask: int, n: int) -> InvariantMonomial:
+    """The monomial of n-bit terms (label value, p, q) relabelled by XOR with
+    an n-bit mask value. XOR by a mask permutes the n-bit labels, so the
+    flipped terms are valid and distinct and need only sorting by value."""
+    return InvariantMonomial._trusted(
+        tuple([(f"{v:0{n}b}", p, q) for v, p, q in sorted([(v ^ mask, p, q) for v, p, q in terms])])
     )
+
+
+def _checked_flip_group(flip_group: Sequence[str]) -> tuple[tuple[str, ...], tuple[int, ...]]:
+    """The distinct masks of a spin-flip group in value order, and their
+    values, once they are checked to be labels of one width closed under xor."""
+    masks = list(flip_group)
+    if not masks:
+        raise InputError("flip group must contain at least the zero mask")
+    n = len(validate_label(masks[0]))
+    for mask in masks:
+        validate_label(mask, n)
+    masks = sorted(set(masks), key=label_int)
+    values = [label_int(mask) for mask in masks]
+    rank = len(gf2_generators(values))
+    if len(masks) != 1 << rank:  # a group, zero mask included, is all 2^rank masks of its span
+        raise InputError(f"flip group not closed under xor: {len(masks)} masks of GF(2) rank {rank}")
+    return tuple(masks), tuple(values)
 
 
 def symmetrize_over_flips(
@@ -122,17 +150,14 @@ def symmetrize_over_flips(
     when the bidegree difference a-b is divisible by four; otherwise the first
     offending mask is reported. Rejection is an outcome, not an error.
     """
-    masks = list(flip_group)
-    if not masks:
-        raise InputError("flip group must contain at least the zero mask")
-    n = len(validate_label(masks[0]))
-    for mask in masks:
-        validate_label(mask, n)
-    masks = sorted(set(masks), key=label_int)
-    rank = len(gf2_generators([label_int(mask) for mask in masks]))
-    if len(masks) != 1 << rank:  # a group, zero mask included, is all 2^rank masks of its span
-        raise InputError(f"flip group not closed under xor: {len(masks)} masks of GF(2) rank {rank}")
-    if m.n != n:
+    return _symmetrized(m, *_checked_flip_group(flip_group))
+
+
+def _symmetrized(
+    m: InvariantMonomial, masks: tuple[str, ...], values: tuple[int, ...]
+) -> Union[InvariantSum, FlipRejection]:
+    """symmetrize_over_flips over a flip group _checked_flip_group has returned."""
+    if m.n != len(masks[0]):
         raise DimensionError("monomial and flip group qubit counts differ")
 
     a, b = m.bidegree
@@ -147,10 +172,8 @@ def symmetrize_over_flips(
                         f"difference {a - b} is not divisible by 4"
                     ),
                 )
-    return InvariantSum(
-        monomials=tuple(flip_monomial(m, mask) for mask in masks),
-        flip_group=tuple(masks),
-    )
+    terms = _valued_terms(m)
+    return InvariantSum(monomials=tuple(_flipped(terms, x, m.n) for x in values), flip_group=masks)
 
 
 def evaluate(obj: Union[InvariantMonomial, InvariantSum], psi: PureState) -> complex:

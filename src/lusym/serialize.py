@@ -29,8 +29,14 @@ TOOL_NAME = "lusym"
 
 
 def canonical_dumps(obj: Any) -> str:
-    # no indent: any indent makes json fall back to its pure-Python encoder
-    return json.dumps(obj, sort_keys=True, separators=(",", ":"), ensure_ascii=True, allow_nan=False) + "\n"
+    # no indent: any indent makes json fall back to its pure-Python encoder.
+    # Every caller passes a tree the *_to_dict writers have just built from
+    # immutable values, which cannot hold a cycle, so the encoder skips its
+    # per-container cycle bookkeeping.
+    return (
+        json.dumps(obj, sort_keys=True, separators=(",", ":"), ensure_ascii=True, allow_nan=False, check_circular=False)
+        + "\n"
+    )
 
 
 def _require(condition: bool, message: str) -> None:
@@ -184,10 +190,8 @@ def load_group(text: str, qubits: int | None = None) -> DiagonalSymmetryGroup:
 # ---------------------------------------------------------------- report pieces
 
 def circuit_to_dict(c: BalancedCircuit) -> dict:
-    return {
-        "members": list(c.member_labels),
-        "relation": list(c.relation),
-    }
+    # json writes a tuple as an array, so the circuit's own tuples go in uncopied
+    return {"members": c.member_labels, "relation": c.relation}
 
 
 def catalog_to_dict(catalog: CircuitCatalog) -> dict:

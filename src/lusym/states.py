@@ -71,6 +71,15 @@ class Value:
         for name, value in values.items():
             object.__setattr__(self, name, value)
 
+    @classmethod
+    def _trusted(cls, *values):
+        """The instance with these _key values, built without the constructor's
+        checks: only for a caller whose construction already guarantees them."""
+        self = object.__new__(cls)
+        for name, value in zip(cls._key, values):
+            object.__setattr__(self, name, value)
+        return self
+
     def _values(self) -> tuple:
         return tuple(getattr(self, name) for name in self._key)
 

@@ -64,8 +64,10 @@ class DiagonalSymmetryGroup(Value):
         torus_basis = tuple(
             col if next(filter(None, col)) > 0 else tuple(-x for x in col) for col in v_columns[len(factors) :]
         )
+        # the numerators of a primitive column reduced mod d are ints in
+        # [0, d) with gcd(d, *nums) = 1, so PhaseVector's checks hold already
         finite_generators = tuple(
-            PhaseVector(min(tuple(x % d for x in col), tuple(-x % d for x in col)), d)
+            PhaseVector._trusted(min(tuple(x % d for x in col), tuple(-x % d for x in col)), d)
             for d, col in zip(factors, v_columns)
             if d > 1
         )

@@ -10,12 +10,14 @@ import pytest
 import lusym.circuits
 from lusym import (
     InternalError,
+    LimitError,
     Support,
     enumerate_circuits,
     group_contains,
     solve_symmetry_group,
 )
 from lusym.circuits import _systematic_kernel
+from lusym.serialize import canonical_dumps, catalog_to_dict
 from lusym.states import weight_vector
 
 from conftest import (
@@ -281,6 +283,34 @@ def test_complement_rich_catalogs_are_pinned():
     for sup in _complement_rich_workload_supports():
         h.update(repr(enumerate_circuits(sup).circuits).encode())
     assert h.hexdigest() == COMPLEMENT_RICH_SHA256
+
+
+# 28 of the 64 labels of 6 qubits, with 8 complement pairs: 99,087 circuits,
+# of which the lift to the later label of each pair makes most
+_LIFT_HEAVY_LABELS = [format(x, "06b") for x in random.Random(5).sample(range(64), 28)]
+
+# sha256 of canonical_dumps(catalog_to_dict(...)) on that support, as lusym
+# 0.7.0 wrote it before the lift placed each twin by one insertion
+LIFT_HEAVY_CATALOG_SHA256 = "ac346256394f1240bc6e7f63732c3cf5b008d5b6e93ceec706d5a34bb3c776c3"
+
+
+def test_a_lift_heavy_catalog_is_pinned_and_capped_inside_a_lifted_batch(monkeypatch):
+    support = Support.from_labels(_LIFT_HEAVY_LABELS)
+    catalog = enumerate_circuits(support)
+    text = canonical_dumps(catalog_to_dict(catalog))
+    assert hashlib.sha256(text.encode()).hexdigest() == LIFT_HEAVY_CATALOG_SHA256
+    count = len(catalog.circuits)
+    assert count == 99_087
+    # the search alone, without the later label of any pair, stays under the
+    # cap below, so the count crosses it inside a lifted batch
+    twins = {s: s.translate(str.maketrans("01", "10")) for s in support.labels}
+    later = {s for s, t in twins.items() if t in twins and s > t}
+    assert len(later) == 8
+    assert sum(not later.intersection(c.member_labels) for c in catalog.circuits) < count - 1
+    monkeypatch.setattr(lusym.circuits, "MAX_CIRCUITS", count - 1)
+    message = f"circuit search: the support of 28 labels on 6 qubits has more than {count - 1} circuits, the cap"
+    with pytest.raises(LimitError, match=f"^{message}$"):
+        enumerate_circuits(support)
 
 
 def test_every_search_level_matches_the_070_search(monkeypatch):

@@ -1,4 +1,5 @@
 import math
+import pickle
 import random
 import sys
 from fractions import Fraction
@@ -408,3 +409,44 @@ def test_wrongly_sized_presentations_are_refused():
     bell = DiagonalSymmetryGroup.from_presentation(2, ((1, -1, 0),), (PhaseVector((1, 0, 1), 2),))
     with pytest.raises(DimensionError):
         group_member(bell, gen)
+
+
+def _benchmark_shaped_supports(seed):
+    """The supports of the dense-circuits and coset-normalizer pools of one
+    seed, drawn by the same recipe: random label sets with three or more
+    labels beyond n plus one W_n per round, and cosets of 2- and 3-dimensional
+    flip groups."""
+    rng = random.Random(f"dense-circuits:{seed}")
+    sizes = [(6, 12), (6, 13), (6, 14), (7, 12), (7, 13), (7, 14), (8, 12), (8, 13), (9, 12), (9, 13), (10, 13)]
+    for r in range(10):
+        for n, count in sizes:
+            labels: set = set()
+            while len(labels) < count:
+                labels.add(format(rng.getrandbits(n), f"0{n}b"))
+            yield Support.from_labels(labels)
+        n = 10 + r % 3
+        yield Support.from_labels(format(1 << k, f"0{n}b") for k in range(n))
+    rng = random.Random(f"coset-normalizer:{seed}")
+    for _ in range(15):
+        for n, dim in [(10, 2), (10, 3), (11, 2), (11, 3), (12, 2), (12, 3), (13, 2), (14, 2)]:
+            yield random_coset_support(rng, n, dim)
+
+
+def test_finite_generators_pass_the_checked_constructor():
+    # the solver builds its generators without PhaseVector's checks, since a
+    # primitive column of v reduced mod d meets them; the checked constructor
+    # must accept each one as the same value, with the same repr, and a pickle
+    # round trip, which goes through that constructor, must give it back
+    supports = [fixture_state(name).support() for name in fixture_names()]
+    for seed in (0, 1, 2):
+        supports += _benchmark_shaped_supports(seed)
+    assert len(supports) == 13 + 3 * 240
+    count = 0
+    for support in supports:
+        for g in solve_symmetry_group(support).finite_generators:
+            checked = PhaseVector(g.nums, g.den)
+            assert checked == g and hash(checked) == hash(g)
+            assert repr(checked) == repr(g)
+            assert pickle.loads(pickle.dumps(g)) == g
+            count += 1
+    assert count > 3 * 240
