@@ -9,16 +9,14 @@ import math
 from operator import mul
 from typing import TYPE_CHECKING, Iterable, NamedTuple, Sequence
 
-from .errors import DimensionError, InputError, InternalError
+from .errors import DimensionError, InternalError
 from .exactlinalg import gf2_reduced, hermite_normal_form, lattice_member
-from .states import PhaseVector, PureState, Support
+from .states import DEFAULT_TOL, PhaseVector, PureState, Support, require_normalized, require_tol
 from .symmetry import DiagonalSymmetryGroup, sign_rows, solve_symmetry_group
 
 if TYPE_CHECKING:
     from .circuits import BalancedCircuit, CircuitCatalog, SlGeneratorReport
     from .normalizer import NormalizerDescription
-
-DEFAULT_TOL = 1e-9
 
 # Thresholds for the genericity flag: a support amplitude or a balance defect
 # below this is treated as vanishing.
@@ -63,22 +61,6 @@ def _torus_deviation(psi: PureState, rows: Sequence[Sequence[int]], direction: S
     )
 
 
-def _require_tol(tol: float) -> None:
-    if isinstance(tol, bool) or not isinstance(tol, (int, float)) or not 0 < tol < math.inf:
-        raise InputError(f"tol must be finite and > 0, got {tol}")
-    if tol >= 1:  # a deviation is at most 2|c| <= 2, and a norm error is of the same order
-        raise InputError(f"tol must be < 1, got {tol}: from 1 up a check passes moved and unnormalized states")
-
-
-def require_normalized(psi: PureState, tol: float) -> None:
-    """Raise InputError unless 0 < tol < 1 and the norm is 1 within tol."""
-    _require_tol(tol)
-    if not psi.is_normalized(tol):
-        raise InputError(
-            f"state norm is {psi.norm():.12f}, not 1 within {tol:.0e}; normalize it first"
-        )
-
-
 def verify_symmetry(
     psi: PureState, group: DiagonalSymmetryGroup, tol: float = DEFAULT_TOL
 ) -> SymmetryVerification:
@@ -89,7 +71,7 @@ def verify_symmetry(
     """
     if group.n != psi.n:
         raise DimensionError(f"group on {group.n} qubits, state on {psi.n}")
-    _require_tol(tol)
+    require_tol(tol)
     rows = sign_rows(psi.amplitudes)
     checks = [
         GeneratorCheck("finite", i, _deviation(psi, rows, gen)) for i, gen in enumerate(group.finite_generators)

@@ -9,7 +9,7 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .analysis import DEFAULT_TOL, _require_tol, analyze, compare_strata, require_normalized, verify_symmetry
+from .analysis import analyze, compare_strata, verify_symmetry
 from .errors import InputError, InternalError
 from .fixtures import fixture_names, fixture_state
 from .serialize import (
@@ -25,7 +25,7 @@ from .serialize import (
     state_hash,
     verification_to_dict,
 )
-from .states import PureState, Support
+from .states import DEFAULT_TOL, PureState, Support, require_normalized, require_tol
 from .symmetry import solve_symmetry_group
 
 # The circuit search, the invariants and the normalizer are imported by the
@@ -78,7 +78,7 @@ def _tolerance(text: str) -> float:
     except ValueError:
         raise argparse.ArgumentTypeError(f"not a number: {text!r}") from None
     try:
-        _require_tol(value)
+        require_tol(value)
     except InputError as exc:
         raise argparse.ArgumentTypeError(str(exc)) from None
     return value
@@ -144,7 +144,6 @@ def cmd_invariants(args: argparse.Namespace) -> int:
     from .circuits import enumerate_circuits
     from .invariants import (
         FlipRejection,
-        _checked_flip_group,
         _symmetrized,
         abs_square_generators,
         evaluate,
@@ -155,9 +154,8 @@ def cmd_invariants(args: argparse.Namespace) -> int:
 
     support, psi = _support_from_args(args)
     catalog = enumerate_circuits(support)
-    flip_masks = list(support_stabilizer_masks(support).masks)
-    # checked and ranked once, then summed over for every circuit
-    flip_group = _checked_flip_group(flip_masks)
+    # a FlipGroup is closed under xor by construction, so each circuit sums over it unchecked
+    flip_masks = support_stabilizer_masks(support).masks
     blocks = []
     for circuit in catalog.circuits:
         mono = monomial_from_circuit(circuit)
@@ -169,7 +167,7 @@ def cmd_invariants(args: argparse.Namespace) -> int:
         if psi is not None:
             val = evaluate(mono, psi)
             block["value"] = [val.real, val.imag]
-        lifted = _symmetrized(mono, *flip_group)
+        lifted = _symmetrized(mono, flip_masks)
         if isinstance(lifted, FlipRejection):
             block["flip_sum"] = {"admitted": False, "rejection": flip_rejection_to_dict(lifted)}
         else:
@@ -186,7 +184,7 @@ def cmd_invariants(args: argparse.Namespace) -> int:
             monomial_to_dict(m) for m in abs_square_generators(support)
         ],
         "circuit_monomials": blocks,
-        "flip_masks": flip_masks,
+        "flip_masks": list(flip_masks),
     }
     if psi is not None:
         payload["defects"] = [{"qubit": k, "value": v} for k, v in enumerate(balance_defects(psi), 1)]

@@ -43,16 +43,12 @@ class InvariantMonomial(Value):
         if not terms:
             raise InputError("monomial needs at least one term")
         require_ints([x for _, p, q in terms for x in (p, q)], "monomial exponents")
-        width = len(validate_label(terms[0][0]))
+        labels = tuple(t[0] for t in terms)
+        if Support.from_labels(labels).labels != labels:
+            raise InputError("monomial terms must be sorted by label value")
         for label, p, q in terms:
-            validate_label(label, width)
             if p < 0 or q < 0 or (p == 0 and q == 0):
                 raise InputError(f"bad exponents ({p},{q}) for label {label!r}")
-        labels = [t[0] for t in terms]
-        if len(set(labels)) != len(labels):
-            raise InputError("duplicate label in monomial")
-        if labels != sorted(labels, key=label_int):
-            raise InputError("monomial terms must be sorted by label value")
         self._set(terms=terms)
 
     @property
@@ -123,40 +119,31 @@ def _flipped(terms: list[tuple[int, int, int]], mask: int, n: int) -> InvariantM
     )
 
 
-def _checked_flip_group(flip_group: Sequence[str]) -> tuple[tuple[str, ...], tuple[int, ...]]:
-    """The distinct masks of a spin-flip group in value order, and their
-    values, once they are checked to be labels of one width closed under xor."""
-    masks = list(flip_group)
-    if not masks:
-        raise InputError("flip group must contain at least the zero mask")
-    n = len(validate_label(masks[0]))
-    for mask in masks:
-        validate_label(mask, n)
-    masks = sorted(set(masks), key=label_int)
-    values = [label_int(mask) for mask in masks]
-    rank = len(gf2_generators(values))
-    if len(masks) != 1 << rank:  # a group, zero mask included, is all 2^rank masks of its span
-        raise InputError(f"flip group not closed under xor: {len(masks)} masks of GF(2) rank {rank}")
-    return tuple(masks), tuple(values)
-
-
 def symmetrize_over_flips(
     m: InvariantMonomial, flip_group: Sequence[str]
 ) -> Union[InvariantSum, FlipRejection]:
     """Sum the monomial over a spin-flip group, or explain why that is not
     an invariant of the larger group.
 
-    The sum is admitted when every mask moves an even number of qubits, or
-    when the bidegree difference a-b is divisible by four; otherwise the first
-    offending mask is reported. Rejection is an outcome, not an error.
+    The masks must be labels of one width closed under xor; a repeated mask
+    counts once. The sum is admitted when every mask moves an even number of
+    qubits, or when the bidegree difference a-b is divisible by four;
+    otherwise the first offending mask is reported. Rejection is an outcome,
+    not an error.
     """
-    return _symmetrized(m, *_checked_flip_group(flip_group))
+    masks = dict.fromkeys(flip_group)
+    if not masks:
+        raise InputError("flip group must contain at least the zero mask")
+    masks = Support.from_labels(masks).labels
+    rank = len(gf2_generators([label_int(mask) for mask in masks]))
+    if len(masks) != 1 << rank:  # a group, zero mask included, is all 2^rank masks of its span
+        raise InputError(f"flip group not closed under xor: {len(masks)} masks of GF(2) rank {rank}")
+    return _symmetrized(m, masks)
 
 
-def _symmetrized(
-    m: InvariantMonomial, masks: tuple[str, ...], values: tuple[int, ...]
-) -> Union[InvariantSum, FlipRejection]:
-    """symmetrize_over_flips over a flip group _checked_flip_group has returned."""
+def _symmetrized(m: InvariantMonomial, masks: tuple[str, ...]) -> Union[InvariantSum, FlipRejection]:
+    """symmetrize_over_flips over distinct masks in value order that are known
+    to form a flip group, such as a FlipGroup's."""
     if m.n != len(masks[0]):
         raise DimensionError("monomial and flip group qubit counts differ")
 
@@ -173,7 +160,7 @@ def _symmetrized(
                     ),
                 )
     terms = _valued_terms(m)
-    return InvariantSum(monomials=tuple(_flipped(terms, x, m.n) for x in values), flip_group=masks)
+    return InvariantSum(monomials=tuple(_flipped(terms, label_int(x), m.n) for x in masks), flip_group=masks)
 
 
 def evaluate(obj: Union[InvariantMonomial, InvariantSum], psi: PureState) -> complex:

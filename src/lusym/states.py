@@ -25,7 +25,20 @@ if TYPE_CHECKING:
 # combinatorics behind the caller's back.
 AMPLITUDE_FLOOR = 1e-12
 
-NORM_TOL = 1e-9
+DEFAULT_TOL = 1e-9
+
+
+def check_qubit_count(n: int) -> None:
+    require_ints((n,), "qubit count n")
+    if n < 1:
+        raise InputError(f"qubit count n must be at least 1, got {n}")
+
+
+def require_tol(tol: float) -> None:
+    if isinstance(tol, bool) or not isinstance(tol, (int, float)) or not 0 < tol < math.inf:
+        raise InputError(f"tol must be finite and > 0, got {tol}")
+    if tol >= 1:  # a deviation is at most 2|c| <= 2, and a norm error is of the same order
+        raise InputError(f"tol must be < 1, got {tol}: from 1 up a check passes moved and unnormalized states")
 
 
 def validate_label(label: str, n: int | None = None) -> str:
@@ -130,15 +143,16 @@ def _width(labels: Iterable[str]) -> int:
 
 
 class Support(Value):
-    """A nonempty set of distinct n-bit basis labels, stored sorted by value."""
+    """A nonempty set of distinct n-bit basis labels, n >= 1, stored sorted by
+    value: the one check of a set of labels, run for states, monomials and flip groups."""
 
     __slots__ = _key = ("n", "labels")
 
     def __init__(self, n: int, labels: Iterable[str]) -> None:
-        require_ints((n,), "qubit count n")
         labels = tuple(labels)
         if not labels:
             raise InputError("support must contain at least one label")
+        check_qubit_count(n)
         for lab in labels:
             validate_label(lab, n)
         if len(set(labels)) != len(labels):
@@ -168,13 +182,8 @@ class PureState(Value):
     __slots__ = _key = ("n", "amplitudes")
 
     def __init__(self, n: int, amplitudes: Mapping[str, complex]) -> None:
-        require_ints((n,), "qubit count n")
-        if not amplitudes:
-            raise InputError("state must have at least one amplitude")
-        for lab in amplitudes:
-            validate_label(lab, n)
         clean: dict[str, complex] = {}
-        for lab in sorted(amplitudes, key=label_int):
+        for lab in Support(n, amplitudes).labels:
             c = complex(amplitudes[lab])
             if not cmath.isfinite(c):
                 raise InputError(f"amplitude for {lab!r} is {c}, not a finite number")
@@ -192,7 +201,8 @@ class PureState(Value):
         return cls(_width(amps), amps)
 
     def support(self) -> Support:
-        return Support(self.n, self.amplitudes)
+        """The state's labels, unchecked: the constructor took them from a Support."""
+        return Support._trusted(self.n, tuple(self.amplitudes))
 
     def amplitude(self, label: str) -> complex:
         return self.amplitudes.get(label, 0j)
@@ -207,7 +217,7 @@ class PureState(Value):
             # is written into every report.
             return math.hypot(*(x for c in self.amplitudes.values() for x in (c.real, c.imag)))
 
-    def is_normalized(self, tol: float = NORM_TOL) -> bool:
+    def is_normalized(self, tol: float = DEFAULT_TOL) -> bool:
         return abs(self.norm() - 1.0) <= tol
 
     def scaled(self, factor: complex) -> "PureState":
@@ -216,10 +226,21 @@ class PureState(Value):
         return PureState(self.n, {lab: factor * c for lab, c in self.amplitudes.items()})
 
 
+def require_normalized(psi: PureState, tol: float) -> None:
+    """Raise InputError unless 0 < tol < 1 and the norm is 1 within tol."""
+    require_tol(tol)
+    if not psi.is_normalized(tol):
+        raise InputError(
+            f"state norm is {psi.norm():.12f}, not 1 within {tol:.0e}; normalize it first"
+        )
+
+
 def _checked(nums: Iterable[int], den: int) -> tuple[int, ...]:
-    """nums as a tuple, once every entry and den are int (bool is not) and den >= 1."""
+    """nums as a tuple, once every entry and den are int (bool is not), den >= 1
+    and there are phis for at least one qubit besides theta."""
     nums = tuple(nums)
     require_ints((*nums, den), "phase numerators and den")
+    check_qubit_count(len(nums) - 1)
     if den < 1:
         raise InputError(f"phase denominator den must be >= 1, got {den}")
     return nums
@@ -294,10 +315,7 @@ def reduced_density_matrix(
     require_ints((k,), "qubit index k")
     if not 1 <= k <= psi.n:
         raise InputError(f"qubit index {k} out of range 1..{psi.n}")
-    if not psi.is_normalized():
-        raise InputError(
-            f"state norm is {psi.norm():.12f}, not 1 within {NORM_TOL:.0e}; normalize first"
-        )
+    require_normalized(psi, DEFAULT_TOL)
     rho = [[0j, 0j], [0j, 0j]]
     groups: dict[str, dict[int, complex]] = {}
     for label, c in psi.amplitudes.items():

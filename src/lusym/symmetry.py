@@ -16,15 +16,9 @@ from itertools import chain
 from operator import mul
 from typing import Iterable, NamedTuple, Sequence
 
-from .errors import DimensionError, InputError, InternalError
+from .errors import DimensionError, InternalError
 from .exactlinalg import hermite_normal_form, lattice_member, require_ints, smith_normal_form
-from .states import PhaseVector, Support, Value, _signs, label_int
-
-
-def _check_qubit_count(n: int) -> None:
-    require_ints((n,), "qubit count n")
-    if n < 1:
-        raise InputError(f"qubit count n must be at least 1, got {n}")
+from .states import PhaseVector, Support, Value, _signs, check_qubit_count, label_int
 
 
 def sign_rows(labels: Iterable[str]) -> tuple[tuple[int, ...], ...]:
@@ -53,7 +47,7 @@ class DiagonalSymmetryGroup(Value):
     _key = ("n", "characters")
 
     def __init__(self, n: int, characters: Iterable[Sequence[int]]) -> None:
-        _check_qubit_count(n)
+        check_qubit_count(n)
         rows = tuple(characters)
         if any(len(row) != n + 1 for row in rows):
             raise DimensionError("character rows must have n+1 entries")
@@ -89,7 +83,7 @@ class DiagonalSymmetryGroup(Value):
         That left kernel is the right kernel of the transpose, whose rows are
         those columns: the trailing columns of v in its Smith decomposition.
         """
-        _check_qubit_count(n)
+        check_qubit_count(n)
         n1 = n + 1
         if any(len(vec) != n1 for vec in torus_basis) or any(g.n != n for g in finite_generators):
             raise DimensionError("torus directions and finite generators must have n+1 entries")

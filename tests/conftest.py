@@ -3,6 +3,7 @@ random group elements, group conjugation by bit flips, a brute-force circuit
 oracle, and a schema validator wired to docs/schema/.
 """
 
+import cmath
 import json
 import math
 import os
@@ -47,6 +48,37 @@ def random_coset_support(rng: random.Random, n: int, dim: int) -> Support:
             break
     x = rng.getrandbits(n)
     return Support.from_labels(format(x ^ s, f"0{n}b") for s in span)
+
+
+def benchmark_pool_states(seed: int) -> list:
+    """The 240 states of the dense-circuits and coset-normalizer benchmark
+    pools of one seed, drawn by their recipe. The dense pool holds ten rounds
+    of eleven random label sets, each with three or more labels beyond n, and
+    one W_n; the coset pool holds cosets of 2- and 3-dimensional flip groups.
+    Each pool draws all its label sets first, then the amplitudes of each:
+    moduli in [0.5, 1.5] and uniform phases, normalized."""
+    rng = random.Random(f"dense-circuits:{seed}")
+    sizes = [(6, 12), (6, 13), (6, 14), (7, 12), (7, 13), (7, 14), (8, 12), (8, 13), (9, 12), (9, 13), (10, 13)]
+    dense = []
+    for r in range(10):
+        for n, count in sizes:
+            labels: set = set()
+            while len(labels) < count:
+                labels.add(format(rng.getrandbits(n), f"0{n}b"))
+            dense.append(sorted(labels))
+        n = 10 + r % 3
+        dense.append([format(1 << (n - 1 - k), f"0{n}b") for k in range(n)])
+    pools = [(rng, dense)]
+    rng = random.Random(f"coset-normalizer:{seed}")
+    sizes = [(10, 2), (10, 3), (11, 2), (11, 3), (12, 2), (12, 3), (13, 2), (14, 2)]
+    pools.append((rng, [random_coset_support(rng, n, dim).labels for _ in range(15) for n, dim in sizes]))
+    states = []
+    for rng, pool in pools:
+        for labels in pool:
+            raw = {lab: rng.uniform(0.5, 1.5) * cmath.exp(2j * math.pi * rng.random()) for lab in labels}
+            norm = math.sqrt(sum(abs(c) ** 2 for c in raw.values()))
+            states.append(PureState.from_amplitudes({lab: c / norm for lab, c in raw.items()}))
+    return states
 
 
 def complement_rich_support(rng: random.Random, n: int, L: int, pairs: int) -> Support:

@@ -266,6 +266,29 @@ def test_analyze_refuses_labels_off_the_qubit_count_before_any_stage(monkeypatch
         analyze(PureState(2, {"0": 1}))
 
 
+def _solved_as_the_full_torus(monkeypatch):
+    """Make analyze's solve return the full diagonal torus, whose global phase
+    is continuous and which moves every qubit by more than a sign."""
+    monkeypatch.setattr(lusym.analysis, "solve_symmetry_group", lambda support: DiagonalSymmetryGroup(support.n, ()))
+
+
+def test_a_continuous_global_phase_with_an_unbalanced_circuit_is_an_internal_error(monkeypatch):
+    # Bell's one circuit has bidegree (2, 0), which no group with a continuous theta fixes
+    _solved_as_the_full_torus(monkeypatch)
+    with pytest.raises(InternalError, match="^continuous global phase must force balanced bidegrees$"):
+        analyze(fixture_state("bell"))
+
+
+def test_a_witness_pair_on_a_moved_qubit_is_an_internal_error(monkeypatch):
+    # 00 and 01 differ only at qubit 2 and have no circuit, so the theta check passes
+    _solved_as_the_full_torus(monkeypatch)
+    psi = PureState(2, {"00": 0.6, "01": 0.8})
+    with pytest.raises(
+        InternalError, match=r"^labels \('00', '01'\) differ only at qubit 2 yet the solved group moves that qubit"
+    ):
+        analyze(psi)
+
+
 _BELL, _GHZ3 = fixture_state("bell"), fixture_state("ghz3")
 _MONO2 = InvariantMonomial([("00", 1, 0), ("11", 1, 0)])
 

@@ -129,6 +129,14 @@ def test_internal_error_exits_3(capsys, monkeypatch):
     assert err == "internal error: solved group fails the phase condition\n"
 
 
+def test_a_failed_self_check_in_analyze_exits_3(capsys, monkeypatch):
+    # a solve that returns the full torus breaks the bidegree check on Bell's circuit
+    monkeypatch.setattr(lusym.analysis, "solve_symmetry_group", lambda support: DiagonalSymmetryGroup(support.n, ()))
+    code, out, err = run_cli(capsys, "analyze", "--fixture", "bell", "--json")
+    assert (code, out) == (3, "")
+    assert err == "internal error: continuous global phase must force balanced bidegrees\n"
+
+
 def test_verify_from_support(capsys, tmp_path, schema_validator):
     # the group solved from the state's own support, handed over as a file
     group_file = tmp_path / "group.json"
@@ -440,6 +448,37 @@ def test_labels_off_the_qubit_count_exit_2(capsys, monkeypatch, argv):
     code, _, err = run_cli(capsys, *argv, "--fixture", "bell")
     assert code == 2
     assert "expected 2" in err
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: PureState(2, {}), "support must contain at least one label"),
+        (lambda: PureState(0, {"0": 1.0}), "qubit count n must be at least 1, got 0"),
+    ],
+    ids=["empty", "n0"],
+)
+@pytest.mark.parametrize("argv", [["analyze"], ["verify", "--group", "g.json"]])
+def test_states_refused_where_they_are_built_exit_2(capsys, monkeypatch, argv, build, message):
+    monkeypatch.setattr(lusym.cli, "_state_from_args", lambda args: build())
+    code, out, err = run_cli(capsys, *argv, "--fixture", "bell")
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
+@pytest.mark.parametrize(
+    "text", ['{"n": 0, "amplitudes": {"0": [1.0, 0.0]}}', '{"n": 2, "amplitudes": {}}'], ids=["n0", "empty"]
+)
+def test_state_files_off_the_state_rules_exit_2(capsys, tmp_path, text):
+    state_file = tmp_path / "state.json"
+    state_file.write_text(text)
+    code, out, err = run_cli(capsys, "analyze", "--input", str(state_file))
+    assert (code, out) == (2, "") and err.startswith("error: ")
+
+
+def test_a_support_on_no_qubits_exits_2(capsys, monkeypatch):
+    monkeypatch.setattr(lusym.cli, "_parse_support", lambda text: Support(0, text.split(",")))
+    code, out, err = run_cli(capsys, "compare", "--support-a", "0", "--support-b", "1")
+    assert (code, out, err) == (2, "", "error: qubit count n must be at least 1, got 0\n")
 
 
 def test_huge_amplitudes_fail_the_norm_check(capsys, tmp_path):

@@ -1,5 +1,6 @@
 import cmath
 import math
+import pickle
 import random
 from fractions import Fraction
 from operator import mul
@@ -10,17 +11,20 @@ import pytest
 from lusym import (
     DimensionError,
     InputError,
+    InvariantMonomial,
     PhaseVector,
     PureState,
     Support,
+    fixture_names,
     fixture_state,
     reduced_density_matrix,
     solve_symmetry_group,
+    symmetrize_over_flips,
 )
 from lusym.normalizer import balance_defects
 from lusym.states import label_int, validate_label, weight_vector, xor_labels
 
-from conftest import random_coset_support, random_element, random_state_on, random_support, torus_point
+from conftest import benchmark_pool_states, random_coset_support, random_element, random_state_on, random_support, torus_point
 from oracles import apply_phase_element
 
 
@@ -222,6 +226,22 @@ def test_phase_vector_equality_is_equality_of_values():
             PhaseVector(nums, den)
 
 
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: PhaseVector((), 1),
+        lambda: PhaseVector((0,), 1),
+        lambda: PhaseVector.from_numerators((3,), 2),
+        lambda: PhaseVector.make([], 0),
+    ],
+    ids=["no-theta", "theta-only", "from_numerators", "make"],
+)
+def test_a_phase_element_needs_at_least_one_qubit(build):
+    # every other value refuses n < 1; these built with n == -1 or n == 0
+    with pytest.raises(InputError, match="^qubit count n must be at least 1, got (0|-1)$"):
+        build()
+
+
 def test_from_numerators_refuses_a_denominator_below_one():
     for den in (0, -2):
         with pytest.raises(InputError, match=f"den must be >= 1, got {den}"):
@@ -349,3 +369,39 @@ def test_rdm_rejects_bad_input():
         reduced_density_matrix(good, 3)
     with pytest.raises(InputError):
         reduced_density_matrix(good, True)  # not read as qubit 1
+
+
+def test_a_state_support_is_the_support_its_labels_build():
+    # psi.support() skips Support's checks, which the state's constructor ran
+    states = [fixture_state(name) for name in fixture_names()]
+    for seed in (0, 1, 2):
+        states += benchmark_pool_states(seed)
+    assert len(states) == 13 + 3 * 240
+    for psi in states:
+        got, checked = psi.support(), Support.from_labels(psi.amplitudes)
+        assert got == checked and hash(got) == hash(checked) and repr(got) == repr(checked)
+        assert pickle.loads(pickle.dumps(got)) == checked
+
+
+@pytest.mark.parametrize(
+    "build, error, message",
+    [
+        (lambda: PureState(2, {}), InputError, "^support must contain at least one label$"),
+        (lambda: PureState.from_amplitudes({}), InputError, "^support must contain at least one label$"),
+        (lambda: Support.from_labels([]), InputError, "^support must contain at least one label$"),
+        (lambda: Support(0, ["0"]), InputError, "^qubit count n must be at least 1, got 0$"),
+        (lambda: Support(-1, ["0"]), InputError, "^qubit count n must be at least 1, got -1$"),
+        (lambda: PureState(0, {"0": 1.0}), InputError, "^qubit count n must be at least 1, got 0$"),
+        (lambda: PureState(-2, {"0": 1.0}), InputError, "^qubit count n must be at least 1, got -2$"),
+        (lambda: InvariantMonomial([("00", 1, 0), ("00", 0, 1)]), InputError, "^support labels must be distinct$"),
+        (lambda: reduced_density_matrix(PureState(2, {"00": 1.0, "11": 1.0}), 1), InputError,
+         "^state norm is 1.414213562373, not 1 within 1e-09; normalize it first$"),
+        (lambda: symmetrize_over_flips(InvariantMonomial([("00", 1, 0)]), ["00", "111"]), DimensionError,
+         "^label '111' has 3 bits, expected 2$"),
+    ],
+    ids=["empty-state", "empty-amplitudes", "empty-support", "support-n0", "support-n-1", "state-n0", "state-n-2",
+         "repeated-monomial-label", "rdm-unnormalized", "flip-masks-mixed-width"],
+)
+def test_refusals_checked_by_support_and_states(build, error, message):
+    with pytest.raises(error, match=message):
+        build()

@@ -28,7 +28,7 @@ from lusym.fixtures import fixture_names, fixture_state
 from lusym.serialize import dump_group, load_group
 from lusym.symmetry import _check_solution, sign_rows
 
-from conftest import random_coset_support, random_element, random_state_on, random_support
+from conftest import benchmark_pool_states, random_coset_support, random_element, random_state_on, random_support
 from oracles import apply_phase_element
 
 F = Fraction
@@ -412,24 +412,8 @@ def test_wrongly_sized_presentations_are_refused():
 
 
 def _benchmark_shaped_supports(seed):
-    """The supports of the dense-circuits and coset-normalizer pools of one
-    seed, drawn by the same recipe: random label sets with three or more
-    labels beyond n plus one W_n per round, and cosets of 2- and 3-dimensional
-    flip groups."""
-    rng = random.Random(f"dense-circuits:{seed}")
-    sizes = [(6, 12), (6, 13), (6, 14), (7, 12), (7, 13), (7, 14), (8, 12), (8, 13), (9, 12), (9, 13), (10, 13)]
-    for r in range(10):
-        for n, count in sizes:
-            labels: set = set()
-            while len(labels) < count:
-                labels.add(format(rng.getrandbits(n), f"0{n}b"))
-            yield Support.from_labels(labels)
-        n = 10 + r % 3
-        yield Support.from_labels(format(1 << k, f"0{n}b") for k in range(n))
-    rng = random.Random(f"coset-normalizer:{seed}")
-    for _ in range(15):
-        for n, dim in [(10, 2), (10, 3), (11, 2), (11, 3), (12, 2), (12, 3), (13, 2), (14, 2)]:
-            yield random_coset_support(rng, n, dim)
+    """The supports of the dense-circuits and coset-normalizer pools of one seed."""
+    return [Support.from_labels(psi.amplitudes) for psi in benchmark_pool_states(seed)]
 
 
 def test_finite_generators_pass_the_checked_constructor():

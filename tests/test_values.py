@@ -79,6 +79,16 @@ def test_values_are_immutable_and_round_trip(name):
         assert hash(pickle.loads(pickle.dumps(obj))) == hash(obj)
 
 
+@pytest.mark.parametrize("name", sorted(VALUES))
+def test_values_refuse_deletion(name):
+    obj = VALUES[name]
+    field = obj._fields[0] if hasattr(obj, "_fields") else type(obj).__slots__[0]
+    before = getattr(obj, field)
+    with pytest.raises(AttributeError):
+        delattr(obj, field)
+    assert getattr(obj, field) is before
+
+
 def test_state_amplitudes_are_read_only():
     # a write would skip the constructor's checks: GHZ_3 rewritten to |000>
     # kept its norm and was analyzed with GHZ_3's torus rank, 2 instead of 3
