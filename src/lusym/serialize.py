@@ -4,6 +4,10 @@ All writers go through canonical_dumps (sorted keys, compact separators), so
 a given object always produces byte-identical output. Floats use Python repr,
 the shortest representation that round-trips exactly. Readers accept any JSON
 layout, indented files of earlier versions included.
+
+Readers check a file's layout alone: objects with their named fields, lists
+where they iterate, [re, im] pairs of finite JSON numbers, the schema's order
+>= 2, and as many torus directions as the torus rank. Constructors check values.
 """
 
 from __future__ import annotations
@@ -15,7 +19,7 @@ from typing import TYPE_CHECKING, Any, Mapping
 from . import __version__
 from .analysis import GENERIC_FLOOR
 from .errors import DimensionError, InputError
-from .states import PhaseVector, PureState
+from .states import PhaseVector, PureState, check_qubit_count
 from .symmetry import DiagonalSymmetryGroup
 
 if TYPE_CHECKING:
@@ -69,16 +73,12 @@ def _read_json(text: str) -> Any:
         raise InputError("JSON nested too deeply to read") from None
 
 
-def _is_int(x: Any) -> bool:
-    # bool is a subclass of int, but JSON true and false are not numbers
-    return isinstance(x, int) and not isinstance(x, bool)
-
-
 # ---------------------------------------------------------------- states
 
-def _finite(x: int | float) -> bool:
+def _finite(x: Any) -> bool:
+    # JSON true and false are not numbers
     try:
-        return math.isfinite(x)
+        return type(x) in (int, float) and math.isfinite(x)
     except OverflowError:  # an int too large for a float
         return False
 
@@ -96,23 +96,14 @@ def state_from_dict(data: Mapping) -> PureState:
     _require(isinstance(data, Mapping), "state must be a JSON object")
     _require("n" in data, "state is missing field 'n'")
     _require("amplitudes" in data, "state is missing field 'amplitudes'")
-    n = data["n"]
-    _require(_is_int(n) and n >= 1, f"field 'n' must be a positive integer, got {n!r}")
     amps = data["amplitudes"]
-    _require(isinstance(amps, Mapping) and len(amps) > 0, "field 'amplitudes' must be a nonempty object")
+    _require(isinstance(amps, Mapping), "field 'amplitudes' must be an object")
     out = {}
     for lab, pair in amps.items():
-        _require(
-            isinstance(pair, (list, tuple)) and len(pair) == 2,
-            f"amplitude for {lab!r} must be a [re, im] pair",
-        )
-        re, im = pair
-        _require(
-            all((_is_int(x) or isinstance(x, float)) and _finite(x) for x in pair),
-            f"amplitude for {lab!r} must hold finite numbers",
-        )
-        out[lab] = complex(re, im)
-    return PureState(n, out)
+        _require(isinstance(pair, (list, tuple)) and len(pair) == 2, f"amplitude for {lab!r} must be a [re, im] pair")
+        _require(all(map(_finite, pair)), f"amplitude for {lab!r} must hold finite numbers")
+        out[lab] = complex(*pair)
+    return PureState(data["n"], out)
 
 
 def state_hash(psi: PureState) -> str:
@@ -149,31 +140,23 @@ def group_from_dict(data: Mapping, qubits: int | None = None) -> DiagonalSymmetr
     for field in ("n", "torus_basis", "finite"):
         _require(field in data, f"group is missing field {field!r}")
     n = data["n"]
-    _require(_is_int(n) and n >= 1, f"group field 'n' must be a positive integer, got {n!r}")
+    check_qubit_count(n)
     if qubits is not None and n != qubits:
         raise DimensionError(f"group on {n} qubits, state on {qubits}")
     for field in ("torus_basis", "finite"):
         _require(isinstance(data[field], list), f"group field {field!r} must be a list")
-    basis = []
-    for vec in data["torus_basis"]:
-        _require(
-            isinstance(vec, list) and len(vec) == n + 1 and all(_is_int(x) for x in vec),
-            f"'torus_basis' vectors must be integer lists of length n+1, got {vec!r}",
-        )
-        basis.append(tuple(vec))
+    basis = data["torus_basis"]
+    for vec in basis:
+        _require(isinstance(vec, list), f"'torus_basis' vectors must be lists, got {vec!r}")
     gens = []
     for item in data["finite"]:
-        _require(isinstance(item, Mapping) and "order" in item and "nums" in item,
-                 "finite entries need 'order' and 'nums'")
-        order, nums = item["order"], item["nums"]
-        _require(_is_int(order) and order >= 2, f"finite 'order' must be an integer >= 2, got {order!r}")
-        _require(
-            isinstance(nums, list) and len(nums) == n + 1 and all(_is_int(x) for x in nums),
-            f"finite 'nums' must be an integer list of length n+1, got {nums!r}",
-        )
+        _require(isinstance(item, Mapping) and "order" in item and "nums" in item, "finite entries need 'order' and 'nums'")
+        _require(isinstance(item["nums"], list), f"finite 'nums' must be a list, got {item['nums']!r}")
         # PhaseVector refuses nums off [0, order), and its lowest-terms rule makes
         # order the generator's exact order
-        gens.append(PhaseVector(nums, order))
+        gen = PhaseVector(item["nums"], item["order"])
+        _require(gen.den >= 2, f"finite 'order' must be an integer >= 2, got {gen.den}")
+        gens.append(gen)
     group = DiagonalSymmetryGroup.from_presentation(n, basis, gens)
     _require(group.torus_rank == len(basis), "'torus_basis' vectors must be nonzero and linearly independent")
     return group

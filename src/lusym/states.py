@@ -174,17 +174,23 @@ class Support(Value):
 
 class PureState(Value):
     """Sparse pure state: a nonempty mapping from distinct n-bit basis labels
-    to complex amplitudes, each finite and of magnitude at least
-    AMPLITUDE_FLOOR, stored in label-value order in a read-only dict. The
-    labels are therefore exactly the support, and every stage reads the
-    amplitudes in support order."""
+    to int, float or complex amplitudes, each finite and of magnitude at
+    least AMPLITUDE_FLOOR, stored as complex in label-value order in a
+    read-only dict. The labels are therefore exactly the support, and every
+    stage reads the amplitudes in support order."""
 
     __slots__ = _key = ("n", "amplitudes")
 
     def __init__(self, n: int, amplitudes: Mapping[str, complex]) -> None:
         clean: dict[str, complex] = {}
         for lab in Support(n, amplitudes).labels:
-            c = complex(amplitudes[lab])
+            a = amplitudes[lab]
+            if isinstance(a, bool) or not isinstance(a, (int, float, complex)):
+                raise InputError(f"amplitude for {lab!r} must be an int, float or complex, got {type(a).__name__}")
+            try:
+                c = complex(a)
+            except OverflowError:
+                raise InputError(f"amplitude for {lab!r} is an int past the float range, not a finite number") from None
             if not cmath.isfinite(c):
                 raise InputError(f"amplitude for {lab!r} is {c}, not a finite number")
             if abs(c) < AMPLITUDE_FLOOR:
@@ -221,8 +227,6 @@ class PureState(Value):
         return abs(self.norm() - 1.0) <= tol
 
     def scaled(self, factor: complex) -> "PureState":
-        if abs(factor) == 0.0:
-            raise InputError("cannot scale a state by zero")
         return PureState(self.n, {lab: factor * c for lab, c in self.amplitudes.items()})
 
 

@@ -196,22 +196,31 @@ def test_verify_refuses_wrong_finite_order(capsys, tmp_path):
 
 
 @pytest.mark.parametrize(
-    "finite, torus_basis, message",
+    "patch, message",
     [
-        ([], 5, "'torus_basis' must be a list"),
-        (5, [], "'finite' must be a list"),
+        ({"torus_basis": 5}, "'torus_basis' must be a list"),
+        ({"finite": 5}, "'finite' must be a list"),
         # a group file written by lusym 0.3.0
-        ([{"order": 2, "generator": {"phis": [{"num": 1, "den": 2}, {"num": 0, "den": 1}],
-                                     "theta": {"num": 1, "den": 2}}}], [[1, -1, 0]],
+        ({"finite": [{"order": 2, "generator": {"phis": [{"num": 1, "den": 2}, {"num": 0, "den": 1}],
+                                                "theta": {"num": 1, "den": 2}}}], "torus_basis": [[1, -1, 0]]},
          "'order' and 'nums'"),
         # the half turn written as 3/2: numerators lie in [0, order)
-        ([{"order": 2, "nums": [3, 0, 1]}], [], "must lie in [0, 2)"),
+        ({"finite": [{"order": 2, "nums": [3, 0, 1]}]}, "must lie in [0, 2)"),
+        ({"torus_basis": [5]}, "'torus_basis' vectors must be lists, got 5"),
+        ({"finite": [{"order": 2, "nums": 5}]}, "finite 'nums' must be a list, got 5"),
+        # n is checked before it is compared with the state's 2 qubits
+        ({"n": "2"}, "qubit count n must be int, got str"),
+        ({"finite": [{"order": 1, "nums": [0, 0, 0]}]}, "finite 'order' must be an integer >= 2, got 1"),
+        ({"finite": [{"order": 2, "nums": [1, 0]}]}, "must have n+1 entries"),
     ],
-    ids=["torus_basis-not-list", "finite-not-list", "0.3.0-generator", "nums-off-range"],
+    ids=[
+        "torus_basis-not-list", "finite-not-list", "0.3.0-generator", "nums-off-range",
+        "torus-vector-number", "nums-number", "n-string", "order-1", "nums-length-n",
+    ],
 )
-def test_verify_refuses_malformed_group_file(capsys, tmp_path, finite, torus_basis, message):
+def test_verify_refuses_malformed_group_file(capsys, tmp_path, patch, message):
     group_file = tmp_path / "group.json"
-    group_file.write_text(json.dumps({"n": 2, "torus_basis": torus_basis, "finite": finite}))
+    group_file.write_text(json.dumps({"n": 2, "torus_basis": [], "finite": [], **patch}))
     code, _, err = run_cli(capsys, "verify", "--fixture", "bell", "--group", str(group_file))
     assert code == 2
     assert message in err

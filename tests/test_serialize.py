@@ -1,3 +1,4 @@
+import copy
 import hashlib
 import json
 import random
@@ -103,11 +104,12 @@ def test_load_state_rejects_non_finite(bad):
         load_state('{"n": 2, "amplitudes": {"00": [0.6, 0], "11": [0, %s]}}' % bad)
 
 
-# bool is a subclass of int, so JSON true and false must be refused explicitly
+# bool is a subclass of int, so JSON true and false must be refused explicitly:
+# n by the qubit-count rule of the constructor, an amplitude by the reader
 @pytest.mark.parametrize(
     "text, field",
     [
-        ('{"n": true, "amplitudes": {"0": [1.0, 0.0]}}', "'n'"),
+        ('{"n": true, "amplitudes": {"0": [1.0, 0.0]}}', "qubit count n must be int, got bool"),
         ('{"n": 1, "amplitudes": {"0": [true, false]}}', "'0'"),
         ('{"n": 2, "amplitudes": {"00": [0.6, 0], "11": [0, true]}}', "'11'"),
     ],
@@ -118,15 +120,16 @@ def test_state_from_dict_rejects_bool(text, field):
         state_from_dict(json.loads(text))
 
 
-# a field of the wrong JSON type, a bool or a non-list included, is refused by name
+# a field that is not a list is refused by the reader, by name; a bool by the
+# constructor whose value it is, naming that value
 @pytest.mark.parametrize(
     "patch, field",
     [
-        ({"n": True, "torus_basis": [[1, -1]], "finite": []}, "'n'"),
-        ({"torus_basis": [[True, -1, 0]]}, "'torus_basis'"),
-        ({"finite": [{"order": 2, "nums": [True, 0, 1]}]}, "'nums'"),
-        ({"finite": [{"order": 2, "nums": [1, 0, False]}]}, "'nums'"),
-        ({"finite": [{"order": True, "nums": [1, 0, 1]}]}, "'order'"),
+        ({"n": True, "torus_basis": [[1, -1]], "finite": []}, "qubit count n must be int, got bool"),
+        ({"torus_basis": [[True, -1, 0]]}, "torus directions must be int, got bool"),
+        ({"finite": [{"order": 2, "nums": [True, 0, 1]}]}, "phase numerators and den must be int, got bool"),
+        ({"finite": [{"order": 2, "nums": [1, 0, False]}]}, "phase numerators and den must be int, got bool"),
+        ({"finite": [{"order": True, "nums": [1, 0, 1]}]}, "phase numerators and den must be int, got bool"),
         ({"torus_basis": 5}, "'torus_basis'"),
         ({"finite": 5}, "'finite'"),
     ],
@@ -136,6 +139,66 @@ def test_group_from_dict_rejects_bool(patch, field):
     data = dict(group_to_dict(solve_symmetry_group(Support.from_labels(["00", "11"]))), **patch)
     with pytest.raises(InputError, match=field):
         group_from_dict(data)
+
+
+def test_file_values_meet_the_constructors_rules():
+    # the readers check a file's layout; n and an empty support are the constructors'
+    with pytest.raises(InputError, match="qubit count n must be at least 1, got 0"):
+        load_state('{"n": 0, "amplitudes": {"0": [1, 0]}}')
+    with pytest.raises(InputError, match="support must contain at least one label"):
+        load_state('{"n": 1, "amplitudes": {}}')
+    # n is checked before it is compared with the state's qubit count
+    with pytest.raises(InputError, match="qubit count n must be int, got str"):
+        load_group('{"n": "2", "torus_basis": [], "finite": []}', 2)
+
+
+_POOL = (0, -1, True, None, "2", 2.0, [], {}, [1], 10**30)
+
+
+def _sites(node):
+    """(container, key) of every value below node, depth first."""
+    items = node.items() if isinstance(node, dict) else enumerate(node) if isinstance(node, list) else ()
+    for key, child in list(items):
+        yield node, key
+        yield from _sites(child)
+
+
+def _mutations(base, rng, count):
+    """count copies of base, each with one to three values replaced by a pool
+    value or, in one case in ten for an object's field, removed."""
+    for _ in range(count):
+        data = copy.deepcopy(base)
+        for _ in range(rng.randint(1, 3)):
+            sites = list(_sites(data))
+            if not sites:
+                break
+            container, key = rng.choice(sites)
+            if isinstance(container, dict) and rng.random() < 0.1:
+                del container[key]
+            else:
+                container[key] = copy.deepcopy(rng.choice(_POOL))
+        yield data
+
+
+def test_mutated_files_raise_only_input_error():
+    # a malformed file must exit 2, never 1: whichever of reader and constructor
+    # refuses a value, it raises InputError
+    rng = random.Random(0)
+    group = {"n": 2, "torus_basis": [[1, -1, 0]], "finite": [{"order": 2, "nums": [1, 0, 1]}]}
+    state = {"n": 2, "amplitudes": {"00": [0.6, 0], "11": [0, 0.8]}}
+    refused = 0
+    for data in _mutations(group, rng, 2000):
+        for qubits in (None, 2):
+            try:
+                group_from_dict(data, qubits)
+            except InputError:
+                refused += 1
+    for data in _mutations(state, rng, 2000):
+        try:
+            state_from_dict(data)
+        except InputError:
+            refused += 1
+    assert refused > 5000  # most mutations break the file
 
 
 # the torus rank is the number of basis directions, so each must count
@@ -190,8 +253,10 @@ def test_load_group_validation():
     half_turn = data["finite"][0]["nums"]
     assert data["finite"] == [{"order": 2, "nums": [1, 0, 1]}]
     for item, message in [
-        ({"order": 1, "nums": half_turn}, "'order'"),
-        ({"order": 2, "nums": half_turn[:2]}, "'nums'"),
+        # the schema's order >= 2 is the reader's; nums off [0, 1) are PhaseVector's
+        ({"order": 1, "nums": [0, 0, 0]}, "'order'"),
+        ({"order": 1, "nums": half_turn}, r"\[0, 1\)"),
+        ({"order": 2, "nums": half_turn[:2]}, r"n\+1 entries"),
         # order is the generator's exact order: nums sharing a factor with it,
         # such as the half turn written over 4 or the zero element, are refused
         ({"order": 4, "nums": [2 * x for x in half_turn]}, "lowest terms"),

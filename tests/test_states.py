@@ -72,7 +72,7 @@ def test_pure_state_rejects_non_finite(bad):
 
 @pytest.mark.parametrize(
     "factor, match",
-    [(math.nan, "finite"), (math.inf, "finite"), (-math.inf, "finite"), (1e-300, "floor"), (0.0, "zero")],
+    [(math.nan, "finite"), (math.inf, "finite"), (-math.inf, "finite"), (1e-300, "floor"), (0.0, "floor")],
 )
 def test_scaled_state_passes_the_amplitude_checks(factor, match):
     psi = fixture_state("bell")

@@ -179,6 +179,26 @@ def test_value_constructors_refuse_bad_input(build):
         build()
 
 
+# only an int, float or complex is an amplitude: a str or bool is not read as a
+# number, and an int past the float range is refused like inf
+@pytest.mark.parametrize(
+    "amplitude, message",
+    [
+        ("1+1j", "must be an int, float or complex, got str"),
+        (True, "must be an int, float or complex, got bool"),
+        (None, "must be an int, float or complex, got NoneType"),
+        (10**400, "past the float range, not a finite number"),
+        (-(10**400), "past the float range, not a finite number"),
+    ],
+    ids=["str", "bool", "none", "huge-int", "huge-negative-int"],
+)
+def test_state_amplitudes_are_finite_numbers(amplitude, message):
+    with pytest.raises(InputError, match=message):
+        PureState(1, {"0": amplitude})
+    for ok in (1, 1.0, 1j):
+        assert PureState(1, {"0": ok}).amplitudes == {"0": complex(ok)}
+
+
 @pytest.mark.parametrize(
     "built, expected",
     [
