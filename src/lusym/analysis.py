@@ -6,7 +6,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from operator import mul
+from operator import mul, sub
 from typing import TYPE_CHECKING, Iterable, NamedTuple, Sequence
 
 from .errors import DimensionError, InternalError
@@ -201,8 +201,10 @@ def _gf3_refutes(s0: int, rest: list[int], outside: list[str]) -> bool:
 
 
 def _differences(labels: Iterable[str], s0: str) -> list[tuple[int, ...]]:
-    """The integer rows s - s0, entries in {-1, 0, 1}."""
-    return [tuple(int(a) - int(b) for a, b in zip(lab, s0)) for lab in labels]
+    """The integer rows s - s0, entries in {-1, 0, 1}, read from the labels'
+    ASCII bytes: ord('1') - ord('0') is 1."""
+    s0 = s0.encode()
+    return [tuple(map(sub, lab.encode(), s0)) for lab in labels]
 
 
 def _in_sign_lattice(support: Support, labels: Iterable[str]) -> bool:
@@ -217,10 +219,10 @@ def _in_sign_lattice(support: Support, labels: Iterable[str]) -> bool:
     if not outside:
         return True
     s0, *rest = (int(lab, 2) for lab in support.labels)
-    basis: list[int] = []
+    basis: dict[int, int] = {}
     for x in rest:
         if y := gf2_reduced(x ^ s0, basis):
-            basis.append(y)
+            basis[y.bit_length()] = y
     if any(gf2_reduced(int(lab, 2) ^ s0, basis) for lab in outside) or _gf3_refutes(s0, rest, outside):
         return False
     first, *others = support.labels

@@ -1,15 +1,16 @@
 """Exact integer linear algebra.
 
 Smith normal form with both transformation matrices, the row Hermite normal
-form with lattice membership, and bit masks over GF(2): reduction by a basis,
-and the masks of a list that generate its span. An IntMatrix is a tuple of
-equal-length rows of int, and require_ints is the one check of int entries
-across the package: a bool or another int subclass is refused. The Smith
-elimination carries only the column transform v, and its column steps touch
-only nonzero entries; a SmithDecomposition keeps the invariant factors, v's
-columns and the input, and builds u, d and v from them on each read, u by
-running the same elimination on [a | I]. Python ints only: no floating point
-enters any routine here, so results are decidable and reproducible bit for bit.
+form with lattice membership, and bit masks over GF(2): reduction by a basis
+keyed by each mask's leading bit, and the masks of a list that generate its
+span. An IntMatrix is a tuple of equal-length rows of int, and require_ints
+is the one check of int entries across the package: a bool or another int
+subclass is refused. The Smith elimination carries only the column transform
+v, and its column steps touch only nonzero entries; a SmithDecomposition
+keeps the invariant factors, v's columns and the input, and builds u, d and v
+from them on each read, u by running the same elimination on [a | I]. Python
+ints only: no floating point enters any routine here, so results are
+decidable and reproducible bit for bit.
 """
 
 from __future__ import annotations
@@ -224,37 +225,44 @@ def lattice_member(hnf: Sequence[Sequence[int]], row: Sequence[int]) -> bool:
 
     The row is reduced against the echelon rows in turn; it is a member
     exactly when each pivot divides the entry left in its column and nothing
-    remains at the end. A row never touches the columns left of its pivot, so
-    an entry left over there survives to the end.
+    remains at the end. No form row has an entry left of its pivot, so an
+    entry of the row in a column with no pivot, left of a later pivot, is
+    final: the row is refused there. A step writes only the entries right of
+    the pivot, and none when the form row has nothing there.
     """
     r = list(row)
-    c = -1
+    c = 0  # the first column right of the last pivot
     for h in hnf:
-        c += 1
-        while not h[c]:  # the pivot: right of the one above, first nonzero of h
-            c += 1
-        q, rem = divmod(r[c], h[c])
+        p = c
+        while not h[p]:  # the pivot: right of the one above, first nonzero of h
+            p += 1
+        if p > c and any(r[c:p]):
+            return False
+        q, rem = divmod(r[p], h[p])
         if rem:
             return False
-        if q:
-            r = [x - q * y for x, y in zip(r, h)]
-    return not any(r)
+        c = p + 1
+        if q and any(tail := h[c:]):
+            r[c:] = [x - q * y for x, y in zip(r[c:], tail)]
+    return not any(r[c:])
 
 
-def gf2_reduced(y: int, basis: Iterable[int]) -> int:
-    """The bit mask y reduced by GF(2) basis masks, each reduced by those
-    before it when it was added: 0 exactly when y lies in their span."""
-    for b in basis:
-        y = min(y, y ^ b)
+def gf2_reduced(y: int, basis: dict[int, int]) -> int:
+    """The bit mask y reduced by GF(2) basis masks with distinct leading bits,
+    keyed by their bit_length(): y is XORed with the mask that leads at y's
+    leading bit until no mask leads there. 0 exactly when y lies in their
+    span; otherwise a mask whose leading bit no basis mask has."""
+    while b := basis.get(y.bit_length()):
+        y ^= b
     return y
 
 
 def gf2_generators(values: list[int]) -> list[int]:
     """The masks, in the given order, that are independent of those before them."""
-    basis: list[int] = []
+    basis: dict[int, int] = {}
     gens: list[int] = []
     for x in values:
         if y := gf2_reduced(x, basis):
-            basis.append(y)
+            basis[y.bit_length()] = y
             gens.append(x)
     return gens

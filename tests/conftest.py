@@ -1,14 +1,17 @@
 """Shared helpers for the test suite: seeded random supports and states,
 random group elements, group conjugation by bit flips, a brute-force circuit
-oracle, and a schema validator wired to docs/schema/.
+oracle, a schema validator wired to docs/schema/, and a time bound on each
+test.
 """
 
 import cmath
+import faulthandler
 import json
 import math
 import os
 import pathlib
 import random
+import sys
 from functools import lru_cache
 from itertools import combinations
 
@@ -21,10 +24,31 @@ SCHEMA_DIR = pathlib.Path(__file__).resolve().parent.parent / "docs" / "schema"
 SRC_DIR = pathlib.Path(__file__).resolve().parent.parent / "src"
 
 
+# The longest one test may run, its setup and teardown included; the slowest
+# takes about 5 s. Past it every thread's traceback is printed and the process
+# exits, so a test that never returns fails the run instead of hanging it.
+TEST_TIME_LIMIT_S = 120
+
+# a copy of stderr taken before output capture, so the traceback is not lost
+_TIMEOUT_STDERR = pytest.StashKey[int]()
+
+
 def pytest_configure(config):
     # pyproject's `pythonpath` puts src/ on this process's sys.path only; the
     # tests that run `python -m lusym.cli` in a subprocess need it too.
     os.environ["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC_DIR), os.environ.get("PYTHONPATH")]))
+    config.stash[_TIMEOUT_STDERR] = os.dup(sys.__stderr__.fileno())
+
+
+def pytest_unconfigure(config):
+    os.close(config.stash[_TIMEOUT_STDERR])
+
+
+@pytest.hookimpl(hookwrapper=True)
+def pytest_runtest_protocol(item, nextitem):
+    faulthandler.dump_traceback_later(TEST_TIME_LIMIT_S, exit=True, file=item.config.stash[_TIMEOUT_STDERR])
+    yield
+    faulthandler.cancel_dump_traceback_later()
 
 
 def all_labels(n):

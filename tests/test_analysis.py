@@ -31,6 +31,7 @@ from lusym import (
     verify_symmetry,
 )
 from lusym.analysis import (
+    GENERIC_FLOOR,
     STRATA_A_CLOSURE_CONTAINS_B,
     STRATA_B_CLOSURE_CONTAINS_A,
     STRATA_EQUAL,
@@ -228,6 +229,26 @@ def test_analyze_generic_state():
     assert rep.generic
     assert not rep.larger_symmetry_possible
     assert abs(rep.defect_values[0] - (0.36 - 0.64)) < 1e-12
+
+
+def test_an_amplitude_exactly_at_the_generic_floor_is_generic():
+    # |1e-9| is exactly GENERIC_FLOOR, and the one defect is about -1
+    rep = analyze(PureState.from_amplitudes({"0": GENERIC_FLOOR, "1": 1.0}))
+    assert abs(rep.state.amplitudes["0"]) == GENERIC_FLOOR
+    assert rep.generic
+    assert not rep.larger_symmetry_possible
+
+
+def test_verify_passes_at_a_deviation_exactly_equal_to_tol():
+    # the direction (1, 1) moves only label 0, whose row (1, 1) it meets in 2:
+    # the deviation is |2 * 0.3|, and a tolerance one float below it fails
+    psi = PureState.from_amplitudes({"0": 0.3, "1": math.sqrt(1 - 0.09)})
+    group = DiagonalSymmetryGroup.from_presentation(1, [(1, 1)], ())
+    deviation = verify_symmetry(psi, group, tol=0.9).max_deviation
+    assert deviation == abs(2 * psi.amplitudes["0"])
+    at = verify_symmetry(psi, group, tol=deviation)
+    assert at.passed and at.max_deviation == at.tol
+    assert not verify_symmetry(psi, group, tol=math.nextafter(deviation, 0)).passed
 
 
 def test_analyze_rejects_unnormalized():

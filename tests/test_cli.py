@@ -210,12 +210,13 @@ def test_verify_refuses_wrong_finite_order(capsys, tmp_path):
         ({"finite": [{"order": 2, "nums": 5}]}, "finite 'nums' must be a list, got 5"),
         # n is checked before it is compared with the state's 2 qubits
         ({"n": "2"}, "qubit count n must be int, got str"),
+        ({"n": 10**30}, "qubit count n must be at most MAX_QUBITS = 2048, got 1" + "0" * 30),
         ({"finite": [{"order": 1, "nums": [0, 0, 0]}]}, "finite 'order' must be an integer >= 2, got 1"),
         ({"finite": [{"order": 2, "nums": [1, 0]}]}, "must have n+1 entries"),
     ],
     ids=[
         "torus_basis-not-list", "finite-not-list", "0.3.0-generator", "nums-off-range",
-        "torus-vector-number", "nums-number", "n-string", "order-1", "nums-length-n",
+        "torus-vector-number", "nums-number", "n-string", "n-past-the-cap", "order-1", "nums-length-n",
     ],
 )
 def test_verify_refuses_malformed_group_file(capsys, tmp_path, patch, message):

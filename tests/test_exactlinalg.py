@@ -1,7 +1,7 @@
 import hashlib
 import random
 from fractions import Fraction
-from itertools import chain
+from itertools import chain, product
 from math import gcd
 
 import numpy as np
@@ -15,6 +15,8 @@ from lusym import (
     smith_normal_form,
 )
 from lusym.exactlinalg import (
+    gf2_generators,
+    gf2_reduced,
     hermite_normal_form,
     lattice_member,
 )
@@ -255,6 +257,34 @@ def test_hermite_normal_form_small_cases():
     assert not lattice_member(hnf, (1, 0)) and lattice_member(hnf, (2, 7))
     # a row off the rational span is out, whatever its leading entries
     assert not lattice_member(((1, 0, 0),), (2, 0, 1))
+
+
+def test_lattice_member_refuses_an_entry_where_no_pivot_can_clear_it():
+    # a column with no pivot: left of a later pivot, past the last one, or
+    # every column of the empty form
+    skip = ((1, 0, 0), (0, 0, 1))
+    assert not lattice_member(skip, (0, 1, 0))
+    assert lattice_member(skip, (3, 0, -2))
+    assert not lattice_member(((1, 0),), (0, 1))
+    assert lattice_member((), (0, 0, 0))
+    assert not any(lattice_member((), row) for row in ((1, 0, 0), (0, 0, -1), (0, 2, 0)))
+
+
+def test_gf2_reduction_and_generators_match_the_xor_closure():
+    # every list of up to 4 masks of width <= 4: the reduction by the list's
+    # basis is 0 exactly on the XOR closure of the list, and the generators
+    # are the masks outside the closure of those before them
+    for k in range(5):
+        for values in product(range(16), repeat=k):
+            spans = [{0}]
+            for x in values:
+                spans.append(spans[-1] | {s ^ x for s in spans[-1]})
+            basis = {}
+            for x in values:
+                if y := gf2_reduced(x, basis):
+                    basis[y.bit_length()] = y
+            assert {y for y in range(16) if not gf2_reduced(y, basis)} == spans[-1]
+            assert gf2_generators(list(values)) == [x for x, span in zip(values, spans) if x not in span]
 
 
 def test_hermite_normal_form_length_is_the_rank():

@@ -10,6 +10,7 @@ import lusym.analysis
 from lusym import (
     DiagonalSymmetryGroup,
     InputError,
+    LimitError,
     PhaseVector,
     PureState,
     Support,
@@ -33,6 +34,7 @@ from lusym.serialize import (
     state_hash,
     state_to_dict,
 )
+from lusym.states import MAX_QUBITS
 
 from conftest import random_coset_support, random_state_on, random_support
 
@@ -150,6 +152,14 @@ def test_file_values_meet_the_constructors_rules():
     # n is checked before it is compared with the state's qubit count
     with pytest.raises(InputError, match="qubit count n must be int, got str"):
         load_group('{"n": "2", "torus_basis": [], "finite": []}', 2)
+
+
+def test_a_group_file_past_the_qubit_cap_is_a_limit_error():
+    # n = 10^30 used to raise OverflowError while the trivial group was built
+    text = '{"n": 1000000000000000000000000000000, "torus_basis": [], "finite": []}'
+    for qubits in (None, 2):
+        with pytest.raises(LimitError, match=f"^qubit count n must be at most MAX_QUBITS = {MAX_QUBITS}, got 1{'0' * 30}$"):
+            load_group(text, qubits)
 
 
 _POOL = (0, -1, True, None, "2", 2.0, [], {}, [1], 10**30)

@@ -9,9 +9,11 @@ import numpy as np
 import pytest
 
 from lusym import (
+    DiagonalSymmetryGroup,
     DimensionError,
     InputError,
     InvariantMonomial,
+    LimitError,
     PhaseVector,
     PureState,
     Support,
@@ -22,7 +24,7 @@ from lusym import (
     symmetrize_over_flips,
 )
 from lusym.normalizer import balance_defects
-from lusym.states import label_int, validate_label, weight_vector, xor_labels
+from lusym.states import MAX_QUBITS, label_int, validate_label, weight_vector, xor_labels
 
 from conftest import benchmark_pool_states, random_coset_support, random_element, random_state_on, random_support, torus_point
 from oracles import apply_phase_element
@@ -240,6 +242,40 @@ def test_a_phase_element_needs_at_least_one_qubit(build):
     # every other value refuses n < 1; these built with n == -1 or n == 0
     with pytest.raises(InputError, match="^qubit count n must be at least 1, got (0|-1)$"):
         build()
+
+
+_PAST = MAX_QUBITS + 1
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: DiagonalSymmetryGroup(10**30, []),
+        lambda: DiagonalSymmetryGroup.from_presentation(10**30, [], ()),
+        lambda: Support.from_labels(["0" * _PAST]),
+        lambda: PureState.from_amplitudes({"1" * _PAST: 1.0}),
+        lambda: InvariantMonomial([("0" * _PAST, 1, 0)]),
+        lambda: PhaseVector.from_numerators([0] * (_PAST + 1), 2),
+    ],
+    ids=["group-10^30", "presentation-10^30", "support-label", "state-label", "monomial-label", "phase-element"],
+)
+def test_every_constructor_refuses_a_qubit_count_past_the_cap(build):
+    # 10^30 used to raise OverflowError while a row of n + 1 zeros was built
+    with pytest.raises(LimitError, match=f"^qubit count n must be at most MAX_QUBITS = {MAX_QUBITS}, got "):
+        build()
+
+
+def test_a_qubit_count_too_long_to_print_is_refused_by_its_size():
+    # str() of an int past 4,300 digits raises ValueError, not InputError
+    with pytest.raises(LimitError, match="^qubit count n must be at most MAX_QUBITS = 2048, got an int of 16610 bits$"):
+        Support(10**5000, ["0"])
+    with pytest.raises(InputError, match="^qubit count n must be at least 1, got an int of 16610 bits$"):
+        DiagonalSymmetryGroup(-(10**5000), [])
+
+
+def test_a_label_at_the_qubit_cap_is_accepted():
+    assert MAX_QUBITS >= 2000
+    assert Support.from_labels(["01" * (MAX_QUBITS // 2)]).n == MAX_QUBITS
 
 
 def test_from_numerators_refuses_a_denominator_below_one():
