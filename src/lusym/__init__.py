@@ -31,7 +31,6 @@ _EXPORTS = {
         "InvariantSum",
         "abs_square_generators",
         "evaluate",
-        "flip_monomial",
         "is_sl_type",
         "monomial_from_circuit",
         "symmetrize_over_flips",
@@ -43,13 +42,7 @@ _EXPORTS = {
         "compute_normalizer",
         "support_stabilizer_masks",
     ),
-    "states": (
-        "PhaseVector",
-        "PureState",
-        "Support",
-        "reduced_density_matrix",
-        "weight_vector",
-    ),
+    "states": ("PhaseVector", "PureState", "Support"),
     "symmetry": (
         "DiagonalSymmetryGroup",
         "QubitActionProfile",

@@ -18,10 +18,10 @@ from __future__ import annotations
 
 from typing import Iterable, NamedTuple, Sequence, Union
 
-from .circuits import BalancedCircuit, SlGeneratorReport, single_sl_generator_check  # noqa: F401 (re-exported)
+from .circuits import BalancedCircuit
 from .errors import DimensionError, InputError
 from .exactlinalg import gf2_generators, require_ints
-from .states import PureState, Support, Value, label_int, validate_label
+from .states import PureState, Support, Value, _label_tuple
 
 
 class Bidegree(NamedTuple):
@@ -58,10 +58,6 @@ class InvariantMonomial(Value):
     @property
     def n(self) -> int:
         return len(self.terms[0][0])
-
-    @classmethod
-    def from_terms(cls, terms: Iterable[tuple[str, int, int]]) -> "InvariantMonomial":
-        return cls(tuple(sorted(terms, key=lambda t: label_int(t[0]))))
 
 
 class FlipRejection(NamedTuple):
@@ -100,14 +96,8 @@ def is_sl_type(m: InvariantMonomial) -> bool:
     return a == 0 or b == 0
 
 
-def flip_monomial(m: InvariantMonomial, mask: str) -> InvariantMonomial:
-    """Relabel every term by XOR with the mask; exponents and bidegree carry over."""
-    validate_label(mask, m.n)
-    return _flipped(_valued_terms(m), label_int(mask), m.n)
-
-
 def _valued_terms(m: InvariantMonomial) -> list[tuple[int, int, int]]:
-    return [(label_int(label), p, q) for label, p, q in m.terms]
+    return [(int(label, 2), p, q) for label, p, q in m.terms]
 
 
 def _flipped(terms: list[tuple[int, int, int]], mask: int, n: int) -> InvariantMonomial:
@@ -131,11 +121,11 @@ def symmetrize_over_flips(
     otherwise the first offending mask is reported. Rejection is an outcome,
     not an error.
     """
-    masks = dict.fromkeys(flip_group)
+    masks = dict.fromkeys(_label_tuple(flip_group))
     if not masks:
         raise InputError("flip group must contain at least the zero mask")
     masks = Support.from_labels(masks).labels
-    rank = len(gf2_generators([label_int(mask) for mask in masks]))
+    rank = len(gf2_generators([int(mask, 2) for mask in masks]))
     if len(masks) != 1 << rank:  # a group, zero mask included, is all 2^rank masks of its span
         raise InputError(f"flip group not closed under xor: {len(masks)} masks of GF(2) rank {rank}")
     return _symmetrized(m, masks)
@@ -160,7 +150,7 @@ def _symmetrized(m: InvariantMonomial, masks: tuple[str, ...]) -> Union[Invarian
                     ),
                 )
     terms = _valued_terms(m)
-    return InvariantSum(monomials=tuple(_flipped(terms, label_int(x), m.n) for x in masks), flip_group=masks)
+    return InvariantSum(monomials=tuple(_flipped(terms, int(x, 2), m.n) for x in masks), flip_group=masks)
 
 
 def evaluate(obj: Union[InvariantMonomial, InvariantSum], psi: PureState) -> complex:

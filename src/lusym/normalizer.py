@@ -17,7 +17,7 @@ from typing import NamedTuple
 
 from .errors import InternalError
 from .exactlinalg import gf2_generators
-from .states import PureState, Support, label_int
+from .states import PureState, Support
 from .symmetry import DiagonalSymmetryGroup, QubitActionProfile, qubit_action_profile
 
 
@@ -48,7 +48,7 @@ def support_stabilizer_masks(support: Support) -> FlipGroup:
     Candidates are the XOR differences against one fixed label: any stabilizing
     mask must send that label somewhere inside the support.
     """
-    values = [label_int(lab) for lab in support.labels]
+    values = [int(lab, 2) for lab in support.labels]
     value_set = set(values)
     base = values[0]
     kept = []

@@ -62,23 +62,9 @@ def validate_label(label: str, n: int | None = None) -> str:
     return label
 
 
-def label_int(label: str) -> int:
-    return int(label, 2)
-
-
-def xor_labels(a: str, b: str) -> str:
-    if len(a) != len(b):
-        raise DimensionError(f"cannot xor labels of lengths {len(a)} and {len(b)}")
-    return "".join("1" if x != y else "0" for x, y in zip(a, b))
-
-
-def weight_vector(label: str) -> tuple[int, ...]:
-    """Signs ((-1)^{s_1}, ..., (-1)^{s_n}) for a basis label s."""
-    return _signs(validate_label(label))
-
-
 def _signs(label: str) -> tuple[int, ...]:
-    """weight_vector of a label a Support or PureState has already checked."""
+    """Signs ((-1)^{s_1}, ..., (-1)^{s_n}) of a basis label s that a Support
+    or PureState has already checked."""
     return tuple(1 if ch == "0" else -1 for ch in label)
 
 
@@ -145,6 +131,14 @@ class _ReadOnlyDict(dict):
         return type(self), (dict(self),)
 
 
+def _label_tuple(labels: Iterable[str]) -> tuple[str, ...]:
+    """labels as a tuple. A str is refused: iterating it would read each of
+    its characters as a label of its own."""
+    if isinstance(labels, str):
+        raise InputError(f"expected a collection of bit strings, got the str {labels!r}")
+    return tuple(labels)
+
+
 def _width(labels: Iterable[str]) -> int:
     """The bit count of the first label, which the others must share; 0 when
     there is none, which the constructors refuse."""
@@ -160,7 +154,7 @@ class Support(Value):
     __slots__ = _key = ("n", "labels")
 
     def __init__(self, n: int, labels: Iterable[str]) -> None:
-        labels = tuple(labels)
+        labels = _label_tuple(labels)
         if not labels:
             raise InputError("support must contain at least one label")
         check_qubit_count(n)
@@ -168,12 +162,12 @@ class Support(Value):
             validate_label(lab, n)
         if len(set(labels)) != len(labels):
             raise InputError("support labels must be distinct")
-        self._set(n=n, labels=tuple(sorted(labels, key=label_int)))
+        self._set(n=n, labels=tuple(sorted(labels, key=lambda lab: int(lab, 2))))
 
     @classmethod
     def from_labels(cls, labels: Iterable[str]) -> "Support":
         """The support of these labels, on as many qubits as the first has bits."""
-        labels = list(labels)
+        labels = _label_tuple(labels)
         return cls(_width(labels), labels)
 
     def __iter__(self):
@@ -237,9 +231,6 @@ class PureState(Value):
     def is_normalized(self, tol: float = DEFAULT_TOL) -> bool:
         return abs(self.norm() - 1.0) <= tol
 
-    def scaled(self, factor: complex) -> "PureState":
-        return PureState(self.n, {lab: factor * c for lab, c in self.amplitudes.items()})
-
 
 def require_normalized(psi: PureState, tol: float) -> None:
     """Raise InputError unless 0 < tol < 1 and the norm is 1 within tol."""
@@ -294,17 +285,6 @@ class PhaseVector(Value):
         return self.as_tuple()[-1]
 
     @classmethod
-    def make(cls, phis: Iterable[Fraction | int], theta: Fraction | int) -> "PhaseVector":
-        """The element with the given turns, each an int or a Fraction, reduced to [0, 1)."""
-        from fractions import Fraction
-
-        vals = [*phis, theta]
-        require_ints((x for x in vals if type(x) is not Fraction), "phase turns other than Fractions")
-        vals = [Fraction(x) for x in vals]
-        den = math.lcm(*(x.denominator for x in vals))
-        return cls.from_numerators((x.numerator * (den // x.denominator) for x in vals), den)
-
-    @classmethod
     def from_numerators(cls, nums: Iterable[int], den: int) -> "PhaseVector":
         """The element with turns nums[i] / den, each reduced to [0, 1)."""
         reduced = [x % den for x in _checked(nums, den)]
@@ -315,29 +295,3 @@ class PhaseVector(Value):
         from fractions import Fraction
 
         return tuple(Fraction(x, self.den) for x in self.nums)
-
-
-def reduced_density_matrix(
-    psi: PureState, k: int
-) -> tuple[tuple[complex, complex], tuple[complex, complex]]:
-    """Single-qubit reduced density matrix of qubit k (1-based).
-
-    Returned as nested tuples ((rho00, rho01), (rho10, rho11)) of complex, so
-    rho[b1][b2] is the entry for qubit value b1 in the ket and b2 in the bra.
-    The state must be normalized; an unnormalized state is reported as an
-    error rather than silently renormalized.
-    """
-    require_ints((k,), "qubit index k")
-    if not 1 <= k <= psi.n:
-        raise InputError(f"qubit index {k} out of range 1..{psi.n}")
-    require_normalized(psi, DEFAULT_TOL)
-    rho = [[0j, 0j], [0j, 0j]]
-    groups: dict[str, dict[int, complex]] = {}
-    for label, c in psi.amplitudes.items():
-        rest = label[: k - 1] + label[k:]
-        groups.setdefault(rest, {})[int(label[k - 1])] = c
-    for part in groups.values():
-        for b1, c1 in part.items():
-            for b2, c2 in part.items():
-                rho[b1][b2] += c1 * c2.conjugate()
-    return tuple(rho[0]), tuple(rho[1])

@@ -18,7 +18,7 @@ from typing import Iterable, NamedTuple, Sequence
 
 from .errors import DimensionError, InternalError
 from .exactlinalg import hermite_normal_form, lattice_member, require_ints, smith_normal_form
-from .states import PhaseVector, Support, Value, _signs, check_qubit_count, label_int
+from .states import PhaseVector, Support, Value, _signs, check_qubit_count
 
 
 def sign_rows(labels: Iterable[str]) -> tuple[tuple[int, ...], ...]:
@@ -181,7 +181,7 @@ def qubit_action_profile(support: Support, group: DiagonalSymmetryGroup) -> Qubi
     n = support.n
     trivial = []
     witnesses: list[tuple[str, str] | None] = []
-    values = [label_int(label) for label in support.labels]
+    values = [int(label, 2) for label in support.labels]
     value_set = set(values)
     for k in range(n):
         torus_fixed = all(vec[k] == 0 for vec in group.torus_basis)

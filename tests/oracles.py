@@ -20,6 +20,15 @@ as numpy object arrays, exactly, for the Smith identity u a v = d.
 for the circuit relations and the torus directions. `xor_closed` decides by
 trying every pair whether a set of bit masks is closed under xor, the
 reference for the flip-group checks, which count a GF(2) rank instead.
+
+Small helpers the tests build their references from: `weight_vector(label)`
+gives the sign vector ((-1)^{s_1}, ..., (-1)^{s_n}) of a label, for the kernel
+oracle and the numpy rank checks. `xor_labels(a, b)` flips one label by
+another, the reference for flip masks and flipped states. `scaled(psi, factor)`
+multiplies every amplitude through the PureState constructor, for
+`bidegree_scaling_check`. `phase_element(phis, theta)` builds a PhaseVector
+from int or Fraction turns. `reduced_density_matrix(psi, k)` is the
+single-qubit reduced state of qubit k, the reference for the balance defects.
 """
 
 from __future__ import annotations
@@ -39,7 +48,45 @@ from lusym.circuits import BalancedCircuit
 from lusym.errors import DimensionError, InputError
 from lusym.exactlinalg import IntMatrix
 from lusym.invariants import InvariantMonomial, InvariantSum, evaluate
-from lusym.states import PhaseVector, PureState, Support, validate_label, weight_vector
+from lusym.states import PhaseVector, PureState, Support, validate_label
+
+
+def weight_vector(label: str) -> tuple[int, ...]:
+    """Signs ((-1)^{s_1}, ..., (-1)^{s_n}) for a basis label s."""
+    return tuple(1 - 2 * int(b) for b in label)
+
+
+def xor_labels(a: str, b: str) -> str:
+    """The bitwise xor of two labels of one length."""
+    assert len(a) == len(b), (a, b)
+    return "".join("1" if x != y else "0" for x, y in zip(a, b))
+
+
+def scaled(psi: PureState, factor: complex) -> PureState:
+    """factor * psi, through the constructor's amplitude checks."""
+    return PureState(psi.n, {lab: factor * c for lab, c in psi.amplitudes.items()})
+
+
+def phase_element(phis: Iterable[Fraction | int], theta: Fraction | int) -> PhaseVector:
+    """The element with these turns, each an int or a Fraction, reduced to [0, 1)."""
+    turns = [Fraction(x) for x in (*phis, theta)]
+    den = lcm(*(x.denominator for x in turns))
+    return PhaseVector.from_numerators([x.numerator * (den // x.denominator) for x in turns], den)
+
+
+def reduced_density_matrix(psi: PureState, k: int) -> tuple[tuple[complex, complex], tuple[complex, complex]]:
+    """The reduced density matrix of qubit k (1-based) of a normalized state,
+    as ((rho00, rho01), (rho10, rho11)): rho[b1][b2] is the entry for qubit
+    value b1 in the ket and b2 in the bra."""
+    rho = [[0j, 0j], [0j, 0j]]
+    groups: dict[str, dict[int, complex]] = {}
+    for label, c in psi.amplitudes.items():
+        groups.setdefault(label[: k - 1] + label[k:], {})[int(label[k - 1])] = c
+    for part in groups.values():
+        for b1, c1 in part.items():
+            for b2, c2 in part.items():
+                rho[b1][b2] += c1 * c2.conjugate()
+    return tuple(rho[0]), tuple(rho[1])
 
 
 def normalize_int_vector(v: Sequence[int]) -> tuple[int, ...]:
@@ -242,7 +289,7 @@ def bidegree_scaling_check(
 ) -> bool:
     """Does evaluate on factor*psi equal factor^a conj(factor)^b times evaluate on psi?"""
     a, b = m.bidegree
-    direct = evaluate(m, psi.scaled(factor))
+    direct = evaluate(m, scaled(psi, factor))
     predicted = (factor**a) * (factor.conjugate() ** b) * evaluate(m, psi)
     scale = max(abs(direct), abs(predicted), 1e-300)
     return abs(direct - predicted) / scale <= tol

@@ -22,7 +22,6 @@ from lusym import (
     evaluate,
     fixture_names,
     fixture_state,
-    reduced_density_matrix,
     smith_normal_form,
     solve_symmetry_group,
     symmetrize_over_flips,
@@ -31,7 +30,6 @@ from lusym import (
 from lusym.invariants import InvariantSum, monomial_from_circuit
 from lusym.normalizer import balance_defects, compute_normalizer
 from lusym.serialize import dump_report
-from lusym.states import xor_labels
 
 from conftest import (
     all_labels,
@@ -41,7 +39,7 @@ from conftest import (
     random_state_on,
     random_support,
 )
-from oracles import apply_phase_element, bidegree_scaling_check, int_product
+from oracles import apply_phase_element, bidegree_scaling_check, int_product, reduced_density_matrix, xor_labels
 
 
 def test_criterion_1_known_state_catalog():

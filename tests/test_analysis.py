@@ -40,7 +40,7 @@ from lusym.analysis import (
 )
 from lusym.exactlinalg import hermite_normal_form, lattice_member
 from lusym.serialize import dump_report
-from lusym.states import PhaseVector, xor_labels
+from lusym.states import PhaseVector
 from lusym.symmetry import _annihilated_by, group_contains, qubit_action_profile, sign_rows
 
 from conftest import all_labels, random_coset_support, random_state_on, random_support, torus_point
@@ -252,7 +252,7 @@ def test_verify_passes_at_a_deviation_exactly_equal_to_tol():
 
 
 def test_analyze_rejects_unnormalized():
-    with pytest.raises(InputError):
+    with pytest.raises(InputError, match="^state norm is 1.414213562373, not 1 within 1e-09; normalize it first$"):
         analyze(PureState.from_amplitudes({"00": 1.0, "11": 1.0}))
 
 
@@ -326,10 +326,9 @@ _MONO2 = InvariantMonomial([("00", 1, 0), ("11", 1, 0)])
         (lambda: qubit_action_profile(_GHZ3.support(), solve_symmetry_group(_BELL.support())), DimensionError,
          "^support and group qubit counts differ$"),
         (lambda: evaluate(_MONO2, _GHZ3), DimensionError, "^monomial and state qubit counts differ$"),
-        (lambda: xor_labels("00", "111"), DimensionError, "^cannot xor labels of lengths 2 and 3$"),
         (lambda: symmetrize_over_flips(_MONO2, []), InputError, "^flip group must contain at least the zero mask$"),
     ],
-    ids=["verify_symmetry", "compare_strata", "group_contains", "qubit_action_profile", "evaluate", "xor_labels",
+    ids=["verify_symmetry", "compare_strata", "group_contains", "qubit_action_profile", "evaluate",
          "symmetrize-no-masks"],
 )
 def test_qubit_count_mismatches_are_refused(call, error, message):

@@ -18,7 +18,6 @@ from lusym import (
 )
 from lusym.circuits import _systematic_kernel
 from lusym.serialize import canonical_dumps, catalog_to_dict
-from lusym.states import weight_vector
 
 from conftest import (
     all_labels,
@@ -28,7 +27,7 @@ from conftest import (
     random_support,
 )
 from oracles import _systematic_kernel as gauss_jordan_070
-from oracles import circuits_070
+from oracles import circuits_070, weight_vector
 
 
 def test_kernel_matches_the_070_gauss_jordan():

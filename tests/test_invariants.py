@@ -9,7 +9,6 @@ import pytest
 from lusym import (
     DimensionError,
     InputError,
-    PhaseVector,
     PureState,
     Support,
     enumerate_circuits,
@@ -18,18 +17,17 @@ from lusym import (
     solve_symmetry_group,
     symmetrize_over_flips,
 )
+from lusym.circuits import single_sl_generator_check
 from lusym.invariants import (
     FlipRejection,
     InvariantMonomial,
     InvariantSum,
     abs_square_generators,
-    flip_monomial,
     is_sl_type,
     monomial_from_circuit,
-    single_sl_generator_check,
 )
 from conftest import random_element, random_state_on, random_support
-from oracles import apply_phase_element, bidegree_scaling_check, evaluate_exact
+from oracles import apply_phase_element, bidegree_scaling_check, evaluate_exact, phase_element, scaled
 
 F = Fraction
 
@@ -99,15 +97,15 @@ def test_circuit_monomials_miss_a_graver_generator():
     assert [y for y in conformal if y and in_kernel(y)] == [z]
     assert set(labels) not in [set(c.member_labels) for c in cat.circuits]
 
-    mono = InvariantMonomial.from_terms(
-        (lab, max(x, 0), max(-x, 0)) for lab, x in z.items()
+    mono = InvariantMonomial(
+        sorted(((lab, max(x, 0), max(-x, 0)) for lab, x in z.items()), key=lambda t: int(t[0], 2))
     )
     assert tuple(mono.bidegree) == (5, 1)
     rng = random.Random(151)
     psi = random_state_on(rng, Support.from_labels(labels))
     value = evaluate(mono, psi)
     for _ in range(10):
-        phases = PhaseVector.make([F(rng.randrange(360), 360) for _ in range(4)], 0)
+        phases = phase_element([F(rng.randrange(360), 360) for _ in range(4)], 0)
         assert cmath.isclose(evaluate(mono, apply_phase_element(phases, psi)), value, abs_tol=1e-12)
     # 2z = (0, 1, 1, 1, 1, 2) - (2, -1, -1, -1, -1, 0): its square is a product of
     # the five-member circuit monomials, one of them conjugated
@@ -121,11 +119,11 @@ def test_circuit_monomials_miss_a_graver_generator():
 
 def test_monomial_validation():
     with pytest.raises(InputError):
-        InvariantMonomial.from_terms([("00", 0, 0)])
+        InvariantMonomial([("00", 0, 0)])
     with pytest.raises(InputError):
-        InvariantMonomial.from_terms([("00", 1, 0), ("000", 1, 0)])
+        InvariantMonomial([("00", 1, 0), ("000", 1, 0)])
     with pytest.raises(InputError):
-        InvariantMonomial.from_terms([])
+        InvariantMonomial([])
 
 
 def test_abs_square_generators():
@@ -137,10 +135,18 @@ def test_abs_square_generators():
 
 
 def test_flip_monomial():
-    m = InvariantMonomial.from_terms([("111", 1, 0), ("000", 1, 0)])
-    flipped = flip_monomial(m, "110")
-    assert flipped.terms == (("001", 1, 0), ("110", 1, 0))
-    assert flipped.bidegree == m.bidegree
+    # each flipped copy relabels every term by xor with its mask and re-sorts
+    # by label value; each label keeps its own exponents
+    m = InvariantMonomial([("000", 1, 0), ("111", 0, 1)])
+    out = symmetrize_over_flips(m, ["000", "110", "011", "101"])
+    assert out.flip_group == ("000", "011", "101", "110")
+    assert [c.terms for c in out.monomials] == [
+        (("000", 1, 0), ("111", 0, 1)),
+        (("011", 1, 0), ("100", 0, 1)),
+        (("010", 0, 1), ("101", 1, 0)),
+        (("001", 0, 1), ("110", 1, 0)),
+    ]
+    assert all(c.bidegree == m.bidegree for c in out.monomials)
 
 
 def test_symmetrize_admitted_even_masks():
@@ -165,7 +171,7 @@ def test_symmetrize_rejected_odd_mask():
 
 def test_symmetrize_admitted_when_bidegree_difference_divisible_by_four():
     # bidegree (4, 0): odd masks are fine since a-b = 4
-    m = InvariantMonomial.from_terms([("00", 2, 0), ("11", 2, 0)])
+    m = InvariantMonomial([("00", 2, 0), ("11", 2, 0)])
     out = symmetrize_over_flips(m, ["00", "01", "10", "11"])
     assert isinstance(out, InvariantSum)
     assert len(out.monomials) == 4
@@ -183,6 +189,9 @@ def test_symmetrize_validates_flip_group():
     for masks in (["0x", "00"], [None]):
         with pytest.raises(InputError):
             symmetrize_over_flips(m, masks)
+    # a bare str is not read as the masks "0" and "1"
+    with pytest.raises(InputError, match="^expected a collection of bit strings, got the str '01'$"):
+        symmetrize_over_flips(monomial_from_circuit(_single_circuit(["0", "1"])), "01")
 
 
 def test_evaluate_exact_cluster():
@@ -249,8 +258,8 @@ def test_bidegree_scaling():
             continue
         assert bidegree_scaling_check(m, psi, factor)
     # a wrong bidegree would fail the same check
-    wrong = InvariantMonomial.from_terms([("1111", 1, 0)])
-    direct = evaluate(wrong, psi.scaled(2.0))
+    wrong = InvariantMonomial([("1111", 1, 0)])
+    direct = evaluate(wrong, scaled(psi, 2.0))
     assert not cmath.isclose(direct, 4 * evaluate(wrong, psi))
 
 

@@ -11,15 +11,13 @@ from lusym import (
     compute_normalizer,
     fixture_names,
     fixture_state,
-    reduced_density_matrix,
     solve_symmetry_group,
 )
 from lusym.invariants import InvariantMonomial, InvariantSum, symmetrize_over_flips
 from lusym.normalizer import _as_flip_group, balance_defects, support_stabilizer_masks
-from lusym.states import xor_labels
 
 from conftest import conjugate, random_state_on, random_support
-from oracles import xor_closed
+from oracles import reduced_density_matrix, xor_closed, xor_labels
 
 
 def normalizer_of(sup):

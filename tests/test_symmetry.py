@@ -21,7 +21,6 @@ from lusym import (
     qubit_action_profile,
     smith_normal_form,
     solve_symmetry_group,
-    weight_vector,
 )
 from lusym.exactlinalg import SmithDecomposition
 from lusym.fixtures import fixture_names, fixture_state
@@ -29,7 +28,7 @@ from lusym.serialize import dump_group, load_group
 from lusym.symmetry import _check_solution, sign_rows
 
 from conftest import benchmark_pool_states, random_coset_support, random_element, random_state_on, random_support
-from oracles import apply_phase_element
+from oracles import apply_phase_element, phase_element, weight_vector
 
 F = Fraction
 
@@ -101,7 +100,7 @@ def test_check_solution_rejects_tampered_group():
     g = solve_symmetry_group(sup)
     _check_solution(rows, g)
     # phi_1 = 1/3 turn moves label 000 by 1/3: not a symmetry
-    bad_gen = PhaseVector.make([F(1, 3), 0, 0], 0)
+    bad_gen = phase_element([F(1, 3), 0, 0], 0)
     tampered = DiagonalSymmetryGroup.from_presentation(g.n, g.torus_basis, (bad_gen,) + g.finite_generators[1:])
     with pytest.raises(InternalError):
         _check_solution(rows, tampered)
@@ -137,7 +136,7 @@ def test_group_member_agrees_with_phase_turns():
                 x = random_element(g, rng)
             else:
                 den = rng.choice([2, 3, 4, 6, 8])
-                x = PhaseVector.make(
+                x = phase_element(
                     [F(rng.randrange(den), den) for _ in range(sup.n)], F(rng.randrange(den), den)
                 )
             expected = all(sum(map(mul, row, x.nums)) % x.den == 0 for row in sign_rows(sup))
@@ -149,23 +148,23 @@ def test_group_member_agrees_with_phase_turns():
 
 def test_group_member_bell_frozen():
     g = solve_symmetry_group(Support.from_labels(["00", "11"]))
-    assert group_member(g, PhaseVector.make([F(1, 2), 0], F(1, 2)))
-    assert group_member(g, PhaseVector.make([F(1, 4), F(-1, 4)], 0))
-    assert group_member(g, PhaseVector.make([F(3, 4), F(3, 4)], F(1, 2)))
-    assert not group_member(g, PhaseVector.make([F(1, 4), F(1, 4)], 0))
-    assert not group_member(g, PhaseVector.make([F(1, 2), 0], 0))
-    assert group_member(g, PhaseVector.make([0, 0], 0))
+    assert group_member(g, phase_element([F(1, 2), 0], F(1, 2)))
+    assert group_member(g, phase_element([F(1, 4), F(-1, 4)], 0))
+    assert group_member(g, phase_element([F(3, 4), F(3, 4)], F(1, 2)))
+    assert not group_member(g, phase_element([F(1, 4), F(1, 4)], 0))
+    assert not group_member(g, phase_element([F(1, 2), 0], 0))
+    assert group_member(g, phase_element([0, 0], 0))
 
 
 def test_group_member_degenerate_groups():
     triv = DiagonalSymmetryGroup.from_presentation(2, (), ())
-    assert group_member(triv, PhaseVector.make([0, 0], 0))
-    assert group_member(triv, PhaseVector.make([1, 2], 3))
-    assert not group_member(triv, PhaseVector.make([F(1, 2), 0], 0))
+    assert group_member(triv, phase_element([0, 0], 0))
+    assert group_member(triv, phase_element([1, 2], 3))
+    assert not group_member(triv, phase_element([F(1, 2), 0], 0))
     identity = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
     full = DiagonalSymmetryGroup.from_presentation(2, identity, ())
     assert full.torus_rank == 3
-    assert group_member(full, PhaseVector.make([F(1, 7), F(3, 5)], F(1, 9)))
+    assert group_member(full, phase_element([F(1, 7), F(3, 5)], F(1, 9)))
 
 
 def test_group_member_random_elements():

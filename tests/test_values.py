@@ -169,9 +169,12 @@ def test_support_iterates_measures_and_contains_its_labels():
         lambda: DiagonalSymmetryGroup(2.0, [[1, 1, 1]]),
         lambda: DiagonalSymmetryGroup(0, [[1]]),
         lambda: DiagonalSymmetryGroup.from_presentation(True, [], []),
-        lambda: PhaseVector.make(["1/3"], 0),
-        lambda: PhaseVector.make([0.1], 0),
-        lambda: PhaseVector.make([True], 0),
+        # a bare str is not a collection of labels: it used to be read as
+        # the labels "0" and "1", or to raise TypeError in a state
+        lambda: Support(1, "01"),
+        lambda: Support.from_labels("01"),
+        lambda: PureState(1, "01"),
+        lambda: PureState.from_amplitudes("01"),
     ],
 )
 def test_value_constructors_refuse_bad_input(build):
