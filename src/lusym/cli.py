@@ -16,7 +16,6 @@ from .serialize import (
     canonical_dumps,
     catalog_to_dict,
     dump_report,
-    flip_rejection_to_dict,
     invariant_sum_to_dict,
     load_group,
     load_state,
@@ -162,14 +161,14 @@ def cmd_invariants(args: argparse.Namespace) -> int:
         block = {
             "monomial": monomial_to_dict(mono),
             "sl_type": is_sl_type(mono),
-            "circuit_members": list(circuit.member_labels),
+            "circuit_members": circuit.member_labels,
         }
         if psi is not None:
             val = evaluate(mono, psi)
             block["value"] = [val.real, val.imag]
         lifted = _symmetrized(mono, flip_masks)
         if isinstance(lifted, FlipRejection):
-            block["flip_sum"] = {"admitted": False, "rejection": flip_rejection_to_dict(lifted)}
+            block["flip_sum"] = {"admitted": False, "rejection": lifted._asdict()}
         else:
             entry = {"admitted": True, "sum": invariant_sum_to_dict(lifted)}
             if psi is not None:
@@ -178,13 +177,13 @@ def cmd_invariants(args: argparse.Namespace) -> int:
             block["flip_sum"] = entry
         blocks.append(block)
     payload = {
-        "support": list(support.labels),
+        "support": support.labels,
         "n": support.n,
         "abs_square_generators": [
             monomial_to_dict(m) for m in abs_square_generators(support)
         ],
         "circuit_monomials": blocks,
-        "flip_masks": list(flip_masks),
+        "flip_masks": flip_masks,
     }
     if psi is not None:
         payload["defects"] = [{"qubit": k, "value": v} for k, v in enumerate(balance_defects(psi), 1)]
@@ -213,7 +212,7 @@ def cmd_normalizer(args: argparse.Namespace) -> int:
     support, _ = _support_from_args(args)
     desc = compute_normalizer(support, solve_symmetry_group(support))
     if args.json:
-        payload = dict(normalizer_to_dict(desc), support=list(support.labels), n=support.n)
+        payload = dict(normalizer_to_dict(desc), support=support.labels, n=support.n)
         sys.stdout.write(canonical_dumps(payload))
         return 0
     print(f"support: {', '.join(support.labels)} (n={support.n})")
@@ -253,8 +252,8 @@ def cmd_compare(args: argparse.Namespace) -> int:
     verdict = compare_strata(sup_a, sup_b)
     if args.json:
         sys.stdout.write(canonical_dumps({
-            "support_a": list(sup_a.labels),
-            "support_b": list(sup_b.labels),
+            "support_a": sup_a.labels,
+            "support_b": sup_b.labels,
             "verdict": verdict,
         }))
     else:

@@ -39,7 +39,10 @@ class InvariantMonomial(Value):
     __slots__ = _key = ("terms",)
 
     def __init__(self, terms: Iterable[tuple[str, int, int]]) -> None:
-        terms = tuple(map(tuple, terms))
+        try:
+            terms = tuple((label, p, q) for label, p, q in terms)
+        except (TypeError, ValueError):  # a term that does not unpack into three
+            raise InputError("monomial terms must be (label, p, q) triples") from None
         if not terms:
             raise InputError("monomial needs at least one term")
         require_ints([x for _, p, q in terms for x in (p, q)], "monomial exponents")

@@ -5,6 +5,11 @@ a given object always produces byte-identical output. Floats use Python repr,
 the shortest representation that round-trips exactly. Readers accept any JSON
 layout, indented files of earlier versions included.
 
+A block that restates a record is written from the record's fields, so a
+record's field names are its JSON names, and json writes its tuples as arrays
+uncopied. The schemas in docs/schema close each block: a field added to a
+record fails them before it reaches a document.
+
 Readers check a file's layout alone: objects with their named fields, lists
 where they iterate, [re, im] pairs of finite JSON numbers, the schema's order
 >= 2, and as many torus directions as the torus rank. Constructors check values.
@@ -25,9 +30,8 @@ from .symmetry import DiagonalSymmetryGroup
 if TYPE_CHECKING:
     from .analysis import AnalysisReport, SymmetryVerification
     from .circuits import BalancedCircuit, CircuitCatalog
-    from .invariants import FlipRejection, InvariantMonomial, InvariantSum
-    from .normalizer import FlipGroup, NormalizerDescription
-    from .symmetry import QubitActionProfile
+    from .invariants import InvariantMonomial, InvariantSum
+    from .normalizer import NormalizerDescription
 
 TOOL_NAME = "lusym"
 
@@ -173,13 +177,12 @@ def load_group(text: str, qubits: int | None = None) -> DiagonalSymmetryGroup:
 # ---------------------------------------------------------------- report pieces
 
 def circuit_to_dict(c: BalancedCircuit) -> dict:
-    # json writes a tuple as an array, so the circuit's own tuples go in uncopied
     return {"members": c.member_labels, "relation": c.relation}
 
 
 def catalog_to_dict(catalog: CircuitCatalog) -> dict:
     return {
-        "support": list(catalog.support.labels),
+        "support": catalog.support.labels,
         "n": catalog.support.n,
         "circuits": [circuit_to_dict(c) for c in catalog.circuits],
         "semistable": catalog.semistable,
@@ -189,53 +192,27 @@ def catalog_to_dict(catalog: CircuitCatalog) -> dict:
 def monomial_to_dict(m: InvariantMonomial) -> dict:
     return {
         "terms": [[label, p, q] for label, p, q in m.terms],
-        "bidegree": [m.bidegree.a, m.bidegree.b],
+        "bidegree": m.bidegree,
     }
 
 
 def invariant_sum_to_dict(s: InvariantSum) -> dict:
     return {
         "monomials": [monomial_to_dict(m) for m in s.monomials],
-        "flip_group": list(s.flip_group),
-        "bidegree": [s.bidegree.a, s.bidegree.b],
-    }
-
-
-def flip_rejection_to_dict(r: FlipRejection) -> dict:
-    return {
-        "mask": r.mask,
-        "bidegree": [r.bidegree.a, r.bidegree.b],
-        "reason": r.reason,
-    }
-
-
-def flip_group_to_dict(fg: FlipGroup) -> dict:
-    return {"masks": list(fg.masks), "generators": list(fg.generators)}
-
-
-def profile_to_dict(profile: QubitActionProfile) -> dict:
-    return {
-        "trivial": list(profile.trivial),
-        "witnesses": [list(w) if w else None for w in profile.witnesses],
+        "flip_group": s.flip_group,
+        "bidegree": s.bidegree,
     }
 
 
 def normalizer_to_dict(desc: NormalizerDescription) -> dict:
     return {
-        "flips": flip_group_to_dict(desc.flips),
+        "flips": desc.flips._asdict(),
         "assumption_ok": desc.assumption_ok,
     }
 
 
 def verification_to_dict(v: SymmetryVerification) -> dict:
-    return {
-        "passed": v.passed,
-        "max_deviation": v.max_deviation,
-        "tol": v.tol,
-        "checks": [
-            {"kind": c.kind, "index": c.index, "deviation": c.deviation} for c in v.checks
-        ],
-    }
+    return dict(v._asdict(), checks=[c._asdict() for c in v.checks])
 
 
 def report_to_dict(report: AnalysisReport) -> dict:
@@ -246,22 +223,18 @@ def report_to_dict(report: AnalysisReport) -> dict:
             "hash": state_hash(report.state),
             "norm": report.state.norm(),
         },
-        "support": list(report.catalog.support.labels),
+        "support": report.catalog.support.labels,
         "group": group_to_dict(report.group),
         "group_flags": {
             "torus_rank": report.group.torus_rank,
             "theta_continuous": report.group.theta_continuous,
             "finite_order": report.group.finite_order,
         },
-        "qubit_profile": profile_to_dict(report.normalizer.profile),
+        "qubit_profile": report.normalizer.profile._asdict(),
         "circuits": [circuit_to_dict(c) for c in report.catalog.circuits],
         "semistable": report.catalog.semistable,
         "monomial_values": [[v.real, v.imag] for v in report.monomial_values],
-        "sl_generator": {
-            "holds": report.sl_report.holds,
-            "degree": report.sl_report.degree,
-            "reason": report.sl_report.reason,
-        },
+        "sl_generator": report.sl_report._asdict(),
         "normalizer": normalizer_to_dict(report.normalizer),
         "defects": [
             {"qubit": k, "value": v, "vanishes": abs(v) < GENERIC_FLOOR}

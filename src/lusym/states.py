@@ -187,6 +187,8 @@ class PureState(Value):
     __slots__ = _key = ("n", "amplitudes")
 
     def __init__(self, n: int, amplitudes: Mapping[str, complex]) -> None:
+        if not isinstance(amplitudes, Mapping):
+            raise InputError(f"amplitudes must be a mapping from labels to numbers, got {type(amplitudes).__name__}")
         clean: dict[str, complex] = {}
         for lab in Support(n, amplitudes).labels:
             a = amplitudes[lab]

@@ -16,7 +16,7 @@ from itertools import chain
 from operator import mul
 from typing import Iterable, NamedTuple, Sequence
 
-from .errors import DimensionError, InternalError
+from .errors import DimensionError, InputError, InternalError
 from .exactlinalg import hermite_normal_form, lattice_member, require_ints, smith_normal_form
 from .states import PhaseVector, Support, Value, _signs, check_qubit_count
 
@@ -49,8 +49,8 @@ class DiagonalSymmetryGroup(Value):
     def __init__(self, n: int, characters: Iterable[Sequence[int]]) -> None:
         check_qubit_count(n)
         rows = tuple(characters)
-        if any(len(row) != n + 1 for row in rows):
-            raise DimensionError("character rows must have n+1 entries")
+        if not all(isinstance(row, Sequence) and len(row) == n + 1 for row in rows):
+            raise DimensionError("character rows must be sequences of n+1 entries")
         require_ints(chain.from_iterable(rows), "character entries")
         characters = hermite_normal_form(rows)
         # Lambda = {0} is the zero row's lattice, whose v is the identity: the full torus
@@ -85,7 +85,10 @@ class DiagonalSymmetryGroup(Value):
         """
         check_qubit_count(n)
         n1 = n + 1
-        if any(len(vec) != n1 for vec in torus_basis) or any(g.n != n for g in finite_generators):
+        if not all(isinstance(g, PhaseVector) for g in finite_generators):
+            raise InputError("finite generators must be PhaseVectors")
+        vectors = (*torus_basis, *(g.nums for g in finite_generators))
+        if not all(isinstance(v, Sequence) and len(v) == n1 for v in vectors):
             raise DimensionError("torus directions and finite generators must have n+1 entries")
         require_ints(chain.from_iterable(torus_basis), "torus directions")
         k = len(finite_generators)

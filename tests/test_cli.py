@@ -549,6 +549,63 @@ def test_invariants_json_bytes_on_flip_cosets_are_pinned(capsys):
     assert digest.hexdigest() == FLIP_COSET_INVARIANTS_SHA256
 
 
+# sha256 of `lusym normalizer --fixture NAME --json` as lusym 0.7.0 wrote it
+NORMALIZER_JSON_SHA256 = {
+    "bell": "043d37f9c7a4acca35a0d12e6a2c95934de7085bd03b139405476a29428f8405",
+    "cluster4a": "9899a3ed55bfb1c1c0920bdd638ee2fe910dd4258ba025de54bbb2de5e965a29",
+    "cluster4b": "92c72f01261f880c9adcb5983c964fb56917ed1e1915eda2f5b67286a44a25a2",
+    "ghz2": "043d37f9c7a4acca35a0d12e6a2c95934de7085bd03b139405476a29428f8405",
+    "ghz3": "4c90c6f14f415a89b519fb57e539791b7322da46e12819ef49e90bf8ce426b15",
+    "ghz4": "446985f9ea4d442f8819018da7cadc147c48d56d3bdd20c787cfbadd8d805b77",
+    "ghz5": "938e15bac3cd92a567ef0ef246c78b3b53c8f4342159815832e7e61c7454443e",
+    "ghz6": "c60aceef0ed804c2fd94ed9cc1a8a44c1de53d13ab1cdb345b8fd713e1facacf",
+    "w3": "e45b04724cd7532831da215706ffb084adac74f076b4c6c42c75db5c9376a1c5",
+    "w4": "fbe116d76ac5c0ec1d9dd9c35107fc0378d1869477e9791c0b51156192bdc933",
+    "w5": "62759d1af08e6006798f6cb60b1077f57b21ac92ca01633bc510b0b5e8577c9f",
+    "w6": "7f6524623a5479ed984704a7f4d635691a9d4099e9283d6872a912209cbcb32f",
+    "xstate": "a7bab6a8c9aa3f13a0511c37e7747733617d286aa033ab3b1018cc36e39d54b2",
+}
+
+
+def test_normalizer_json_bytes_are_pinned(capsys):
+    assert sorted(NORMALIZER_JSON_SHA256) == sorted(fixture_names())
+    for name, digest in NORMALIZER_JSON_SHA256.items():
+        code, out, _ = run_cli(capsys, "normalizer", "--fixture", name, "--json")
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest, name
+
+
+# sha256 of `lusym verify --fixture STATE --group FILE --json` as lusym 0.7.0
+# wrote it, keyed by (state, fixture whose solved group FILE holds). The last
+# entry fails: its finite and torus checks deviate by 1.0, and it exits 2.
+VERIFY_JSON_SHA256 = {
+    ("bell", "bell"): (0, "f4108dec1726cb64288e9c5f6514fcea9a785eda105ba9015dc181c7b31a933e"),
+    ("cluster4a", "cluster4a"): (0, "288e4bb016a4af9aacd2a732e15ab3b74b2bd0bc1a2c9e3cf18046e32cba4a21"),
+    ("cluster4b", "cluster4b"): (0, "288e4bb016a4af9aacd2a732e15ab3b74b2bd0bc1a2c9e3cf18046e32cba4a21"),
+    ("ghz2", "ghz2"): (0, "f4108dec1726cb64288e9c5f6514fcea9a785eda105ba9015dc181c7b31a933e"),
+    ("ghz3", "ghz3"): (0, "3a0b8782b98a170bf04867b0f798345df3abd8995fc1ff1d89be2d0e582d1da6"),
+    ("ghz4", "ghz4"): (0, "d1ef903995d70bbe70d56352995d227292147aa3d52e260abb8bd7ba6d6fe24f"),
+    ("ghz5", "ghz5"): (0, "b30948f15821aaa8feecb71f5eb6ca14ac18b978a67aad778bd71a9f3c58263b"),
+    ("ghz6", "ghz6"): (0, "f23ed1e2751b52272144bc931ce6bc0b815a8a7d6d3ec936e1de85e11cad5a53"),
+    ("w3", "w3"): (0, "872ad85d62b69c84c960ee4e6cca887bdcb4eaf514f70cd1845bea22c8a40da8"),
+    ("w4", "w4"): (0, "288e4bb016a4af9aacd2a732e15ab3b74b2bd0bc1a2c9e3cf18046e32cba4a21"),
+    ("w5", "w5"): (0, "77e38f5b53085037121e4ed5708055c591421cfa66f76e05870bf71a325c74cb"),
+    ("w6", "w6"): (0, "68d4a59069f51efc00d227aab6e0e203fd77ba07b2d7673bb11a543f7afc2ddf"),
+    ("xstate", "xstate"): (0, "b5d158d70d6abb9942dc39aed582ed4a2a091bdefdc2734e88c458e8ccab5c11"),
+    ("w4", "cluster4a"): (2, "cc431842b470ce7f39b96090b282b6f3ba0ff565ba9c0c524611f8e4dbc5f2ec"),
+}
+
+
+def test_verify_json_bytes_are_pinned(capsys, tmp_path):
+    assert {s for s, g in VERIFY_JSON_SHA256 if s == g} == set(fixture_names())
+    for (state, group), (exit_code, digest) in VERIFY_JSON_SHA256.items():
+        group_file = tmp_path / f"{group}.json"
+        group_file.write_text(dump_group(solve_symmetry_group(fixture_state(group).support())))
+        code, out, _ = run_cli(capsys, "verify", "--fixture", state, "--group", str(group_file), "--json")
+        assert code == exit_code, (state, group)
+        assert hashlib.sha256(out.encode()).hexdigest() == digest, (state, group)
+
+
 def test_json_output_deterministic(capsys):
     _, out1, _ = run_cli(capsys, "analyze", "--fixture", "xstate", "--json")
     _, out2, _ = run_cli(capsys, "analyze", "--fixture", "xstate", "--json")

@@ -36,7 +36,7 @@ from lusym.serialize import (
 )
 from lusym.states import MAX_QUBITS
 
-from conftest import random_coset_support, random_state_on, random_support
+from conftest import SCHEMA_DIR, random_coset_support, random_state_on, random_support
 from oracles import phase_element
 
 
@@ -310,6 +310,26 @@ def test_report_dict_matches_schema(schema_validator):
     for name in fixture_names():
         payload = json.loads(dump_report(analyze(fixture_state(name))))
         schema_validator("report.schema.json", payload)
+
+
+def _objects(node):
+    if isinstance(node, dict):
+        if node.get("type") == "object":
+            yield node
+        for value in node.values():
+            yield from _objects(value)
+    elif isinstance(node, list):
+        for value in node:
+            yield from _objects(value)
+
+
+def test_every_schema_block_with_named_fields_is_closed():
+    # many blocks are a record's _asdict(): a field added to the record must
+    # fail the schema tests rather than slip into a document unseen
+    for path in sorted(SCHEMA_DIR.glob("*.schema.json")):
+        for obj in _objects(json.loads(path.read_text())):
+            if "properties" in obj:
+                assert obj.get("additionalProperties") is False, (path.name, sorted(obj["properties"]))
 
 
 # sha256 of dump_report(analyze(fixture_state(name))) as written by lusym 0.7.0;

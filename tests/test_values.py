@@ -175,6 +175,14 @@ def test_support_iterates_measures_and_contains_its_labels():
         lambda: Support.from_labels("01"),
         lambda: PureState(1, "01"),
         lambda: PureState.from_amplitudes("01"),
+        # a malformed container is refused where the value is built, not left
+        # to raise TypeError, ValueError or AttributeError further in
+        lambda: PureState(1, ["0"]),
+        lambda: InvariantMonomial([("0", 1)]),
+        lambda: InvariantMonomial([5]),
+        lambda: DiagonalSymmetryGroup(2, [[1, 2, 3], 5]),
+        lambda: DiagonalSymmetryGroup.from_presentation(2, [], [5]),
+        lambda: DiagonalSymmetryGroup.from_presentation(2, [5], []),
     ],
 )
 def test_value_constructors_refuse_bad_input(build):
