@@ -10,7 +10,7 @@ from operator import mul, sub
 from typing import TYPE_CHECKING, Iterable, NamedTuple, Sequence
 
 from .errors import DimensionError, InternalError
-from .exactlinalg import gf2_reduced, hermite_normal_form, lattice_member
+from .exactlinalg import gf2_reduced, gf3_reduced, hermite_normal_form, lattice_member
 from .states import DEFAULT_TOL, PhaseVector, PureState, Support, require_normalized, require_tol
 from .symmetry import DiagonalSymmetryGroup, sign_rows, solve_symmetry_group
 
@@ -161,41 +161,19 @@ def analyze(psi: PureState, tol: float = DEFAULT_TOL) -> AnalysisReport:
     )
 
 
-def _gf3_add(p: int, m: int, yp: int, ym: int) -> tuple[int, int]:
-    """Sum of two GF(3) vectors, each packed as the masks of its +1 and -1
-    entries; a vector's negation swaps its masks. Every bit is added at once
-    (bitslicing)."""
-    return (
-        (p & ~(yp | ym)) | (yp & ~(p | m)) | (m & ym),
-        (m & ~(yp | ym)) | (ym & ~(p | m)) | (p & yp),
-    )
-
-
-def _gf3_reduced(p: int, m: int, basis: list[tuple[int, int, int]]) -> tuple[int, int]:
-    """The packed GF(3) vector (p, m) reduced by basis entries (lead, bp, bm)
-    with distinct leading bits, each +1 at its lead: (0, 0) exactly when the
-    vector lies in their span."""
-    for lead, bp, bm in basis:
-        if p & lead:
-            p, m = _gf3_add(p, m, bm, bp)
-        elif m & lead:
-            p, m = _gf3_add(p, m, bp, bm)
-    return p, m
-
-
 def _gf3_refutes(s0: int, rest: list[int], outside: list[str]) -> bool:
     """Does some outside label t have t - s0 outside the GF(3) span of the
     s - s0? A difference of labels has entries in {-1, 0, 1}: its +1 mask is
     s & ~s0 and its -1 mask s0 & ~s."""
     basis: list[tuple[int, int, int]] = []
     for x in rest:
-        p, m = _gf3_reduced(x & ~s0, s0 & ~x, basis)
+        p, m = gf3_reduced(x & ~s0, s0 & ~x, basis)
         if p | m:
             lead = 1 << ((p | m).bit_length() - 1)
             basis.append((lead, p, m) if p & lead else (lead, m, p))
     for lab in outside:
         t = int(lab, 2)
-        if _gf3_reduced(t & ~s0, s0 & ~t, basis) != (0, 0):
+        if gf3_reduced(t & ~s0, s0 & ~t, basis) != (0, 0):
             return True
     return False
 

@@ -18,6 +18,8 @@ rank r, so it holds exactly one circuit; the kernel vectors vanishing on S
 form one line, whose nonzero entries, read in label order off F and P and
 divided by their gcd, first one positive, are the circuit and its relation.
 Each circuit C arises from any basis S of the dual rows outside C: |C| <= r+1.
+When at most n sign vectors are searched and they are independent mod 3, k = 0
+is known before any kernel is built, and the search is skipped.
 
 A label s and its complement s XOR 1^n have opposite sign vectors, so they
 are parallel elements of the matroid: {s, s XOR 1^n} is a circuit with
@@ -44,7 +46,7 @@ from operator import itemgetter, mul, neg
 from typing import NamedTuple
 
 from .errors import InternalError, LimitError
-from .exactlinalg import hermite_normal_form
+from .exactlinalg import gf3_reduced, hermite_normal_form
 from .states import Support, _signs
 
 _COMPLEMENT = str.maketrans("01", "10")
@@ -312,6 +314,19 @@ def _three_coordinates(rest: list, marks: list, echelon: list, out: list) -> Non
         marks.append(v)
 
 
+def _independent_mod_3(values: list[int], n: int) -> bool:
+    """Are the sign vectors of the n-bit labels with these values independent
+    over GF(3)? A sign vector is packed as its +1 and -1 masks, ~s and s."""
+    full, basis = (1 << n) - 1, []
+    for s in values:
+        p, m = gf3_reduced(~s & full, s, basis)
+        if not p | m:
+            return False
+        lead = 1 << ((p | m).bit_length() - 1)
+        basis.append((lead, p, m) if p & lead else (lead, m, p))
+    return True
+
+
 def enumerate_circuits(support: Support) -> CircuitCatalog:
     """All circuits of the support's sign vectors, in lexicographic member order.
 
@@ -326,9 +341,16 @@ def enumerate_circuits(support: Support) -> CircuitCatalog:
     every circuit is reached at exactly one leaf. A leaf's c, back-substituted
     on T, gives the circuit in one pass: members are read in label order off T
     (entry D*c) and the pivot rows z (entry z.c, kept when nonzero), and the
-    relation is divided by its gcd, first entry positive. A full-rank support
-    (k = 0, such as W_n) has no free coordinate and so no circuits. All
-    arithmetic is exact fraction-free integer elimination.
+    relation is divided by its gcd, first entry positive. All arithmetic is
+    exact fraction-free integer elimination.
+
+    Before the kernel is built, k = 0 is decided mod 3: when the labels left
+    in the search number at most n and their sign vectors are independent
+    over GF(3), they are independent over Z too (a minor nonzero mod 3 is
+    nonzero), so the search has no free coordinate and no circuit, and
+    neither the kernel nor the search runs. The complement pairs are then the
+    whole catalog. A support independent over Q but not mod 3, such as W_n
+    for n = 2 mod 3, builds the kernel and finds k = 0 there.
 
     Each circuit holding the earlier label i of a complement pair is lifted by
     putting the later label j in i's place, at the one position in label order
@@ -343,10 +365,13 @@ def enumerate_circuits(support: Support) -> CircuitCatalog:
     # the earlier label of each complement pair -> the later one
     twin = {i: j for i, label in enumerate(labels) if (j := index.get(label.translate(_COMPLEMENT), -1)) > i}
     kept = [i for i in range(len(labels)) if i not in twin.values()]
-    pivots, free, D, Q = _systematic_kernel([_signs(labels[i]) for i in kept])
-    r, k = len(pivots), len(free)
-    # kernel coordinates as indices into the whole support, and Q's columns
-    pivots, free, columns = [kept[j] for j in pivots], [kept[j] for j in free], list(zip(*Q))
+    # independent mod 3: no free coordinate, so the live-set loop below has no pass
+    r = k = 0
+    if len(kept) > support.n or not _independent_mod_3([int(labels[i], 2) for i in kept], support.n):
+        pivots, free, D, Q = _systematic_kernel([_signs(labels[i]) for i in kept])
+        r, k = len(pivots), len(free)
+        # kernel coordinates as indices into the whole support, and Q's columns
+        pivots, free, columns = [kept[j] for j in pivots], [kept[j] for j in free], list(zip(*Q))
     found: dict[tuple[int, ...], tuple[int, ...]] = {}
 
     def check_cap() -> None:

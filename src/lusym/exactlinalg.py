@@ -1,20 +1,23 @@
 """Exact integer linear algebra.
 
 Smith normal form with both transformation matrices, the row Hermite normal
-form with lattice membership, and bit masks over GF(2): reduction by a basis
+form with lattice membership, bit masks over GF(2): reduction by a basis
 keyed by each mask's leading bit, and the masks of a list that generate its
-span. An IntMatrix is a tuple of equal-length rows of int, and require_ints
-is the one check of int entries across the package: a bool or another int
-subclass is refused. The Smith elimination carries only the column transform
-v, and its column steps touch only nonzero entries; a SmithDecomposition
-keeps the invariant factors, v's columns and the input, and builds u, d and v
-from them on each read, u by running the same elimination on [a | I]. Python
-ints only: no floating point enters any routine here, so results are
-decidable and reproducible bit for bit.
+span; and vectors over GF(3), each packed as the masks of its +1 and -1
+entries, added and reduced bitsliced. An IntMatrix is a tuple of
+equal-length rows of int, and require_ints is the one check of int entries
+across the package: a bool or another int subclass is refused. The Smith
+elimination carries only the column transform v, and its column steps touch
+only nonzero entries; a SmithDecomposition keeps the invariant factors, v's
+columns and the input, and builds u, d and v from them on each read, u by
+running the same elimination on [a | I]. Python ints only: no floating point
+enters any routine here, so results are decidable and reproducible bit for
+bit.
 """
 
 from __future__ import annotations
 
+from collections import abc
 from itertools import chain
 from typing import Iterable, NamedTuple, Sequence
 
@@ -30,6 +33,13 @@ def require_ints(values: Iterable, what: str) -> None:
         raise InputError(f"{what} must be int, got {got}")
 
 
+def as_tuple(values: Iterable, what: str) -> tuple:
+    """values as a tuple, refused with InputError unless they are iterable."""
+    if not isinstance(values, abc.Iterable):
+        raise InputError(f"{what} must be iterable, got {type(values).__name__}")
+    return tuple(values)
+
+
 class IntMatrix(tuple):
     """Immutable dense integer matrix: a nonempty tuple of equal-length,
     nonempty rows of int. Equality and hashing are those of the tuple of rows."""
@@ -37,7 +47,7 @@ class IntMatrix(tuple):
     __slots__ = ()
 
     def __new__(cls, rows: Iterable[Sequence[int]]) -> "IntMatrix":
-        rows = tuple(map(tuple, rows))
+        rows = tuple(as_tuple(row, "matrix rows") for row in as_tuple(rows, "matrix"))
         if not rows or not rows[0]:
             raise InputError("matrix must have at least one row and one column")
         width = len(rows[0])
@@ -266,3 +276,26 @@ def gf2_generators(values: list[int]) -> list[int]:
             basis[y.bit_length()] = y
             gens.append(x)
     return gens
+
+
+def gf3_add(p: int, m: int, yp: int, ym: int) -> tuple[int, int]:
+    """Sum of two GF(3) vectors, each packed as the masks of its +1 and -1
+    entries; a vector's negation swaps its masks. Every bit is added at once
+    (bitslicing)."""
+    return (
+        (p & ~(yp | ym)) | (yp & ~(p | m)) | (m & ym),
+        (m & ~(yp | ym)) | (ym & ~(p | m)) | (p & yp),
+    )
+
+
+def gf3_reduced(p: int, m: int, basis: list[tuple[int, int, int]]) -> tuple[int, int]:
+    """The packed GF(3) vector (p, m) reduced by basis entries (lead, bp, bm)
+    with distinct leading bits, each +1 at its lead and 0 at the leads before
+    it: (0, 0) exactly when the vector lies in their span."""
+    for lead, bp, bm in basis:
+        if p & lead:
+            p, m = gf3_add(p, m, bm, bp)
+        elif m & lead:
+            p, m = gf3_add(p, m, bp, bm)
+    return p, m
+

@@ -13,7 +13,7 @@ import math
 from typing import TYPE_CHECKING, Iterable, Mapping
 
 from .errors import DimensionError, InputError, LimitError
-from .exactlinalg import require_ints
+from .exactlinalg import as_tuple, require_ints
 
 # fractions is imported only where a Fraction is built, so that `analyze --json`,
 # `verify` and `compare` never load it
@@ -133,10 +133,10 @@ class _ReadOnlyDict(dict):
 
 def _label_tuple(labels: Iterable[str]) -> tuple[str, ...]:
     """labels as a tuple. A str is refused: iterating it would read each of
-    its characters as a label of its own."""
+    its characters as a label of its own. So is a value that is not iterable."""
     if isinstance(labels, str):
         raise InputError(f"expected a collection of bit strings, got the str {labels!r}")
-    return tuple(labels)
+    return as_tuple(labels, "support labels")
 
 
 def _width(labels: Iterable[str]) -> int:
@@ -246,7 +246,7 @@ def require_normalized(psi: PureState, tol: float) -> None:
 def _checked(nums: Iterable[int], den: int) -> tuple[int, ...]:
     """nums as a tuple, once every entry and den are int (bool is not), den >= 1
     and there are phis for at least one qubit besides theta."""
-    nums = tuple(nums)
+    nums = as_tuple(nums, "phase numerators")
     require_ints((*nums, den), "phase numerators and den")
     check_qubit_count(len(nums) - 1)
     if den < 1:

@@ -17,7 +17,7 @@ from operator import mul
 from typing import Iterable, NamedTuple, Sequence
 
 from .errors import DimensionError, InputError, InternalError
-from .exactlinalg import hermite_normal_form, lattice_member, require_ints, smith_normal_form
+from .exactlinalg import as_tuple, hermite_normal_form, lattice_member, require_ints, smith_normal_form
 from .states import PhaseVector, Support, Value, _signs, check_qubit_count
 
 
@@ -48,10 +48,23 @@ class DiagonalSymmetryGroup(Value):
 
     def __init__(self, n: int, characters: Iterable[Sequence[int]]) -> None:
         check_qubit_count(n)
-        rows = tuple(characters)
+        rows = as_tuple(characters, "character rows")
         if not all(isinstance(row, Sequence) and len(row) == n + 1 for row in rows):
             raise DimensionError("character rows must be sequences of n+1 entries")
         require_ints(chain.from_iterable(rows), "character entries")
+        self._derive(n, rows)
+
+    @classmethod
+    def _trusted(cls, n: int, characters: Sequence[Sequence[int]]) -> "DiagonalSymmetryGroup":
+        """The group of these rows, built without the constructor's checks:
+        only for rows of n+1 ints on a checked n, such as a support's sign rows."""
+        self = object.__new__(cls)
+        self._derive(n, characters)
+        return self
+
+    def _derive(self, n: int, rows: Sequence[Sequence[int]]) -> None:
+        """Store the rows' Hermite form and the torus basis and finite
+        generators read off its Smith form."""
         characters = hermite_normal_form(rows)
         # Lambda = {0} is the zero row's lattice, whose v is the identity: the full torus
         factors, v_columns, _ = smith_normal_form(characters or ((0,) * (n + 1),))
@@ -85,6 +98,8 @@ class DiagonalSymmetryGroup(Value):
         """
         check_qubit_count(n)
         n1 = n + 1
+        torus_basis = as_tuple(torus_basis, "torus directions")
+        finite_generators = as_tuple(finite_generators, "finite generators")
         if not all(isinstance(g, PhaseVector) for g in finite_generators):
             raise InputError("finite generators must be PhaseVectors")
         vectors = (*torus_basis, *(g.nums for g in finite_generators))
@@ -122,7 +137,8 @@ def solve_symmetry_group(support: Support) -> DiagonalSymmetryGroup:
     """The group of a support: the one whose character lattice is spanned by
     the support's sign rows, checked against those rows."""
     rows = sign_rows(support)
-    group = DiagonalSymmetryGroup(support.n, rows)
+    # rows of n+1 ints from a checked support: the constructor's checks hold
+    group = DiagonalSymmetryGroup._trusted(support.n, rows)
     _check_solution(rows, group)
     return group
 
@@ -181,15 +197,15 @@ class QubitActionProfile(NamedTuple):
 def qubit_action_profile(support: Support, group: DiagonalSymmetryGroup) -> QubitActionProfile:
     if group.n != support.n:
         raise DimensionError("support and group qubit counts differ")
-    n = support.n
-    trivial = []
+    n, basis = support.n, group.torus_basis
+    # by columns: a qubit no torus direction moves, and every generator by a half turn at most
+    trivial = [not any(col) for col in zip(*basis)][:n] if basis else [True] * n
+    for gen in group.finite_generators:
+        trivial = [t and 2 * x % gen.den == 0 for t, x in zip(trivial, gen.nums)]
     witnesses: list[tuple[str, str] | None] = []
     values = [int(label, 2) for label in support.labels]
     value_set = set(values)
-    for k in range(n):
-        torus_fixed = all(vec[k] == 0 for vec in group.torus_basis)
-        gens_half = all(2 * gen.nums[k] % gen.den == 0 for gen in group.finite_generators)
-        is_trivial = torus_fixed and gens_half
+    for k, is_trivial in enumerate(trivial):
         witness = None
         bit = 1 << (n - 1 - k)
         for v in values:
@@ -202,7 +218,6 @@ def qubit_action_profile(support: Support, group: DiagonalSymmetryGroup) -> Qubi
                 f"labels {witness} differ only at qubit {k + 1} yet the solved group "
                 "moves that qubit by more than a sign"
             )
-        trivial.append(is_trivial)
         witnesses.append(witness)
     return QubitActionProfile(trivial=tuple(trivial), witnesses=tuple(witnesses))
 

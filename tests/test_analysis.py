@@ -38,7 +38,7 @@ from lusym.analysis import (
     STRATA_INCOMPARABLE,
     GeneratorCheck,
 )
-from lusym.exactlinalg import hermite_normal_form, lattice_member
+from lusym.exactlinalg import gf3_add, hermite_normal_form, lattice_member
 from lusym.serialize import dump_report
 from lusym.states import PhaseVector
 from lusym.symmetry import _annihilated_by, group_contains, qubit_action_profile, sign_rows
@@ -631,8 +631,8 @@ def test_gf3_packed_sum_matches_integers_mod_3():
             px, mx = _gf3_packed(x)
             for y in vectors:
                 py, my = _gf3_packed(y)
-                assert lusym.analysis._gf3_add(px, mx, py, my) == _gf3_packed([a + b for a, b in zip(x, y)])
-                assert lusym.analysis._gf3_add(px, mx, my, py) == _gf3_packed([a - b for a, b in zip(x, y)])
+                assert gf3_add(px, mx, py, my) == _gf3_packed([a + b for a, b in zip(x, y)])
+                assert gf3_add(px, mx, my, py) == _gf3_packed([a - b for a, b in zip(x, y)])
 
 
 def test_gf3_test_never_refutes_a_lattice_member():

@@ -355,3 +355,78 @@ def test_every_search_level_matches_the_070_search(monkeypatch):
         assert sum(leaves) == sum(left_out.isdisjoint(c.member_labels) for c in circuits), sup.labels
     assert max(scales) > 1 and max(entries) > 1, (scales, max(entries))
 
+
+
+def _spy_on_the_kernel(monkeypatch) -> list:
+    """The sign vectors of every kernel the circuit search builds, from now on."""
+    built = []
+    kernel = lusym.circuits._systematic_kernel
+
+    def spied(vectors):
+        built.append(vectors)
+        return kernel(vectors)
+
+    monkeypatch.setattr(lusym.circuits, "_systematic_kernel", spied)
+    return built
+
+
+def _w_support(n: int) -> Support:
+    return Support.from_labels(format(1 << i, f"0{n}b") for i in range(n))
+
+
+def test_small_supports_match_brute_force_on_both_sides_of_the_mod_3_test(monkeypatch):
+    # every support of n <= 3, and every n = 4 support with at most 4 of the 8
+    # complement classes {s, s XOR 1^n}: each support the mod-3 test runs on,
+    # whether it certifies no circuit or the kernel is built
+    built = _spy_on_the_kernel(monkeypatch)
+    certified = searched = 0
+    for n in range(1, 5):
+        full = (1 << n) - 1
+        classes = [(x, x ^ full) for x in range(1 << n) if x < x ^ full]
+        # each class contributes nothing, its first label, its second or both
+        for picks in itertools.product(((), (0,), (1,), (0, 1)), repeat=len(classes)):
+            if n == 4 and sum(map(bool, picks)) > n:
+                continue
+            values = [pair[i] for pair, pick in zip(classes, picks) for i in pick]
+            if not values:
+                continue
+            sup = Support(n, [format(x, f"0{n}b") for x in values])
+            built.clear()
+            got = {frozenset(c.member_labels) for c in enumerate_circuits(sup).circuits}
+            assert got == brute_force_circuit_members(sup), sup.labels
+            certified += not built
+            searched += bool(built)
+    assert certified > 1000 and searched > 1000, (certified, searched)
+
+
+@pytest.mark.parametrize("n", [4, 5, 6, 8, 10, 11, 12])
+def test_w_n_reaches_the_kernel_exactly_when_dependent_mod_3(monkeypatch, n):
+    # W_n's sign vectors 1 - 2 e_i are the rows of J - 2I, whose determinant
+    # is (n - 2)(-2)^(n-1): independent over Q for n > 2, and dependent mod 3
+    # exactly when n = 2 mod 3, where the kernel must decide
+    built = _spy_on_the_kernel(monkeypatch)
+    assert enumerate_circuits(_w_support(n)).circuits == ()
+    assert len(built) == (n % 3 == 2)
+
+
+def test_an_independent_twin_free_part_leaves_only_its_complement_pairs(monkeypatch):
+    # W_4 with every complement, W_7 with three of them, and GHZ_4 with one
+    # more label: the labels left after dropping each later twin are
+    # independent mod 3, so the catalog is the complement pairs, relation (1, 1)
+    flip = str.maketrans("01", "10")
+    w4, w7 = _w_support(4).labels, _w_support(7).labels
+    cases = [
+        [*w4, *(s.translate(flip) for s in w4)],
+        [*w7, *(s.translate(flip) for s in w7[:3])],
+        ["0000", "1111", "0011"],
+    ]
+    built = _spy_on_the_kernel(monkeypatch)
+    for labels in cases:
+        sup = Support.from_labels(labels)
+        # in label order, by each pair's earlier label
+        pairs = [(s, s.translate(flip)) for s in sup.labels if s.translate(flip) in sup.labels and s < s.translate(flip)]
+        circuits = enumerate_circuits(sup).circuits
+        assert [c.member_labels for c in circuits] == pairs
+        assert all(c.relation == (1, 1) for c in circuits)
+        assert circuits == circuits_070(sup)
+    assert built == []

@@ -433,3 +433,46 @@ def test_finite_generators_pass_the_checked_constructor():
             assert pickle.loads(pickle.dumps(g)) == g
             count += 1
     assert count > 3 * 240
+
+
+def test_the_solve_derives_the_checked_constructors_group(monkeypatch):
+    # the solve hands a support's sign rows to the derivation without the
+    # constructor's checks, which those rows meet by construction; the
+    # checked constructor must give the same group, presentation included
+    supports = [fixture_state(name).support() for name in fixture_names()]
+    for seed in (0, 1, 2):
+        supports += _benchmark_shaped_supports(seed)
+    checked = [DiagonalSymmetryGroup(s.n, sign_rows(s)) for s in supports]
+
+    def refuse(*args):
+        raise AssertionError("the solve ran a constructor check")
+
+    monkeypatch.setattr(lusym.symmetry, "require_ints", refuse)
+    monkeypatch.setattr(lusym.symmetry, "check_qubit_count", refuse)
+    for support, expected in zip(supports, checked):
+        solved = solve_symmetry_group(support)
+        assert solved == expected
+        assert solved.torus_basis == expected.torus_basis
+        assert solved.finite_generators == expected.finite_generators
+
+
+def test_qubit_action_profile_reads_the_group_by_columns():
+    # qubit k is trivial when every torus direction is 0 there and every
+    # finite generator a half turn at most, read qubit by qubit; groups with
+    # no torus direction (full-rank dense supports) and none finite (a single
+    # label, whose one sign row is primitive) included
+    supports = [fixture_state(name).support() for name in fixture_names()]
+    supports += [Support.from_labels(["0"]), Support.from_labels(["0110"])]
+    for seed in (0, 1, 2):
+        supports += _benchmark_shaped_supports(seed)
+    shapes = set()
+    for support in supports:
+        group = solve_symmetry_group(support)
+        expected = tuple(
+            all(vec[k] == 0 for vec in group.torus_basis)
+            and all(2 * g.nums[k] % g.den == 0 for g in group.finite_generators)
+            for k in range(support.n)
+        )
+        assert qubit_action_profile(support, group).trivial == expected
+        shapes.add((bool(group.torus_basis), bool(group.finite_generators)))
+    assert {(False, True), (True, False), (True, True)} <= shapes, shapes

@@ -183,6 +183,15 @@ def test_support_iterates_measures_and_contains_its_labels():
         lambda: DiagonalSymmetryGroup(2, [[1, 2, 3], 5]),
         lambda: DiagonalSymmetryGroup.from_presentation(2, [], [5]),
         lambda: DiagonalSymmetryGroup.from_presentation(2, [5], []),
+        # a top-level argument that is not iterable at all, which used to
+        # raise TypeError "'int' object is not iterable"
+        lambda: IntMatrix([[1, 2], 5]),
+        lambda: Support(1, 5),
+        lambda: Support.from_labels(5),
+        lambda: PhaseVector(5, 2),
+        lambda: DiagonalSymmetryGroup(2, 5),
+        lambda: DiagonalSymmetryGroup.from_presentation(2, 5, []),
+        lambda: DiagonalSymmetryGroup.from_presentation(2, [], 5),
     ],
 )
 def test_value_constructors_refuse_bad_input(build):
